@@ -18,6 +18,7 @@ from .causal import (
     causal_effect,
     causal_effect_on_prediction,
     causal_effect_regression,
+    effects_on_prediction,
     naive_intervention_value,
     observation_specific_plan,
     optimal_intervention_value,
@@ -68,6 +69,7 @@ __all__ = [
     "causal_effect_regression",
     "children",
     "decision",
+    "effects_on_prediction",
     "estimate_noise_means",
     "evaluate_intervention",
     "fit_linear",

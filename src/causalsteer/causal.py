@@ -1,10 +1,17 @@
 """Total-effect propagation and optimal intervention values.
 
 The central object is the decomposition E[X_j | do(X_i = c)] = mu_j +
-alpha_j * c, computed by one pass over the graph in topological order.
-From it follow the causal effect of any variable on the prediction node,
-the ranking that picks the intervention target, and the closed-form
-intervention value that makes the expected prediction hit a desired value.
+alpha_j * c, where alpha is column i of the total-effect matrix
+(I - W)^-1: the sum over directed paths i -> j of the products of their
+edge weights. From it follow the causal effect of any variable on the
+prediction node, the ranking that picks the intervention target, and the
+closed-form intervention value that makes the expected prediction hit a
+desired value.
+
+Each is one call of ``graph.solve``, the package's one forward
+substitution: two right-hand sides give (mu, alpha), the identity gives
+every variable's effect at once. Unlike a dense solve it keeps structural
+zeros exact, so a variable with no path to the prediction has effect 0.0.
 """
 
 from dataclasses import dataclass
@@ -70,9 +77,9 @@ def propagate(dag: Dag, base_terms, i: int) -> EffectDecomposition:
     an Scm both equal its noise means; use per-observation values for the
     observation-specific variant). Entry i is never read.
 
-    One topological pass: alpha accumulates edge-weight products along all
-    directed paths out of i, mu accumulates everything that does not depend
-    on c. Roots other than i keep their mean and are insensitive to c.
+    alpha is the solution for the unit vector e_i and mu for the base terms
+    with entry i zeroed, both with X_i's own equation cut; roots other than
+    i keep their mean and are insensitive to c.
     """
     n = dag.n
     if not 1 <= i <= n:
@@ -80,22 +87,10 @@ def propagate(dag: Dag, base_terms, i: int) -> EffectDecomposition:
     base = np.asarray(base_terms, dtype=float)
     if base.shape != (n,):
         raise ValueError(f"expected a length-{n} vector, got shape {base.shape}")
-    w = dag.weights
-    i0 = i - 1
-    alpha = np.zeros(n)
-    mu = np.zeros(n)
-    alpha[i0] = 1.0
-    for v1 in graph.topological_order(dag):
-        v = v1 - 1
-        if v == i0:
-            continue
-        pa = np.flatnonzero(w[v])
-        if pa.size == 0:
-            mu[v] = base[v]
-            continue
-        alpha[v] = w[v, pa] @ alpha[pa]
-        # mu[i0] stays 0, so the intervened parent drops out of this sum.
-        mu[v] = w[v, pa] @ mu[pa] + base[v]
+    rhs = np.zeros((2, n))
+    rhs[0] = base
+    rhs[:, i - 1] = (0.0, 1.0)
+    mu, alpha = graph.solve(dag, rhs, fixed=i)
     return EffectDecomposition(i, mu, alpha)
 
 
@@ -125,10 +120,22 @@ def causal_effect_regression(data: Dataset, dag: Dag, i: int, j: int) -> float:
     return float(model.coeffs[0])
 
 
+def effects_on_prediction(augmented: AugmentedGraph) -> np.ndarray:
+    """d/dc of the expected prediction under do(X_k = c), for every k at once.
+
+    Entry k-1 is w . (column k of (I - W)^-1); solving on the identity
+    yields all columns in one pass. Exactly 0.0 for a variable with no
+    directed path into a predictor.
+    """
+    n = augmented.base.n
+    return graph.solve(augmented.base, np.eye(n)) @ augmented.expanded_coeffs()
+
+
 def causal_effect_on_prediction(augmented: AugmentedGraph, i: int) -> float:
     """d/dc of the expected prediction under do(X_i = c)."""
-    dec = propagate(augmented.base, np.zeros(augmented.base.n), i)
-    return float(augmented.expanded_coeffs() @ dec.alpha)
+    if not 1 <= i <= augmented.base.n:
+        raise IndexOutOfRange(i, augmented.base.n)
+    return float(effects_on_prediction(augmented)[i - 1])
 
 
 def select_intervention_target(augmented: AugmentedGraph, candidates) -> int:
@@ -140,14 +147,15 @@ def select_intervention_target(augmented: AugmentedGraph, candidates) -> int:
     cands = sorted(set(int(i) for i in candidates))
     if not cands:
         raise EmptyCandidates("no candidate variables supplied")
-    best, best_effect = None, -1.0
     for cand in cands:
-        effect = abs(causal_effect_on_prediction(augmented, cand))
-        if effect > best_effect:
-            best, best_effect = cand, effect
-    if best_effect < EFFECT_THRESHOLD:
+        if not 1 <= cand <= augmented.base.n:
+            raise IndexOutOfRange(cand, augmented.base.n)
+    effects = np.abs(effects_on_prediction(augmented)[np.array(cands) - 1])
+    # argmax returns the first maximum, the lowest index among ties.
+    best = int(np.argmax(effects))
+    if effects[best] < EFFECT_THRESHOLD:
         raise AllEffectsZero("no candidate has a causal effect on the prediction")
-    return best
+    return cands[best]
 
 
 def optimal_intervention_value(
@@ -233,54 +241,3 @@ def plan_for_scm(scm: Scm, model: PredictionModel, i: int, d: float) -> Interven
     """Population-level plan with expectations taken from the Scm itself."""
     mu = analytic_means(scm)
     return optimal_intervention_value(mu, scm.dag, estimate_noise_means(scm.dag, mu), model, i, d)
-
-
-def interventional_means_solve(dag: Dag, base_terms, i: int, c: float) -> np.ndarray:
-    """E[X | do(X_i = c)] by a dense linear solve; cross-check for propagate.
-
-    Solves (I - W~) x = t where W~ zeroes the intervened row and t holds the
-    base terms with t_i = c. Shares no code path with the recursion.
-    """
-    n = dag.n
-    if not 1 <= i <= n:
-        raise IndexOutOfRange(i, n)
-    w = dag.weights.copy()
-    t = np.asarray(base_terms, dtype=float).copy()
-    w[i - 1, :] = 0.0
-    t[i - 1] = c
-    return np.linalg.solve(np.eye(n) - w, t)
-
-
-def grid_refine_intervention_value(
-    dag: Dag,
-    mu,
-    noise,
-    model: PredictionModel,
-    i: int,
-    d: float,
-    lo: float = -1e6,
-    hi: float = 1e6,
-    rounds: int = 12,
-    points: int = 129,
-) -> float:
-    """Numerically minimize the squared prediction gap over c.
-
-    A brute-force check of the closed form: evaluates the objective through
-    ``interventional_means_solve`` on a shrinking grid. Only useful as a
-    verification tool; the closed form is exact and fast.
-    """
-    base = np.where(graph.root_mask(dag), np.asarray(mu, float), np.asarray(noise, float))
-    aug = AugmentedGraph(dag, model.predictor_indices, model.coeffs, model.bias)
-    w = aug.expanded_coeffs()
-
-    def objective(c: float) -> float:
-        means = interventional_means_solve(dag, base, i, c)
-        return (float(w @ means) + model.bias - d) ** 2
-
-    for _ in range(rounds):
-        grid = np.linspace(lo, hi, points)
-        values = [objective(c) for c in grid]
-        k = int(np.argmin(values))
-        lo = grid[max(k - 1, 0)]
-        hi = grid[min(k + 1, points - 1)]
-    return float(0.5 * (lo + hi))

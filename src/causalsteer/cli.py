@@ -14,7 +14,7 @@ import numpy as np
 
 from . import __version__, autompg, fileio
 from .causal import (
-    causal_effect_on_prediction,
+    effects_on_prediction,
     naive_intervention_value,
     observation_specific_plan,
     optimal_intervention_value,
@@ -56,13 +56,16 @@ def _cmd_gen_scm(args) -> int:
 
 def _parse_do(spec: str) -> tuple[int, float]:
     idx, _, value = spec.partition("=")
-    return int(idx), float(value)
+    try:
+        return int(idx), float(value)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected I=C, e.g. 3=1.5, got {spec!r}") from None
 
 
 def _cmd_sample(args) -> int:
     scm = fileio.scm_from_dict(fileio.load_json(args.scm))
     if args.do:
-        i, c = _parse_do(args.do)
+        i, c = args.do
         data = sample_interventional(scm, i, c, args.rows, args.seed)
     else:
         data = sample(scm, args.rows, args.seed)
@@ -90,7 +93,8 @@ def _cmd_analyze(args) -> int:
     scm = fileio.scm_from_dict(fileio.load_json(args.scm))
     model = fileio.model_from_dict(fileio.load_json(args.model))
     augmented = augment_graph(scm.dag, model)
-    effects = [(i, causal_effect_on_prediction(augmented, i)) for i in model.predictor_indices]
+    all_effects = effects_on_prediction(augmented)
+    effects = [(i, float(all_effects[i - 1])) for i in model.predictor_indices]
     effects.sort(key=lambda pair: (-abs(pair[1]), pair[0]))
     lines = ["variable,name,effect_on_prediction"]
     for i, effect in effects:
@@ -194,7 +198,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("sample", help="draw observations from an SCM file")
     p.add_argument("--scm", required=True)
     p.add_argument("--rows", type=int, default=1000)
-    p.add_argument("--do", help="intervention I=C, e.g. --do 3=1.5")
+    p.add_argument("--do", type=_parse_do, help="intervention I=C, e.g. --do 3=1.5")
     common(p)
     p.set_defaults(func=_cmd_sample)
 

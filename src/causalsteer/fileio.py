@@ -5,6 +5,7 @@ CSV with one column per variable and %.12g numeric formatting.
 """
 
 import csv
+import dataclasses
 import io
 import json
 from pathlib import Path
@@ -13,6 +14,7 @@ import numpy as np
 
 from .causal import InterventionPlan
 from .datagen import DagGenConfig
+from .errors import InvalidConfig
 from .graph import Dag, validate
 from .models import PredictionModel
 from .scm import Dataset, NoiseSpec, Scm
@@ -99,8 +101,16 @@ def plan_to_dict(plan: InterventionPlan) -> dict:
     }
 
 
+def known_fields(cls, doc: dict) -> dict:
+    """A copy of ``doc``, raising InvalidConfig on a key that is not a field of ``cls``."""
+    unknown = sorted(set(doc) - {f.name for f in dataclasses.fields(cls)})
+    if unknown:
+        raise InvalidConfig(f"unknown {cls.__name__} key(s): {', '.join(map(repr, unknown))}")
+    return dict(doc)
+
+
 def datagen_config_from_dict(doc: dict) -> DagGenConfig:
-    kwargs = dict(doc)
+    kwargs = known_fields(DagGenConfig, doc)
     if "noise" in kwargs:
         kwargs["noise"] = noise_from_dict(kwargs["noise"])
     return DagGenConfig(**kwargs)
@@ -145,6 +155,8 @@ def save_dataset(data: Dataset, path) -> None:
 def load_dataset(path) -> Dataset:
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
+        header = next(reader, None)
+        if header is None:
+            raise ValueError(f"{path}: empty file, expected a header row")
         rows = [[float(v) for v in row] for row in reader]
     return Dataset(np.asarray(rows, dtype=float), tuple(header))

@@ -106,6 +106,30 @@ def topological_order(dag: Dag) -> list[int]:
     return order
 
 
+def solve(dag: Dag, rhs, fixed: int | None = None) -> np.ndarray:
+    """Solve x = W~ x + rhs along the last axis of ``rhs``; W~ is W with row ``fixed`` zeroed.
+
+    The package's one evaluation of the linear SCM: rows of noise draws give
+    samples, noise means give means, and the unit vector e_i gives column i
+    of the total-effect matrix (I - W)^-1. For do(X_fixed = c), put c in rhs.
+    Forward substitution over parents, not a dense solve, so a variable no
+    path reaches stays exactly 0.0 and the values of non-descendants of
+    ``fixed`` stay bitwise equal to the unintervened ones.
+    """
+    x = np.array(rhs, dtype=float)
+    if x.shape[-1:] != (dag.n,):
+        raise ValueError(f"expected a last axis of length {dag.n}, got shape {x.shape}")
+    if fixed is not None:
+        _check_index(dag, fixed)
+    w = dag.weights
+    for v1 in topological_order(dag):
+        v = v1 - 1
+        pa = np.flatnonzero(w[v])
+        if pa.size and v1 != fixed:
+            x[..., v] = x[..., pa] @ w[v, pa] + x[..., v]
+    return x
+
+
 def _find_cycle(adj: np.ndarray, remaining: set[int]) -> list[int]:
     # Every vertex left over by Kahn's algorithm has a parent among the
     # leftovers, so walking parent links must revisit a vertex.

@@ -48,6 +48,8 @@ class PredictionModel:
         object.__setattr__(self, "predictor_indices", preds)
         if len(preds) != coeffs.size:
             raise ValueError(f"{len(preds)} predictors but {coeffs.size} coefficients")
+        if not (np.isfinite(self.bias) and np.isfinite(coeffs).all()):
+            raise ValueError(f"bias and coefficients must be finite, got {self.bias} and {coeffs}")
         if len(set(preds)) != len(preds):
             raise ValueError("duplicate predictor indices")
         if self.target_index in preds:

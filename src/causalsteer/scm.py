@@ -5,6 +5,10 @@ N_i; a root variable's value is its noise draw. Sampling is the ground
 truth oracle for all interventional expectations. All samplers take a
 ``seed`` accepted by ``numpy.random.default_rng`` (int, SeedSequence, or
 Generator), and identical seeds give bitwise-identical datasets.
+
+Samples and analytic means both come from ``graph.solve``, the package's
+one forward substitution; unlike a dense solve it keeps the columns an
+intervention cannot reach bitwise equal to the observational sample.
 """
 
 from dataclasses import dataclass
@@ -135,25 +139,20 @@ def _draw_noise(scm: Scm, rng: np.random.Generator, m: int) -> np.ndarray:
     return noise
 
 
-def _evaluate(scm: Scm, noise: np.ndarray, intervened: tuple[int, float] | None) -> np.ndarray:
-    w = scm.dag.weights
-    x = np.empty_like(noise)
-    for v1 in graph.topological_order(scm.dag):
-        v = v1 - 1
-        if intervened is not None and v == intervened[0]:
-            x[:, v] = intervened[1]
-            continue
-        pa = np.flatnonzero(w[v])
-        x[:, v] = noise[:, v] if pa.size == 0 else x[:, pa] @ w[v, pa] + noise[:, v]
-    return x
+def _simulate(scm: Scm, m: int, seed, do: tuple[int, float] | None) -> np.ndarray:
+    if m < 1:
+        raise ValueError(f"sample count must be >= 1, got {m}")
+    # The noise array is released on return, before Dataset copies the result.
+    noise = _draw_noise(scm, np.random.default_rng(seed), m)
+    if do is None:
+        return graph.solve(scm.dag, noise)
+    noise[:, do[0] - 1] = do[1]
+    return graph.solve(scm.dag, noise, fixed=do[0])
 
 
 def sample(scm: Scm, m: int, seed) -> Dataset:
     """Draw m observations by evaluating variables in topological order."""
-    if m < 1:
-        raise ValueError(f"sample count must be >= 1, got {m}")
-    rng = np.random.default_rng(seed)
-    return Dataset(_evaluate(scm, _draw_noise(scm, rng, m), None), scm.dag.names)
+    return Dataset(_simulate(scm, m, seed, None), scm.dag.names)
 
 
 def sample_interventional(scm: Scm, i: int, c: float, m: int, seed) -> Dataset:
@@ -163,23 +162,14 @@ def sample_interventional(scm: Scm, i: int, c: float, m: int, seed) -> Dataset:
     respond through the structural equations. With the same seed, columns of
     variables unaffected by the intervention match ``sample`` exactly.
     """
-    if m < 1:
-        raise ValueError(f"sample count must be >= 1, got {m}")
     if not 1 <= i <= scm.n:
         raise IndexOutOfRange(i, scm.n)
-    rng = np.random.default_rng(seed)
-    return Dataset(_evaluate(scm, _draw_noise(scm, rng, m), (i - 1, float(c))), scm.dag.names)
+    return Dataset(_simulate(scm, m, seed, (i, float(c))), scm.dag.names)
 
 
 def analytic_means(scm: Scm) -> np.ndarray:
-    """E[X_k] for every variable, by propagating noise means forward."""
-    w = scm.dag.weights
-    nm = noise_means(scm)
-    mu = np.zeros(scm.n)
-    for v1 in graph.topological_order(scm.dag):
-        v = v1 - 1
-        mu[v] = w[v] @ mu + nm[v]
-    return mu
+    """E[X_k] for every variable: the structural equations solved at the noise means."""
+    return graph.solve(scm.dag, noise_means(scm))
 
 
 def estimate_noise_means(dag: Dag, mu: np.ndarray) -> np.ndarray:

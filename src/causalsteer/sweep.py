@@ -41,9 +41,10 @@ class SweepConfig:
     def check(self) -> None:
         if not self.d_values:
             raise InvalidConfig("d_values must be nonempty")
-        for name in ("n_dags", "n_train", "n_post"):
-            if getattr(self, name) < 1:
-                raise InvalidConfig(f"{name} must be >= 1, got {getattr(self, name)}")
+        # The median split of the training target needs two rows.
+        for name, least in (("n_dags", 1), ("n_train", 2), ("n_post", 1)):
+            if getattr(self, name) < least:
+                raise InvalidConfig(f"{name} must be >= {least}, got {getattr(self, name)}")
         self.datagen.check()
 
 
@@ -153,7 +154,7 @@ def sweep_result_to_csv(result: SweepResult) -> str:
 
 
 def sweep_config_from_dict(doc: dict) -> SweepConfig:
-    kwargs = dict(doc)
+    kwargs = fileio.known_fields(SweepConfig, doc)
     if "datagen" in kwargs:
         kwargs["datagen"] = fileio.datagen_config_from_dict(kwargs["datagen"])
     if "d_values" in kwargs:

@@ -1,12 +1,12 @@
 """Brute-force reference implementations the library code must agree with.
 
-Deliberately naive: path enumeration instead of propagation, so the two
-sides share no code.
+Deliberately naive: path enumeration and dense linear solves instead of
+forward substitution, so the two sides share no code.
 """
 
 import numpy as np
 
-from causalsteer import Dag
+from causalsteer import Dag, PredictionModel
 
 
 def enumerate_paths(dag: Dag, i: int, j: int):
@@ -36,3 +36,63 @@ def path_product_effect(dag: Dag, i: int, j: int) -> float:
             product *= dag.weights[b - 1, a - 1]
         total += product
     return total
+
+
+def expanded_coeffs(n: int, model: PredictionModel) -> np.ndarray:
+    """Model coefficients on all n variables, zero off the predictors."""
+    w = np.zeros(n)
+    for k, p in enumerate(model.predictor_indices):
+        w[p - 1] = model.coeffs[k]
+    return w
+
+
+def interventional_means_solve(dag: Dag, base_terms, i: int, c: float) -> np.ndarray:
+    """E[X | do(X_i = c)] by a dense linear solve.
+
+    Solves (I - W~) x = t where W~ zeroes the intervened row and t holds the
+    base terms with t_i = c.
+    """
+    w = dag.weights.copy()
+    t = np.asarray(base_terms, dtype=float).copy()
+    w[i - 1, :] = 0.0
+    t[i - 1] = c
+    return np.linalg.solve(np.eye(dag.n) - w, t)
+
+
+def prediction_effects_dense(dag: Dag, w) -> np.ndarray:
+    """Every variable's total effect on the prediction w . x: (I - W)^-T w."""
+    return np.linalg.solve((np.eye(dag.n) - dag.weights).T, np.asarray(w, dtype=float))
+
+
+def grid_refine_intervention_value(
+    dag: Dag,
+    mu,
+    noise,
+    model: PredictionModel,
+    i: int,
+    d: float,
+    lo: float = -1e6,
+    hi: float = 1e6,
+    rounds: int = 12,
+    points: int = 129,
+) -> float:
+    """Minimize the squared prediction gap over c on a shrinking grid.
+
+    A brute-force check of the closed form, evaluating the objective through
+    ``interventional_means_solve``.
+    """
+    roots = ~(dag.weights != 0.0).any(axis=1)
+    base = np.where(roots, np.asarray(mu, float), np.asarray(noise, float))
+    w = expanded_coeffs(dag.n, model)
+
+    def objective(c: float) -> float:
+        means = interventional_means_solve(dag, base, i, c)
+        return (float(w @ means) + model.bias - d) ** 2
+
+    for _ in range(rounds):
+        grid = np.linspace(lo, hi, points)
+        values = [objective(c) for c in grid]
+        k = int(np.argmin(values))
+        lo = grid[max(k - 1, 0)]
+        hi = grid[min(k + 1, points - 1)]
+    return float(0.5 * (lo + hi))

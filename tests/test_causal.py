@@ -14,6 +14,7 @@ from causalsteer import (
     causal_effect,
     causal_effect_on_prediction,
     causal_effect_regression,
+    effects_on_prediction,
     estimate_noise_means,
     generate_random_scm,
     naive_intervention_value,
@@ -26,7 +27,6 @@ from causalsteer import (
     select_intervention_target,
     total_effect_expectation,
 )
-from causalsteer.causal import grid_refine_intervention_value, interventional_means_solve
 from causalsteer.errors import (
     AllEffectsZero,
     EmptyCandidates,
@@ -37,7 +37,13 @@ from causalsteer.errors import (
 from causalsteer.scm import noise_means
 
 from .conftest import uniform_scm
-from .oracles import path_product_effect
+from .oracles import (
+    expanded_coeffs,
+    grid_refine_intervention_value,
+    interventional_means_solve,
+    path_product_effect,
+    prediction_effects_dense,
+)
 
 
 def chain_model() -> PredictionModel:
@@ -177,6 +183,52 @@ class TestEffectOnPrediction:
         model = PredictionModel("linear", 0.0, np.array([1.0]), (2,), 3)
         augmented = augment_graph(dag, model)
         assert causal_effect_on_prediction(augmented, 1) == 0.0
+
+
+class TestEffectVector:
+    @staticmethod
+    def instances(permute: bool):
+        rng = np.random.default_rng(27 + permute)
+        for _ in range(30):
+            scm = generate_random_scm(
+                DagGenConfig(n_roots=3, n_descendants=int(rng.integers(3, 15)),
+                             parent_prob=0.3, seed=int(rng.integers(2**32)))
+            )
+            n = scm.n
+            dag = scm.dag
+            if permute:
+                perm = rng.permutation(n)
+                dag = Dag(dag.weights[np.ix_(perm, perm)])
+            target = int(rng.integers(1, n + 1))
+            others = [i for i in range(1, n + 1) if i != target]
+            preds = tuple(sorted(int(i) for i in rng.choice(others, size=max(1, n // 3), replace=False)))
+            coeffs = rng.uniform(0.5, 2.0, len(preds)) * rng.choice([-1.0, 1.0], len(preds))
+            yield dag, PredictionModel("linear", 0.0, coeffs, preds, target)
+
+    @pytest.mark.parametrize("permute", [False, True])
+    def test_matches_dense_oracle(self, permute):
+        lower_triangular = []
+        for dag, model in self.instances(permute):
+            lower_triangular.append(not np.triu(dag.weights).any())
+            augmented = augment_graph(dag, model)
+            effects = effects_on_prediction(augmented)
+            dense = prediction_effects_dense(dag, expanded_coeffs(dag.n, model))
+            np.testing.assert_allclose(effects, dense, rtol=1e-12, atol=1e-12)
+            for i in range(1, dag.n + 1):
+                assert causal_effect_on_prediction(augmented, i) == effects[i - 1]
+        assert all(lower_triangular) != permute
+
+    @pytest.mark.parametrize("permute", [False, True])
+    def test_exact_zero_off_ancestors(self, permute):
+        zeros = 0
+        for dag, model in self.instances(permute):
+            adj = dag.weights != 0
+            reach = np.linalg.matrix_power(adj + np.eye(dag.n, dtype=bool), dag.n)
+            feeds = reach[np.array(model.predictor_indices) - 1].any(axis=0)
+            effects = effects_on_prediction(augment_graph(dag, model))
+            assert (effects[~feeds] == 0.0).all()
+            zeros += int((~feeds).sum())
+        assert zeros > 0
 
 
 class TestSelectInterventionTarget:

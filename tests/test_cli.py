@@ -1,0 +1,105 @@
+import json
+
+import pytest
+
+from causalsteer import DagGenConfig, augment_graph, effects_on_prediction, fileio
+from causalsteer.cli import main
+
+
+@pytest.fixture
+def files(tmp_path):
+    """An SCM file, a training CSV drawn from it and a logistic model fitted on it."""
+    scm_path, data_path, model_path = tmp_path / "scm.json", tmp_path / "train.csv", tmp_path / "model.json"
+    config_path = tmp_path / "gen.json"
+    config_path.write_text(json.dumps(fileio.datagen_config_to_dict(DagGenConfig(n_roots=3, n_descendants=6))))
+    assert main(["gen-scm", "--config", str(config_path), "--seed", "5", "--out", str(scm_path)]) == 0
+    assert main(["sample", "--scm", str(scm_path), "--rows", "300", "--seed", "6", "--out", str(data_path)]) == 0
+    argv = ["fit", "--data", str(data_path), "--kind", "logistic", "--target-index", "9", "--out", str(model_path)]
+    assert main(argv) == 0
+    return scm_path, data_path, model_path
+
+
+def test_sample_do_fixes_the_column(files, tmp_path):
+    scm_path, _, _ = files
+    out = tmp_path / "do.csv"
+    assert main(["sample", "--scm", str(scm_path), "--rows", "5", "--do", "2=1.5", "--seed", "1", "--out", str(out)]) == 0
+    assert (fileio.load_dataset(out).column(2) == 1.5).all()
+
+
+@pytest.mark.parametrize("spec", ["3", "x=1", "3=y", "="])
+def test_malformed_do_is_a_usage_error(files, capsys, spec):
+    scm_path, _, _ = files
+    with pytest.raises(SystemExit) as exc:
+        main(["sample", "--scm", str(scm_path), "--do", spec])
+    assert exc.value.code == 1
+    assert "--do" in capsys.readouterr().err
+
+
+def test_analyze_ranks_by_the_effect_vector(files, capsys):
+    scm_path, _, model_path = files
+    assert main(["analyze", "--scm", str(scm_path), "--model", str(model_path)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "variable,name,effect_on_prediction"
+    scm = fileio.scm_from_dict(fileio.load_json(scm_path))
+    model = fileio.model_from_dict(fileio.load_json(model_path))
+    effects = effects_on_prediction(augment_graph(scm.dag, model))
+    ranked = sorted(model.predictor_indices, key=lambda i: (-abs(effects[i - 1]), i))
+    assert [int(line.split(",")[0]) for line in lines[1:]] == ranked
+
+
+def test_intervene_plan_hits_desired(files, capsys, tmp_path):
+    scm_path, _, model_path = files
+    plan_path = tmp_path / "plan.json"
+    argv = ["intervene", "--scm", str(scm_path), "--model", str(model_path), "--desired", "2.0", "--out", str(plan_path)]
+    assert main(argv) == 0
+    assert capsys.readouterr().out.startswith("do(X")
+    plan = fileio.load_json(plan_path)
+    assert plan["predicted_expectation"] == pytest.approx(2.0, abs=1e-9)
+
+
+def test_unknown_sweep_key_is_reported(tmp_path, capsys):
+    config = tmp_path / "sweep.json"
+    config.write_text(json.dumps({"n_dags": 2, "n_dag": 3}))
+    assert main(["sweep", "--config", str(config)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "'n_dag'" in err
+
+
+def test_unknown_datagen_key_is_reported(tmp_path, capsys):
+    config = tmp_path / "gen.json"
+    config.write_text(json.dumps({"n_root": 3}))
+    assert main(["gen-scm", "--config", str(config)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "'n_root'" in err
+
+
+def test_fit_on_empty_csv(tmp_path, capsys):
+    empty = tmp_path / "empty.csv"
+    empty.write_text("")
+    assert main(["fit", "--data", str(empty), "--target-index", "1"]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+
+
+def test_sweep_rejects_single_training_row(tmp_path, capsys):
+    config = tmp_path / "sweep.json"
+    config.write_text(json.dumps({"n_dags": 1, "n_train": 1}))
+    assert main(["sweep", "--config", str(config)]) == 2
+    assert "n_train" in capsys.readouterr().err
+
+
+def test_non_finite_model_is_reported(files, tmp_path, capsys):
+    scm_path, _, model_path = files
+    doc = fileio.load_json(model_path)
+    doc["coeffs"][0] = float("nan")
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    assert main(["analyze", "--scm", str(scm_path), "--model", str(bad)]) == 2
+    assert "finite" in capsys.readouterr().err
+
+
+def test_seeded_sample_is_reproducible(files, tmp_path):
+    scm_path, _, _ = files
+    paths = [tmp_path / "a.csv", tmp_path / "b.csv"]
+    for path in paths:
+        assert main(["sample", "--scm", str(scm_path), "--rows", "20", "--seed", "9", "--out", str(path)]) == 0
+    assert paths[0].read_text() == paths[1].read_text()

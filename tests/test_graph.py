@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from causalsteer import Dag, children, parents, roots, topological_order, validate
+from causalsteer.graph import solve
 from causalsteer.errors import CycleDetected, IndexOutOfRange, NonFiniteWeight, NonzeroDiagonal
 
 
@@ -98,6 +99,40 @@ class TestTopologicalOrder:
         for v in range(1, dag.n + 1):
             for p in parents(dag, v):
                 assert pos[p] < pos[v]
+
+
+class TestSolve:
+    def test_chain_by_hand(self, chain3):
+        # x1 = 1, x2 = 2*1 + 1, x3 = 0.5*3 + 1
+        assert solve(chain3, [1.0, 1.0, 1.0]).tolist() == [1.0, 3.0, 2.5]
+
+    def test_fixed_variable_takes_its_rhs(self, chain3):
+        assert solve(chain3, [1.0, 7.0, 0.0], fixed=2).tolist() == [1.0, 7.0, 3.5]
+
+    def test_leading_axes_are_independent_systems(self, chain3):
+        rhs = np.arange(12.0).reshape(2, 2, 3)
+        out = solve(chain3, rhs)
+        for idx in np.ndindex(2, 2):
+            assert out[idx].tolist() == solve(chain3, rhs[idx]).tolist()
+
+    def test_rhs_not_modified(self, chain3):
+        rhs = np.ones(3)
+        solve(chain3, rhs)
+        assert rhs.tolist() == [1.0, 1.0, 1.0]
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_identity_gives_total_effect_matrix(self, seed):
+        dag = random_dag(np.random.default_rng(seed), 9)
+        total = solve(dag, np.eye(9)).T
+        np.testing.assert_allclose(total, np.linalg.inv(np.eye(9) - dag.weights), rtol=1e-12, atol=1e-12)
+        reach = np.linalg.matrix_power((dag.weights != 0) | np.eye(9, dtype=bool), 9)
+        assert (total[~reach] == 0.0).all()
+
+    def test_shape_and_index_checked(self, chain3):
+        with pytest.raises(ValueError):
+            solve(chain3, np.zeros(2))
+        with pytest.raises(IndexOutOfRange):
+            solve(chain3, np.zeros(3), fixed=4)
 
 
 class TestNeighborhoods:

@@ -170,6 +170,11 @@ class TestPredictionModelType:
         with pytest.raises(ValueError):
             PredictionModel("linear", 0.0, np.array([1.0, 2.0]), (1,), 3)
 
+    @pytest.mark.parametrize("bias, coeffs", [(0.0, [np.nan, 1.0]), (np.inf, [1.0, 1.0]), (0.0, [1.0, -np.inf])])
+    def test_non_finite_parameters_rejected(self, bias, coeffs):
+        with pytest.raises(ValueError, match="finite"):
+            PredictionModel("linear", bias, coeffs, (1, 2), 3)
+
 
 class TestAugmentGraph:
     def test_seven_vertex_prediction_node(self, seven_vertex_dag):

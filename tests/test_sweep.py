@@ -1,0 +1,75 @@
+import json
+
+import numpy as np
+import pytest
+
+from causalsteer import DagGenConfig, SweepConfig, run_sweep
+from causalsteer.cli import main
+from causalsteer.errors import InvalidConfig
+from causalsteer.sweep import _run_one_dag, sweep_config_from_dict, sweep_config_to_dict, sweep_result_to_csv
+
+GOLDEN_CONFIG = SweepConfig(
+    n_dags=8,
+    n_train=200,
+    n_post=200,
+    d_values=(0.0, 2.0, 4.0),
+    datagen=DagGenConfig(n_roots=5, n_descendants=10),
+    seed=3,
+)
+
+# The exact output of this sweep; any change to sampling, fitting, target
+# selection or the intervention values shows up here.
+GOLDEN_CSV = (
+    "d,accuracy_optimal,accuracy_naive,n_failed\n"
+    "0,0.496875,0.429375,0\n"
+    "2,0.890000,0.850625,0\n"
+    "4,0.966875,0.873125,0\n"
+)
+
+
+def test_golden_csv():
+    assert sweep_result_to_csv(run_sweep(GOLDEN_CONFIG)) == GOLDEN_CSV
+
+
+def test_dag_order_does_not_matter():
+    result = run_sweep(GOLDEN_CONFIG)
+    seeds = np.random.SeedSequence(GOLDEN_CONFIG.seed).spawn(GOLDEN_CONFIG.n_dags)
+    n_d = len(GOLDEN_CONFIG.d_values)
+    opt, naive = np.zeros(n_d, dtype=int), np.zeros(n_d, dtype=int)
+    for seed in reversed(seeds):
+        opt_counts, naive_counts = _run_one_dag(GOLDEN_CONFIG, seed)
+        opt += opt_counts
+        naive += naive_counts
+    denom = GOLDEN_CONFIG.n_dags * GOLDEN_CONFIG.n_post
+    assert [row.accuracy_optimal for row in result.rows] == (opt / denom).tolist()
+    assert [row.accuracy_naive for row in result.rows] == (naive / denom).tolist()
+
+
+def test_cli_sweep_writes_csv_and_manifest(tmp_path):
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(sweep_config_to_dict(GOLDEN_CONFIG)))
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", "--config", str(config_path), "--out", str(out)]) == 0
+    assert out.read_text() == GOLDEN_CSV
+    manifest = json.loads((tmp_path / "sweep.manifest.json").read_text())
+    assert manifest["n_dags"] == 8
+    assert manifest["n_failed"] == 0
+    assert sweep_config_from_dict(manifest["config"]) == GOLDEN_CONFIG
+
+
+@pytest.mark.parametrize("field", ["n_dags", "n_post"])
+def test_check_rejects_zero_counts(field):
+    config = SweepConfig(**{field: 0})
+    with pytest.raises(InvalidConfig, match=field):
+        config.check()
+
+
+def test_check_rejects_single_training_row():
+    # The median split needs two rows; the sweep must fail before it starts.
+    with pytest.raises(InvalidConfig, match="n_train"):
+        run_sweep(SweepConfig(n_dags=1, n_train=1))
+
+
+def test_unknown_config_key_named():
+    with pytest.raises(InvalidConfig, match="n_dag"):
+        sweep_config_from_dict({"n_dag": 3})
