@@ -171,19 +171,13 @@ def demo_autompg(structure: Dag, data: Dataset, desired_values) -> DemoReport:
     column = data.column(intervene_on)
     lo, hi = float(column.min()), float(column.max())
 
-    suggestions = []
-    for d in desired_values:
-        plan = optimal_intervention_value(mu, structure, noise, model, intervene_on, float(d))
-        naive = naive_intervention_value(model, mu, intervene_on, float(d))
-        suggestions.append(
-            DemoSuggestion(
-                desired=float(d),
-                optimal_value=plan.value,
-                optimal_plausible=lo <= plan.value <= hi,
-                naive_value=naive,
-                naive_plausible=lo <= naive <= hi,
-            )
-        )
+    d = np.array(desired_values, dtype=float)
+    optimal = optimal_intervention_value(mu, structure, noise, model, intervene_on, d).value
+    naive = naive_intervention_value(model, mu, intervene_on, d)
+    suggestions = [
+        DemoSuggestion(float(dk), float(ok), bool(lo <= ok <= hi), float(nk), bool(lo <= nk <= hi))
+        for dk, ok, nk in zip(d, optimal, naive)
+    ]
     return DemoReport(
         intervene_on=intervene_on,
         intervene_name=names[intervene_on - 1],

@@ -28,7 +28,7 @@ from .errors import (
     ZeroCoefficient,
 )
 from .graph import Dag
-from .models import AugmentedGraph, PredictionModel, fit_linear
+from .models import AugmentedGraph, PredictionModel, fit_linear, predict
 from .scm import Dataset, Scm, analytic_means, estimate_noise_means, noise_means
 
 #: Below this sensitivity the desired prediction is unreachable at finite c.
@@ -47,9 +47,9 @@ class EffectDecomposition:
     mu: np.ndarray
     alpha: np.ndarray
 
-    def expectations(self, c: float) -> np.ndarray:
-        """Post-intervention means of all variables under do(X_i = c)."""
-        return self.mu + self.alpha * c
+    def expectations(self, c) -> np.ndarray:
+        """Post-intervention means of all variables under do(X_i = c), one row per c."""
+        return self.mu + np.multiply.outer(c, self.alpha)
 
 
 @dataclass(frozen=True)
@@ -58,13 +58,14 @@ class InterventionPlan:
 
     ``predicted_expectation`` is the expected prediction the plan achieves;
     for the closed-form optimal value it equals ``desired_prediction`` up to
-    rounding. ``effects`` carries the per-variable sensitivity alpha.
+    rounding. ``effects`` carries the per-variable sensitivity alpha. The
+    value fields take the shape of the desired value, one plan per entry.
     """
 
     target_variable: int
-    value: float
-    desired_prediction: float
-    predicted_expectation: float
+    value: float | np.ndarray
+    desired_prediction: float | np.ndarray
+    predicted_expectation: float | np.ndarray
     effects: np.ndarray
     warnings: tuple[str, ...] = ()
 
@@ -164,7 +165,7 @@ def optimal_intervention_value(
     noise,
     model: PredictionModel,
     i: int,
-    d: float,
+    d,
 ) -> InterventionPlan:
     """The intervention value c making E[prediction | do(X_i = c)] equal d.
 
@@ -176,7 +177,8 @@ def optimal_intervention_value(
         c = (d - w . mu_prop - bias) / (w . alpha)
 
     with w the model coefficients scattered over all n variables (zero at
-    the target) and (mu_prop, alpha) from ``propagate``. Raises
+    the target) and (mu_prop, alpha) from ``propagate``. An array d reuses
+    the one decomposition; each entry equals its scalar plan bit for bit. Raises
     ZeroCausalEffect when the denominator vanishes and InterveneOnTarget
     when i is the model's target variable.
     """
@@ -186,6 +188,7 @@ def optimal_intervention_value(
     noise = np.asarray(noise, dtype=float)
     if mu.shape != (dag.n,) or noise.shape != (dag.n,):
         raise ValueError(f"mu and noise must be length-{dag.n} vectors")
+    d = np.asarray(d, dtype=float)[()]
     base = np.where(graph.root_mask(dag), mu, noise)
     dec = propagate(dag, base, i)
     aug = AugmentedGraph(dag, model.predictor_indices, model.coeffs, model.bias)
@@ -194,29 +197,27 @@ def optimal_intervention_value(
     if abs(sensitivity) < EFFECT_THRESHOLD:
         raise ZeroCausalEffect(i, sensitivity)
     c = (d - float(w @ dec.mu) - model.bias) / sensitivity
-    achieved = float(w @ dec.expectations(c)) + model.bias
-    return InterventionPlan(i, float(c), float(d), achieved, dec.alpha)
+    # Row-wise, as BLAS sums a matrix-vector product in another order than a dot.
+    achieved = (dec.expectations(c) * w).sum(axis=-1) + model.bias
+    return InterventionPlan(i, c, d, achieved, dec.alpha)
 
 
-def naive_intervention_value(model: PredictionModel, x, i: int, d: float) -> float:
+def naive_intervention_value(model: PredictionModel, x, i: int, d):
     """Solve the prediction equation for x_i at a fixed observation.
 
     Ignores all causal propagation: the remaining predictors are held at
     their observed values, so the realized post-intervention prediction
     generally misses d whenever i has descendants among the predictors.
+    An array d gives one value per entry.
     """
     if i not in model.predictor_indices:
         # A non-predictor has coefficient zero in the expanded vector.
         raise ZeroCoefficient(i)
     x = np.asarray(x, dtype=float)
-    pos = model.predictor_indices.index(i)
-    wi = model.coeffs[pos]
+    wi = model.coeffs[model.predictor_indices.index(i)]
     if wi == 0.0:
         raise ZeroCoefficient(i)
-    others = [k for k in range(len(model.coeffs)) if k != pos]
-    cols = [model.predictor_indices[k] - 1 for k in others]
-    rest = float(model.coeffs[others] @ x[cols])
-    return float((d - rest - model.bias) / wi)
+    return x[i - 1] + (np.asarray(d, dtype=float)[()] - predict(model, x)) / wi
 
 
 def observation_specific_plan(
@@ -224,20 +225,20 @@ def observation_specific_plan(
     dag: Dag,
     model: PredictionModel,
     i: int,
-    d: float,
+    d,
 ) -> InterventionPlan:
     """Optimal intervention tailored to one fully-observed sample.
 
     The observation replaces the population expectations, and the noise
     values are recovered from it parent-by-parent, so the plan answers
-    "what value would steer this individual's prediction to d".
+    "what value would steer this individual's prediction to d" (one per d).
     """
     observation = np.asarray(observation, dtype=float)
     noise = estimate_noise_means(dag, observation)
     return optimal_intervention_value(observation, dag, noise, model, i, d)
 
 
-def plan_for_scm(scm: Scm, model: PredictionModel, i: int, d: float) -> InterventionPlan:
-    """Population-level plan with expectations taken from the Scm itself."""
+def plan_for_scm(scm: Scm, model: PredictionModel, i: int, d) -> InterventionPlan:
+    """Population-level plan with expectations taken from the Scm itself; ``d`` may be an array."""
     mu = analytic_means(scm)
     return optimal_intervention_value(mu, scm.dag, estimate_noise_means(scm.dag, mu), model, i, d)

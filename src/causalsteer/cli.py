@@ -103,6 +103,13 @@ def _cmd_analyze(args) -> int:
     return 0
 
 
+def _load_observation(path) -> np.ndarray:
+    doc = json.loads(Path(path).read_text())
+    if not isinstance(doc, list) or not all(type(v) in (int, float) for v in doc):
+        raise ValueError(f"{path}: expected a JSON array of numbers")
+    return np.asarray(doc, dtype=float)
+
+
 def _cmd_intervene(args) -> int:
     scm = fileio.scm_from_dict(fileio.load_json(args.scm))
     model = fileio.model_from_dict(fileio.load_json(args.model))
@@ -117,7 +124,7 @@ def _cmd_intervene(args) -> int:
         i = select_intervention_target(augmented, model.predictor_indices)
 
     if args.observation_file:
-        observation = np.asarray(json.loads(Path(args.observation_file).read_text()), dtype=float)
+        observation = _load_observation(args.observation_file)
         plan = observation_specific_plan(observation, scm.dag, model, i, args.desired)
         naive_x = observation
     else:

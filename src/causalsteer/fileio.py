@@ -155,8 +155,8 @@ def save_dataset(data: Dataset, path) -> None:
 def load_dataset(path) -> Dataset:
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise ValueError(f"{path}: empty file, expected a header row")
+        header = next(reader, [])
         rows = [[float(v) for v in row] for row in reader]
+    if not rows:
+        raise ValueError(f"{path}: the file has no data rows")
     return Dataset(np.asarray(rows, dtype=float), tuple(header))

@@ -276,11 +276,11 @@ def augment_graph(dag: Dag, model: PredictionModel) -> AugmentedGraph:
     """Graft the prediction node onto the graph as a sink.
 
     Its parents are the model predictors with the coefficients as incoming
-    weights; the base graph is not modified.
+    weights; the base graph is not modified. A sink closes no cycle and the
+    coefficients are finite, so validating the base graph suffices.
     """
     for i in model.predictor_indices + (model.target_index,):
         if not 1 <= i <= dag.n:
             raise IndexOutOfRange(i, dag.n)
-    aug = AugmentedGraph(dag, model.predictor_indices, model.coeffs, model.bias)
-    validate(aug.to_dag())
-    return aug
+    validate(dag)
+    return AugmentedGraph(dag, model.predictor_indices, model.coeffs, model.bias)

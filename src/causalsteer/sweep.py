@@ -82,7 +82,7 @@ def evaluate_intervention(scm: Scm, model: PredictionModel, i: int, c: float, n_
 
 
 def _run_one_dag(config: SweepConfig, seed: np.random.SeedSequence):
-    """Class-1 counts for one DAG: (n_post, counts_optimal, counts_naive) per d."""
+    """Class-1 counts for one DAG: (counts_optimal, counts_naive), one count per d."""
     s_scm, s_train, s_target, s_eval = seed.spawn(4)
     scm = generate_random_scm(dataclasses.replace(config.datagen, seed=s_scm))
     train = sample(scm, config.n_train, s_train)
@@ -94,21 +94,17 @@ def _run_one_dag(config: SweepConfig, seed: np.random.SeedSequence):
 
     mu = analytic_means(scm)
     noise = estimate_noise_means(scm.dag, mu)
-    # Compute every intervention value up front so a degenerate DAG fails
-    # before contributing to any row.
-    values = []
-    for d in config.d_values:
-        c_opt = optimal_intervention_value(mu, scm.dag, noise, model, intervene_on, d).value
-        c_naive = naive_intervention_value(model, mu, intervene_on, d)
-        values.append((c_opt, c_naive))
+    # Planned before any evaluation, so a degenerate DAG adds to no row.
+    d = np.array(config.d_values)
+    c_opt = optimal_intervention_value(mu, scm.dag, noise, model, intervene_on, d).value
+    c_naive = naive_intervention_value(model, mu, intervene_on, d)
 
-    eval_seeds = s_eval.spawn(2 * len(config.d_values))
-    opt_counts, naive_counts = [], []
-    for k, (c_opt, c_naive) in enumerate(values):
-        acc_opt = evaluate_intervention(scm, model, intervene_on, c_opt, config.n_post, eval_seeds[2 * k])
-        acc_naive = evaluate_intervention(scm, model, intervene_on, c_naive, config.n_post, eval_seeds[2 * k + 1])
-        opt_counts.append(round(acc_opt * config.n_post))
-        naive_counts.append(round(acc_naive * config.n_post))
+    def class1_count(c, s):
+        return round(evaluate_intervention(scm, model, intervene_on, c, config.n_post, s) * config.n_post)
+
+    eval_seeds = s_eval.spawn(2 * d.size)
+    opt_counts = [class1_count(c, s) for c, s in zip(c_opt, eval_seeds[0::2])]
+    naive_counts = [class1_count(c, s) for c, s in zip(c_naive, eval_seeds[1::2])]
     return opt_counts, naive_counts
 
 

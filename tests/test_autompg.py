@@ -1,0 +1,57 @@
+from pathlib import Path
+
+import pytest
+
+from causalsteer.autompg import COLUMNS, parse_autompg
+from causalsteer.cli import main
+from causalsteer.errors import ParseError
+
+DATA = Path(__file__).parent / "data" / "autompg_synthetic.data"
+
+# The report on the synthetic stand-in with the bundled structure and the
+# default desired values; any change to the plan arithmetic shows here.
+EXPECTED_DEMO = """\
+intervention variable: cylinders (observed range 4 .. 8)
+ desired mpg      optimal          naive
+          15        8.814 (!)         54.408 (!)
+          21        6.429         18.804 (!)
+          30        2.852 (!)        -34.601 (!)
+(!) outside the observed range of the intervention variable
+"""
+
+ROW = '18.0   8   307.0      130.0      3504.   12.0   70  1\t"chevrolet chevelle malibu"'
+
+
+def test_demo_output_is_pinned(capsys):
+    assert main(["demo-autompg", "--data-file", str(DATA)]) == 0
+    assert capsys.readouterr().out == EXPECTED_DEMO
+
+
+def test_parse_reorders_columns():
+    data = parse_autompg(ROW + "\n\n")
+    assert data.names == COLUMNS
+    assert data.rows.tolist() == [[8.0, 3504.0, 307.0, 130.0, 12.0, 18.0]]
+
+
+def test_parse_drops_missing_horsepower_rows():
+    text = DATA.read_text()
+    lines = [line for line in text.splitlines() if line.strip()]
+    missing = sum("?" in line for line in lines)
+    assert missing > 0
+    assert parse_autompg(text).m == len(lines) - missing
+
+
+@pytest.mark.parametrize(
+    "text, line",
+    [
+        (ROW + "\n18.0 8 307.0\n", 2),
+        (ROW + "\n18.0 8 307.0 x 3504. 12.0 70 1\n", 2),
+        ("", 1),
+        ("\n  \n", 1),
+    ],
+)
+def test_parse_errors_name_the_line(text, line):
+    with pytest.raises(ParseError) as exc:
+        parse_autompg(text)
+    assert exc.value.line == line
+    assert str(exc.value).startswith(f"line {line}:")

@@ -80,6 +80,25 @@ def test_fit_on_empty_csv(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error:")
 
 
+def test_fit_on_header_only_csv(tmp_path, capsys):
+    header_only = tmp_path / "header.csv"
+    header_only.write_text("x1,x2\n")
+    assert main(["fit", "--data", str(header_only), "--target-index", "1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and str(header_only) in err and "no data rows" in err
+
+
+@pytest.mark.parametrize("doc", [{"a": 1}, 3.5, "1,2", [{"a": 1}], ["x"]])
+def test_observation_file_must_be_a_number_array(files, tmp_path, capsys, doc):
+    scm_path, _, model_path = files
+    observation = tmp_path / "obs.json"
+    observation.write_text(json.dumps(doc))
+    argv = ["intervene", "--scm", str(scm_path), "--model", str(model_path), "--desired", "1.0"]
+    assert main(argv + ["--observation-file", str(observation)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and str(observation) in err
+
+
 def test_sweep_rejects_single_training_row(tmp_path, capsys):
     config = tmp_path / "sweep.json"
     config.write_text(json.dumps({"n_dags": 1, "n_train": 1}))

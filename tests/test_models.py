@@ -14,6 +14,7 @@ from causalsteer import (
     validate,
 )
 from causalsteer.errors import (
+    CausalSteerError,
     DidNotConvergeWarning,
     IndexOutOfRange,
     InsufficientRows,
@@ -212,3 +213,21 @@ class TestAugmentGraph:
         model = PredictionModel("linear", 0.0, np.array([1.0]), (9,), 3)
         with pytest.raises(IndexOutOfRange):
             augment_graph(chain3, model)
+
+    @pytest.mark.parametrize(
+        "weights",
+        [
+            [[0, 0, 1.0], [1.0, 0, 0], [0, 1.0, 0]],
+            [[0, 0, 0], [np.inf, 0, 0], [0, 1.0, 0]],
+            [[0, 0, 0], [1.0, 0, 0], [0, np.nan, 0]],
+        ],
+    )
+    def test_invalid_base_fails_as_validate_does(self, weights):
+        dag = Dag(np.array(weights))
+        model = PredictionModel("linear", 0.0, np.array([1.0, 1.0]), (1, 2), 3)
+        with pytest.raises(CausalSteerError) as expected:
+            validate(dag)
+        with pytest.raises(type(expected.value)) as got:
+            augment_graph(dag, model)
+        assert str(got.value) == str(expected.value)
+        assert vars(got.value) == vars(expected.value)
