@@ -28,7 +28,7 @@ from .causal import (
     total_effect_expectation,
 )
 from .datagen import DagGenConfig, generate_random_scm, median_split_labels, pick_random_target
-from .graph import Dag, children, parents, roots, topological_order, validate
+from .graph import Dag, children, parents, roots, topological_order
 from .models import (
     AugmentedGraph,
     PredictionModel,
@@ -92,5 +92,4 @@ __all__ = [
     "select_intervention_target",
     "topological_order",
     "total_effect_expectation",
-    "validate",
 ]

@@ -62,6 +62,16 @@ def _parse_do(spec: str) -> tuple[int, float]:
         raise argparse.ArgumentTypeError(f"expected I=C, e.g. 3=1.5, got {spec!r}") from None
 
 
+def _finite_float(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        value = np.nan
+    if not np.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
+
+
 def _cmd_sample(args) -> int:
     scm = fileio.scm_from_dict(fileio.load_json(args.scm))
     if args.do:
@@ -105,8 +115,9 @@ def _cmd_analyze(args) -> int:
 
 def _load_observation(path) -> np.ndarray:
     doc = json.loads(Path(path).read_text())
-    if not isinstance(doc, list) or not all(type(v) in (int, float) for v in doc):
-        raise ValueError(f"{path}: expected a JSON array of numbers")
+    # Compared, not converted: float() of a huge JSON integer overflows.
+    if not isinstance(doc, list) or not all(type(v) in (int, float) and abs(v) <= sys.float_info.max for v in doc):
+        raise ValueError(f"{path}: expected a JSON array of finite numbers")
     return np.asarray(doc, dtype=float)
 
 
@@ -226,7 +237,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("intervene", help="compute the optimal intervention value")
     p.add_argument("--scm", required=True)
     p.add_argument("--model", required=True)
-    p.add_argument("--desired", type=float, required=True)
+    p.add_argument("--desired", type=_finite_float, required=True)
     p.add_argument("--intervene-index", type=int, help="variable to intervene on (default: greatest effect)")
     p.add_argument("--target-index", type=int, help="must match the model's target when given")
     p.add_argument("--observation-file", help="JSON array of all n values for an observation-specific plan")
@@ -246,7 +257,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("demo-autompg", help="suggested MPG interventions on the Auto-MPG data")
     p.add_argument("--structure", help="causal-structure JSON (default: bundled illustrative file)")
-    p.add_argument("--desired", type=float, nargs="+", default=[15.0, 21.0, 30.0])
+    p.add_argument("--desired", type=_finite_float, nargs="+", default=[15.0, 21.0, 30.0])
     p.add_argument("--cache-dir")
     p.add_argument("--data-file", help="local raw file, skipping download/cache")
     common(p)

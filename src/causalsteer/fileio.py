@@ -15,7 +15,7 @@ import numpy as np
 from .causal import InterventionPlan
 from .datagen import DagGenConfig
 from .errors import InvalidConfig
-from .graph import Dag, validate
+from .graph import Dag
 from .models import PredictionModel
 from .scm import Dataset, NoiseSpec, Scm
 
@@ -33,15 +33,11 @@ def dag_to_dict(dag: Dag) -> dict:
 
 
 def dag_from_dict(doc: dict) -> Dag:
-    n = int(doc["n"])
-    names = doc.get("names")
-    dag = Dag.from_edges(
-        n,
+    return Dag.from_edges(
+        int(doc["n"]),
         ((int(e["from"]), int(e["to"]), float(e["weight"])) for e in doc.get("edges", [])),
-        names,
+        doc.get("names"),
     )
-    validate(dag)
-    return dag
 
 
 _NOISE_FIELDS = {"gaussian": ("mean", "stddev"), "uniform": ("lo", "hi"), "constant": ("value",)}
@@ -135,7 +131,10 @@ def save_json(doc: dict, path) -> None:
 
 
 def load_json(path) -> dict:
-    return json.loads(Path(path).read_text())
+    doc = json.loads(Path(path).read_text())
+    if not isinstance(doc, dict):
+        raise ValueError(f"{path}: expected a JSON object")
+    return doc
 
 
 def dataset_to_csv(data: Dataset) -> str:

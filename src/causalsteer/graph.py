@@ -7,7 +7,7 @@ variable i; an entry of exactly zero means "no edge".
 """
 
 import heapq
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -16,10 +16,17 @@ from .errors import CycleDetected, IndexOutOfRange, NonFiniteWeight, NonzeroDiag
 
 @dataclass(frozen=True)
 class Dag:
-    """Immutable weighted DAG over variables 1..n."""
+    """Immutable weighted DAG over variables 1..n, valid by construction.
+
+    The constructor raises NonFiniteWeight, NonzeroDiagonal, or
+    CycleDetected (with one witness cycle) unless the weights describe a
+    finite, zero-diagonal DAG. It then stores the evaluation schedule once:
+    ``(vertex, parent indices)`` pairs, 0-based, in topological order.
+    """
 
     weights: np.ndarray
     names: tuple[str, ...] | None = None
+    schedule: tuple[tuple[int, np.ndarray], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         w = np.array(self.weights, dtype=float)
@@ -32,6 +39,15 @@ class Dag:
             if len(names) != w.shape[0]:
                 raise ValueError(f"expected {w.shape[0]} names, got {len(names)}")
             object.__setattr__(self, "names", names)
+        bad = np.argwhere(~np.isfinite(w))
+        if bad.size:
+            i, j = bad[0]
+            raise NonFiniteWeight(int(i) + 1, int(j) + 1)
+        diag = np.flatnonzero(np.diagonal(w))
+        if diag.size:
+            raise NonzeroDiagonal(int(diag[0]) + 1)
+        order = _kahn_order(w != 0.0)
+        object.__setattr__(self, "schedule", tuple((v, np.flatnonzero(w[v])) for v in order))
 
     @property
     def n(self) -> int:
@@ -65,44 +81,32 @@ def _check_index(dag: Dag, i: int) -> None:
         raise IndexOutOfRange(i, dag.n)
 
 
-def validate(dag: Dag) -> None:
-    """Raise unless the weight matrix describes a finite, zero-diagonal DAG.
-
-    Raises NonFiniteWeight, NonzeroDiagonal, or CycleDetected (with one
-    witness cycle); returns None when the graph is valid.
-    """
-    w = dag.weights
-    bad = np.argwhere(~np.isfinite(w))
-    if bad.size:
-        i, j = bad[0]
-        raise NonFiniteWeight(int(i) + 1, int(j) + 1)
-    diag = np.flatnonzero(np.diagonal(w))
-    if diag.size:
-        raise NonzeroDiagonal(int(diag[0]) + 1)
-    topological_order(dag)
-
-
 def topological_order(dag: Dag) -> list[int]:
     """Topological order of the variables, 1-based.
 
     Among simultaneously ready vertices the lowest index comes first, so the
-    result is deterministic. Raises CycleDetected when no order exists.
+    result is deterministic.
     """
-    n = dag.n
-    adj = dag.weights != 0.0
+    return [v + 1 for v, _ in dag.schedule]
+
+
+def _kahn_order(adj: np.ndarray) -> list[int]:
+    # Kahn's algorithm, lowest ready index first; raises CycleDetected when
+    # no order exists.
+    n = adj.shape[0]
     indegree = adj.sum(axis=1)
     ready = [v for v in range(n) if indegree[v] == 0]
     heapq.heapify(ready)
     order: list[int] = []
     while ready:
         v = heapq.heappop(ready)
-        order.append(v + 1)
+        order.append(v)
         for child in np.flatnonzero(adj[:, v]):
             indegree[child] -= 1
             if indegree[child] == 0:
                 heapq.heappush(ready, int(child))
     if len(order) < n:
-        raise CycleDetected(_find_cycle(adj, set(range(n)) - {v - 1 for v in order}))
+        raise CycleDetected(_find_cycle(adj, set(range(n)) - set(order)))
     return order
 
 
@@ -122,10 +126,8 @@ def solve(dag: Dag, rhs, fixed: int | None = None) -> np.ndarray:
     if fixed is not None:
         _check_index(dag, fixed)
     w = dag.weights
-    for v1 in topological_order(dag):
-        v = v1 - 1
-        pa = np.flatnonzero(w[v])
-        if pa.size and v1 != fixed:
+    for v, pa in dag.schedule:
+        if pa.size and v + 1 != fixed:
             x[..., v] = x[..., pa] @ w[v, pa] + x[..., v]
     return x
 

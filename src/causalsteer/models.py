@@ -17,7 +17,7 @@ from .errors import (
     RankDeficient,
     SingleClass,
 )
-from .graph import Dag, validate
+from .graph import Dag
 from .scm import Dataset
 
 
@@ -276,11 +276,9 @@ def augment_graph(dag: Dag, model: PredictionModel) -> AugmentedGraph:
     """Graft the prediction node onto the graph as a sink.
 
     Its parents are the model predictors with the coefficients as incoming
-    weights; the base graph is not modified. A sink closes no cycle and the
-    coefficients are finite, so validating the base graph suffices.
+    weights; the base graph is not modified.
     """
     for i in model.predictor_indices + (model.target_index,):
         if not 1 <= i <= dag.n:
             raise IndexOutOfRange(i, dag.n)
-    validate(dag)
     return AugmentedGraph(dag, model.predictor_indices, model.coeffs, model.bias)

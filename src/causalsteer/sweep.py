@@ -41,6 +41,8 @@ class SweepConfig:
     def check(self) -> None:
         if not self.d_values:
             raise InvalidConfig("d_values must be nonempty")
+        if not np.isfinite(self.d_values).all():
+            raise InvalidConfig(f"d_values must be finite, got {list(self.d_values)}")
         # The median split of the training target needs two rows.
         for name, least in (("n_dags", 1), ("n_train", 2), ("n_post", 1)):
             if getattr(self, name) < least:

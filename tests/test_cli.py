@@ -88,7 +88,10 @@ def test_fit_on_header_only_csv(tmp_path, capsys):
     assert err.startswith("error:") and str(header_only) in err and "no data rows" in err
 
 
-@pytest.mark.parametrize("doc", [{"a": 1}, 3.5, "1,2", [{"a": 1}], ["x"]])
+@pytest.mark.parametrize(
+    "doc",
+    [{"a": 1}, 3.5, "1,2", [{"a": 1}], ["x"], [0.0] * 8 + [float("nan")], [float("inf")] + [0.0] * 8, [10**400] + [0] * 8],
+)
 def test_observation_file_must_be_a_number_array(files, tmp_path, capsys, doc):
     scm_path, _, model_path = files
     observation = tmp_path / "obs.json"
@@ -97,6 +100,45 @@ def test_observation_file_must_be_a_number_array(files, tmp_path, capsys, doc):
     assert main(argv + ["--observation-file", str(observation)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and str(observation) in err
+
+
+@pytest.mark.parametrize(
+    "argv, doc",
+    [
+        (["intervene", "--scm", "{bad}", "--model", "{model}", "--desired", "1"], [1, 2]),
+        (["intervene", "--scm", "{scm}", "--model", "{bad}", "--desired", "1"], [1, 2]),
+        (["sample", "--scm", "{bad}"], 3),
+        (["sweep", "--config", "{bad}"], 3),
+        (["sweep", "--config", "{bad}"], [1, 2]),
+        (["gen-scm", "--config", "{bad}"], [1, 2]),
+    ],
+)
+def test_non_object_json_is_reported(files, tmp_path, capsys, argv, doc):
+    scm_path, _, model_path = files
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    assert main([a.format(bad=bad, scm=scm_path, model=model_path) for a in argv]) == 2
+    assert capsys.readouterr().err == f"error: {bad}: expected a JSON object\n"
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "abc"])
+def test_non_finite_desired_is_a_usage_error(files, capsys, value):
+    scm_path, _, model_path = files
+    with pytest.raises(SystemExit) as exc:
+        main(["intervene", "--scm", str(scm_path), "--model", str(model_path), f"--desired={value}"])
+    assert exc.value.code == 1
+    assert "--desired" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        main(["demo-autompg", "--data-file", "unused.data", f"--desired={value}"])
+    assert exc.value.code == 1
+    assert "--desired" in capsys.readouterr().err
+
+
+def test_sweep_rejects_non_finite_d(tmp_path, capsys):
+    config = tmp_path / "sweep.json"
+    config.write_text(json.dumps({"n_dags": 1, "d_values": [1.0, float("nan")]}))
+    assert main(["sweep", "--config", str(config)]) == 2
+    assert capsys.readouterr().err.startswith("error: d_values must be finite")
 
 
 def test_sweep_rejects_single_training_row(tmp_path, capsys):

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from causalsteer import Dag, children, parents, roots, topological_order, validate
+from causalsteer import Dag, children, graph, parents, roots, topological_order
 from causalsteer.graph import solve
 from causalsteer.errors import CycleDetected, IndexOutOfRange, NonFiniteWeight, NonzeroDiagonal
 
@@ -20,27 +20,53 @@ def random_dag(rng: np.random.Generator, n: int, p: float = 0.4) -> Dag:
 
 
 class TestValidate:
+    """A Dag is validated once, by its constructor."""
+
     def test_chain_is_valid(self, chain3):
-        validate(chain3)
+        schedule = [(v, pa.tolist()) for v, pa in chain3.schedule]
+        assert schedule == [(0, []), (1, [0]), (2, [1])]
 
     def test_two_cycle(self):
-        dag = Dag(np.array([[0.0, 1.0], [1.0, 0.0]]))
         with pytest.raises(CycleDetected) as exc:
-            validate(dag)
+            Dag(np.array([[0.0, 1.0], [1.0, 0.0]]))
         assert exc.value.cycle == [1, 2]
 
     def test_nonzero_diagonal(self):
-        dag = Dag(np.array([[0.3]]))
         with pytest.raises(NonzeroDiagonal) as exc:
-            validate(dag)
+            Dag(np.array([[0.3]]))
         assert exc.value.index == 1
 
     def test_non_finite_weight(self):
         w = np.zeros((2, 2))
         w[1, 0] = np.inf
         with pytest.raises(NonFiniteWeight) as exc:
-            validate(Dag(w))
+            Dag(w)
         assert (exc.value.i, exc.value.j) == (2, 1)
+
+    @pytest.mark.parametrize(
+        "weights, expected",
+        [
+            ([[0, 0, 1.0], [1.0, 0, 0], [0, 1.0, 0]], CycleDetected([1, 2, 3])),
+            ([[0, 0, 0], [np.inf, 0, 0], [0, 1.0, 0]], NonFiniteWeight(2, 1)),
+            ([[0, 0, 0], [1.0, 0, 0], [0, np.nan, 0]], NonFiniteWeight(3, 2)),
+        ],
+        ids=["cycle", "inf", "nan"],
+    )
+    def test_invalid_weights_rejected_at_construction(self, weights, expected):
+        with pytest.raises(type(expected)) as exc:
+            Dag(np.array(weights))
+        assert vars(exc.value) == vars(expected)
+        assert str(exc.value) == str(expected)
+
+    def test_schedule_is_computed_once(self, monkeypatch, seven_vertex_dag):
+        calls = []
+        kahn_order = graph._kahn_order
+        monkeypatch.setattr(graph, "_kahn_order", lambda adj: calls.append(1) or kahn_order(adj))
+        dag = Dag(seven_vertex_dag.weights)
+        for fixed in (None, 1, 4):
+            solve(dag, np.ones((2, 7)), fixed=fixed)
+        assert topological_order(dag) == topological_order(seven_vertex_dag)
+        assert len(calls) == 1
 
     def test_non_square_rejected_at_construction(self):
         with pytest.raises(ValueError):
@@ -61,7 +87,7 @@ class TestValidate:
             w = dag.weights.copy()
             w[u, v] = 1.0
             with pytest.raises(CycleDetected) as exc:
-                validate(Dag(w))
+                Dag(w)
             cycle = exc.value.cycle
             assert len(cycle) >= 2
             for a, b in zip(cycle, cycle[1:] + cycle[:1]):

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from causalsteer import (
-    Dag,
     Dataset,
     PredictionModel,
     augment_graph,
@@ -11,10 +10,9 @@ from causalsteer import (
     fit_logistic,
     predict,
     scores,
-    validate,
+    topological_order,
 )
 from causalsteer.errors import (
-    CausalSteerError,
     DidNotConvergeWarning,
     IndexOutOfRange,
     InsufficientRows,
@@ -186,7 +184,7 @@ class TestAugmentGraph:
         assert augmented.yhat_parents == (1, 2, 3, 5, 6, 7)
         combined = augmented.to_dag()
         assert combined.n == 8
-        validate(combined)
+        assert topological_order(combined)[-1] == 8
         # the prediction node is a sink with the coefficients as in-weights
         assert (combined.weights[:, 7] == 0.0).all()
         expanded = augmented.expanded_coeffs()
@@ -213,21 +211,3 @@ class TestAugmentGraph:
         model = PredictionModel("linear", 0.0, np.array([1.0]), (9,), 3)
         with pytest.raises(IndexOutOfRange):
             augment_graph(chain3, model)
-
-    @pytest.mark.parametrize(
-        "weights",
-        [
-            [[0, 0, 1.0], [1.0, 0, 0], [0, 1.0, 0]],
-            [[0, 0, 0], [np.inf, 0, 0], [0, 1.0, 0]],
-            [[0, 0, 0], [1.0, 0, 0], [0, np.nan, 0]],
-        ],
-    )
-    def test_invalid_base_fails_as_validate_does(self, weights):
-        dag = Dag(np.array(weights))
-        model = PredictionModel("linear", 0.0, np.array([1.0, 1.0]), (1, 2), 3)
-        with pytest.raises(CausalSteerError) as expected:
-            validate(dag)
-        with pytest.raises(type(expected.value)) as got:
-            augment_graph(dag, model)
-        assert str(got.value) == str(expected.value)
-        assert vars(got.value) == vars(expected.value)

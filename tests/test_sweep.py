@@ -64,6 +64,12 @@ def test_check_rejects_zero_counts(field):
         config.check()
 
 
+@pytest.mark.parametrize("d", [np.nan, np.inf, -np.inf])
+def test_check_rejects_non_finite_d(d):
+    with pytest.raises(InvalidConfig, match="d_values must be finite"):
+        SweepConfig(d_values=(0.0, d)).check()
+
+
 def test_check_rejects_single_training_row():
     # The median split needs two rows; the sweep must fail before it starts.
     with pytest.raises(InvalidConfig, match="n_train"):
