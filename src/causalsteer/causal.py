@@ -28,7 +28,7 @@ from .errors import (
     ZeroCoefficient,
 )
 from .graph import Dag
-from .models import AugmentedGraph, PredictionModel, fit_linear, predict
+from .models import AugmentedGraph, PredictionModel, augment_graph, fit_linear, predict
 from .scm import Dataset, Scm, analytic_means, estimate_noise_means, noise_means
 
 #: Below this sensitivity the desired prediction is unreachable at finite c.
@@ -43,7 +43,6 @@ class EffectDecomposition:
     mu holds the c-independent part of each post-intervention mean.
     """
 
-    intervened_index: int
     mu: np.ndarray
     alpha: np.ndarray
 
@@ -92,7 +91,7 @@ def propagate(dag: Dag, base_terms, i: int) -> EffectDecomposition:
     rhs[0] = base
     rhs[:, i - 1] = (0.0, 1.0)
     mu, alpha = graph.solve(dag, rhs, fixed=i)
-    return EffectDecomposition(i, mu, alpha)
+    return EffectDecomposition(mu, alpha)
 
 
 def total_effect_expectation(scm: Scm, i: int, c: float, j: int) -> float:
@@ -189,10 +188,9 @@ def optimal_intervention_value(
     if mu.shape != (dag.n,) or noise.shape != (dag.n,):
         raise ValueError(f"mu and noise must be length-{dag.n} vectors")
     d = np.asarray(d, dtype=float)[()]
+    w = augment_graph(dag, model).expanded_coeffs()
     base = np.where(graph.root_mask(dag), mu, noise)
     dec = propagate(dag, base, i)
-    aug = AugmentedGraph(dag, model.predictor_indices, model.coeffs, model.bias)
-    w = aug.expanded_coeffs()
     sensitivity = float(w @ dec.alpha)
     if abs(sensitivity) < EFFECT_THRESHOLD:
         raise ZeroCausalEffect(i, sensitivity)

@@ -44,7 +44,7 @@ def _write(text: str, out: str | None) -> None:
 
 def _cmd_gen_scm(args) -> int:
     if args.config:
-        config = fileio.datagen_config_from_dict(fileio.load_json(args.config))
+        config = fileio.load_document(args.config, fileio.datagen_config_from_dict)
     else:
         config = DagGenConfig()
     if args.seed is not None:
@@ -73,7 +73,7 @@ def _finite_float(text: str) -> float:
 
 
 def _cmd_sample(args) -> int:
-    scm = fileio.scm_from_dict(fileio.load_json(args.scm))
+    scm = fileio.load_document(args.scm, fileio.scm_from_dict)
     if args.do:
         i, c = args.do
         data = sample_interventional(scm, i, c, args.rows, args.seed)
@@ -100,8 +100,8 @@ def _cmd_fit(args) -> int:
 
 
 def _cmd_analyze(args) -> int:
-    scm = fileio.scm_from_dict(fileio.load_json(args.scm))
-    model = fileio.model_from_dict(fileio.load_json(args.model))
+    scm = fileio.load_document(args.scm, fileio.scm_from_dict)
+    model = fileio.load_document(args.model, fileio.model_from_dict)
     augmented = augment_graph(scm.dag, model)
     all_effects = effects_on_prediction(augmented)
     effects = [(i, float(all_effects[i - 1])) for i in model.predictor_indices]
@@ -122,13 +122,8 @@ def _load_observation(path) -> np.ndarray:
 
 
 def _cmd_intervene(args) -> int:
-    scm = fileio.scm_from_dict(fileio.load_json(args.scm))
-    model = fileio.model_from_dict(fileio.load_json(args.model))
-    if args.target_index is not None and args.target_index != model.target_index:
-        raise CausalSteerError(
-            f"--target-index {args.target_index} conflicts with the model's "
-            f"target variable {model.target_index}"
-        )
+    scm = fileio.load_document(args.scm, fileio.scm_from_dict)
+    model = fileio.load_document(args.model, fileio.model_from_dict)
     augmented = augment_graph(scm.dag, model)
     i = args.intervene_index
     if i is None:
@@ -167,7 +162,7 @@ def _cmd_intervene(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    config = sweep_config_from_dict(fileio.load_json(args.config))
+    config = fileio.load_document(args.config, sweep_config_from_dict)
     if args.seed is not None:
         config = dataclasses.replace(config, seed=args.seed)
     result = run_sweep(config)
@@ -189,13 +184,13 @@ def _cmd_fetch_autompg(args) -> int:
 
 def _cmd_demo_autompg(args) -> int:
     structure_path = args.structure or autompg.bundled_structure_path()
-    structure = fileio.dag_from_dict(fileio.load_json(structure_path))
+    structure = fileio.load_document(structure_path, fileio.dag_from_dict)
     if args.data_file:
         data = autompg.parse_autompg(Path(args.data_file).read_text())
     else:
         data = autompg.fetch_autompg(args.cache_dir)
     report = autompg.demo_autompg(structure, data, args.desired)
-    print(report.format())
+    _write(report.format() + "\n", args.out)
     return 0
 
 
@@ -205,19 +200,22 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
-        p.add_argument("--seed", type=int, default=None, help="run seed (reproducible output)")
         p.add_argument("--out", default=None, help="output file (default: stdout)")
+
+    def seeded(p):
+        p.add_argument("--seed", type=int, default=None, help="run seed (reproducible output)")
+        common(p)
 
     p = sub.add_parser("gen-scm", help="generate a random linear SCM")
     p.add_argument("--config", help="DagGenConfig JSON file (defaults used when omitted)")
-    common(p)
+    seeded(p)
     p.set_defaults(func=_cmd_gen_scm)
 
     p = sub.add_parser("sample", help="draw observations from an SCM file")
     p.add_argument("--scm", required=True)
     p.add_argument("--rows", type=int, default=1000)
     p.add_argument("--do", type=_parse_do, help="intervention I=C, e.g. --do 3=1.5")
-    common(p)
+    seeded(p)
     p.set_defaults(func=_cmd_sample)
 
     p = sub.add_parser("fit", help="fit a prediction model on a dataset CSV")
@@ -239,7 +237,6 @@ def build_parser() -> _Parser:
     p.add_argument("--model", required=True)
     p.add_argument("--desired", type=_finite_float, required=True)
     p.add_argument("--intervene-index", type=int, help="variable to intervene on (default: greatest effect)")
-    p.add_argument("--target-index", type=int, help="must match the model's target when given")
     p.add_argument("--observation-file", help="JSON array of all n values for an observation-specific plan")
     p.add_argument("--data", help="dataset CSV for the observed-range warning")
     common(p)
@@ -247,7 +244,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("sweep", help="run the many-DAG intervention accuracy sweep")
     p.add_argument("--config", required=True, help="SweepConfig JSON file")
-    common(p)
+    seeded(p)
     p.set_defaults(func=_cmd_sweep)
 
     p = sub.add_parser("fetch-autompg", help="download and cache the Auto-MPG dataset")
@@ -271,10 +268,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except CausalSteerError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
+    except (CausalSteerError, OSError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

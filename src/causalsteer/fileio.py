@@ -97,11 +97,25 @@ def plan_to_dict(plan: InterventionPlan) -> dict:
     }
 
 
-def known_fields(cls, doc: dict) -> dict:
-    """A copy of ``doc``, raising InvalidConfig on a key that is not a field of ``cls``."""
-    unknown = sorted(set(doc) - {f.name for f in dataclasses.fields(cls)})
+# The JSON values a config field of each scalar type accepts; true is not an int.
+_JSON_SCALARS = {int: (int,), float: (int, float), bool: (bool,)}
+
+
+def known_fields(cls, doc) -> dict:
+    """A copy of ``doc``, checked against the fields of the dataclass ``cls``.
+
+    Raises InvalidConfig on a key that is not a field, and TypeError when
+    ``doc`` is not an object or a scalar field holds a value of another type.
+    """
+    if not isinstance(doc, dict):
+        raise TypeError(f"{cls.__name__} must be a JSON object, got {doc!r}")
+    types = {f.name: f.type for f in dataclasses.fields(cls)}
+    unknown = sorted(set(doc) - set(types))
     if unknown:
         raise InvalidConfig(f"unknown {cls.__name__} key(s): {', '.join(map(repr, unknown))}")
+    for name, value in doc.items():
+        if type(value) not in _JSON_SCALARS.get(types[name], (type(value),)):
+            raise TypeError(f"{cls.__name__}.{name} must be {types[name].__name__}, got {value!r}")
     return dict(doc)
 
 
@@ -135,6 +149,19 @@ def load_json(path) -> dict:
     if not isinstance(doc, dict):
         raise ValueError(f"{path}: expected a JSON object")
     return doc
+
+
+def load_document(path, decode):
+    """``decode(load_json(path))``, a field of the wrong type reported as ValueError naming ``path``.
+
+    A list where a number belongs, ``null`` for a count or an integer too
+    large for a float surfaces from the decoders as TypeError or OverflowError.
+    """
+    doc = load_json(path)
+    try:
+        return decode(doc)
+    except (TypeError, OverflowError) as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def dataset_to_csv(data: Dataset) -> str:

@@ -20,6 +20,11 @@ from .errors import (
 from .graph import Dag
 from .scm import Dataset
 
+#: IRLS stops when the largest absolute coefficient update drops below this.
+IRLS_TOL = 1e-8
+#: L2 penalty on the logistic coefficients (never the bias).
+IRLS_L2 = 1e-6
+
 
 @dataclass(frozen=True)
 class PredictionModel:
@@ -52,6 +57,8 @@ class PredictionModel:
             raise ValueError(f"bias and coefficients must be finite, got {self.bias} and {coeffs}")
         if len(set(preds)) != len(preds):
             raise ValueError("duplicate predictor indices")
+        if min(preds + (self.target_index,)) < 1:
+            raise ValueError(f"variable indices start at 1, got predictors {preds} and target {self.target_index}")
         if self.target_index in preds:
             raise ValueError(f"target variable {self.target_index} cannot be a predictor")
 
@@ -61,14 +68,14 @@ class AugmentedGraph:
     """A Dag with the prediction node grafted on as a sink.
 
     The prediction node's parents are the predictors and its incoming
-    weights are the model coefficients; the bias acts as a constant noise
-    on the node. Adding a sink keeps the graph acyclic.
+    weights are the model coefficients. The model bias is not carried: it
+    shifts the prediction but no causal effect. Adding a sink keeps the
+    graph acyclic.
     """
 
     base: Dag
     yhat_parents: tuple[int, ...]
     yhat_weights: np.ndarray
-    yhat_bias: float
 
     def expanded_coeffs(self) -> np.ndarray:
         """Coefficients scattered into a length-n vector, zero off-predictor.
@@ -116,22 +123,21 @@ def fit_logistic(
     data: Dataset,
     labels,
     predictor_indices=None,
-    target_index: int | None = None,
-    tol: float = 1e-8,
+    *,
+    target_index: int,
     max_iter: int = 100,
-    l2: float = 1e-6,
 ) -> PredictionModel:
     """Penalized maximum-likelihood logistic regression via IRLS.
 
     Newton updates with step-halving keep the penalized log-likelihood
-    non-decreasing; the L2 penalty ``l2`` on the coefficients (never the
-    bias) guarantees a finite optimum under complete separation. Converged
-    when the largest absolute coefficient update drops below ``tol``. On
-    hitting ``max_iter`` a DidNotConvergeWarning is issued and the model is
-    returned with ``converged=False``.
+    non-decreasing; the L2 penalty ``IRLS_L2`` on the coefficients (never
+    the bias) guarantees a finite optimum under complete separation.
+    Converged when the largest absolute coefficient update drops below
+    ``IRLS_TOL``. On hitting ``max_iter`` a DidNotConvergeWarning is issued
+    and the model is returned with ``converged=False``.
 
-    ``target_index`` records which variable the labels were derived from; it
-    defaults to the single variable left out of the predictors.
+    ``target_index`` records which variable the labels were derived from;
+    the predictors default to all other variables.
     """
     labels = np.asarray(labels)
     if labels.shape != (data.m,):
@@ -142,18 +148,11 @@ def fit_logistic(
     if len(classes) < 2:
         raise SingleClass(f"all labels are {classes.pop()}; need both classes")
 
-    if target_index is None:
-        if predictor_indices is None:
-            raise ValueError("pass target_index, predictor_indices, or both")
-        left_out = set(range(1, data.n + 1)) - set(predictor_indices)
-        if len(left_out) != 1:
-            raise ValueError("target_index is ambiguous; pass it explicitly")
-        target_index = left_out.pop()
     preds = _resolve_predictors(data.n, target_index, predictor_indices)
 
     x = np.column_stack([np.ones(data.m), data.rows[:, [p - 1 for p in preds]]])
     y = labels.astype(float)
-    penalty = np.full(x.shape[1], l2)
+    penalty = np.full(x.shape[1], IRLS_L2)
     penalty[0] = 0.0
 
     beta = np.zeros(x.shape[1])
@@ -188,12 +187,12 @@ def fit_logistic(
             break
         beta = candidate
         trace.append(ll)
-        if np.max(np.abs(scale * step)) < tol:
+        if np.max(np.abs(scale * step)) < IRLS_TOL:
             converged = True
             break
     if not converged:
         warnings.warn(
-            f"IRLS did not meet tol={tol} within {max_iter} iterations",
+            f"IRLS did not meet tol={IRLS_TOL} within {max_iter} iterations",
             DidNotConvergeWarning,
         )
     return PredictionModel(
@@ -281,4 +280,4 @@ def augment_graph(dag: Dag, model: PredictionModel) -> AugmentedGraph:
     for i in model.predictor_indices + (model.target_index,):
         if not 1 <= i <= dag.n:
             raise IndexOutOfRange(i, dag.n)
-    return AugmentedGraph(dag, model.predictor_indices, model.coeffs, model.bias)
+    return AugmentedGraph(dag, model.predictor_indices, model.coeffs)

@@ -55,17 +55,13 @@ class SweepRow:
     d: float
     accuracy_optimal: float
     accuracy_naive: float
-    n_failed: int
 
 
 @dataclass(frozen=True)
 class SweepResult:
     rows: tuple[SweepRow, ...]
     n_dags: int
-
-    @property
-    def n_failed(self) -> int:
-        return self.rows[0].n_failed
+    n_failed: int
 
 
 def evaluate_intervention(scm: Scm, model: PredictionModel, i: int, c: float, n_post: int, seed) -> float:
@@ -137,17 +133,17 @@ def run_sweep(config: SweepConfig) -> SweepResult:
         raise CausalSteerError(f"all {config.n_dags} DAGs failed; nothing to report")
     denom = n_ok * config.n_post
     rows = tuple(
-        SweepRow(float(d), opt_total[k] / denom, naive_total[k] / denom, n_failed)
+        SweepRow(float(d), opt_total[k] / denom, naive_total[k] / denom)
         for k, d in enumerate(config.d_values)
     )
-    return SweepResult(rows, config.n_dags)
+    return SweepResult(rows, config.n_dags, n_failed)
 
 
 def sweep_result_to_csv(result: SweepResult) -> str:
     out = io.StringIO()
     out.write("d,accuracy_optimal,accuracy_naive,n_failed\n")
     for row in result.rows:
-        out.write(f"{row.d:g},{row.accuracy_optimal:.6f},{row.accuracy_naive:.6f},{row.n_failed}\n")
+        out.write(f"{row.d:g},{row.accuracy_optimal:.6f},{row.accuracy_naive:.6f},{result.n_failed}\n")
     return out.getvalue()
 
 

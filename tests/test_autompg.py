@@ -27,6 +27,13 @@ def test_demo_output_is_pinned(capsys):
     assert capsys.readouterr().out == EXPECTED_DEMO
 
 
+def test_demo_out_writes_the_report(tmp_path, capsys):
+    out = tmp_path / "report.txt"
+    assert main(["demo-autompg", "--data-file", str(DATA), "--out", str(out)]) == 0
+    assert out.read_text() == EXPECTED_DEMO
+    assert capsys.readouterr().out == ""
+
+
 def test_parse_reorders_columns():
     data = parse_autompg(ROW + "\n\n")
     assert data.names == COLUMNS

@@ -30,6 +30,7 @@ from causalsteer import (
 from causalsteer.errors import (
     AllEffectsZero,
     EmptyCandidates,
+    IndexOutOfRange,
     InterveneOnTarget,
     ZeroCausalEffect,
     ZeroCoefficient,
@@ -317,6 +318,14 @@ class TestOptimalInterventionValue:
         model = PredictionModel("linear", 0.0, np.array([1.0]), (2,), 3)
         with pytest.raises(ZeroCausalEffect):
             optimal_intervention_value(np.zeros(3), dag, np.zeros(3), model, 1, 1.0)
+
+    @pytest.mark.parametrize("preds, target", [((4,), 3), ((2,), 4)])
+    def test_index_beyond_n_is_out_of_range(self, chain3, preds, target):
+        model = PredictionModel("linear", 0.0, np.array([1.0]), preds, target)
+        with pytest.raises(IndexOutOfRange):
+            plan_for_scm(uniform_scm(chain3), model, 1, 1.0)
+        with pytest.raises(IndexOutOfRange):
+            observation_specific_plan(np.zeros(3), chain3, model, 1, 1.0)
 
     def test_intervene_on_target_rejected(self, chain3):
         with pytest.raises(InterveneOnTarget):

@@ -1,9 +1,21 @@
 import json
+import shutil
+from pathlib import Path
 
 import pytest
 
-from causalsteer import DagGenConfig, augment_graph, effects_on_prediction, fileio
+from causalsteer import (
+    DagGenConfig,
+    augment_graph,
+    effects_on_prediction,
+    fileio,
+    fit_linear,
+    observation_specific_plan,
+    select_intervention_target,
+)
 from causalsteer.cli import main
+
+AUTOMPG = Path(__file__).parent / "data" / "autompg_synthetic.data"
 
 
 @pytest.fixture
@@ -164,3 +176,93 @@ def test_seeded_sample_is_reproducible(files, tmp_path):
     for path in paths:
         assert main(["sample", "--scm", str(scm_path), "--rows", "20", "--seed", "9", "--out", str(path)]) == 0
     assert paths[0].read_text() == paths[1].read_text()
+
+
+@pytest.mark.parametrize("command", ["fit", "analyze", "intervene", "fetch-autompg", "demo-autompg"])
+def test_seed_is_refused_where_nothing_reads_it(files, tmp_path, capsys, command):
+    scm_path, data_path, model_path = files
+    cache = tmp_path / "cache"
+    cache.mkdir()
+    shutil.copy(AUTOMPG, cache / "auto-mpg.data")
+    argv = {
+        "fit": ["fit", "--data", str(data_path), "--target-index", "9"],
+        "analyze": ["analyze", "--scm", str(scm_path), "--model", str(model_path)],
+        "intervene": ["intervene", "--scm", str(scm_path), "--model", str(model_path), "--desired", "1"],
+        "fetch-autompg": ["fetch-autompg", "--cache-dir", str(cache)],
+        "demo-autompg": ["demo-autompg", "--data-file", str(AUTOMPG)],
+    }[command]
+    assert main(argv) == 0
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--seed", "1"])
+    assert exc.value.code == 1
+    assert "--seed" in capsys.readouterr().err
+
+
+def test_intervene_takes_the_target_from_the_model(files, capsys):
+    scm_path, _, model_path = files
+    with pytest.raises(SystemExit) as exc:
+        main(["intervene", "--scm", str(scm_path), "--model", str(model_path), "--desired", "1", "--target-index", "9"])
+    assert exc.value.code == 1
+    assert "--target-index" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "document, change",
+    [
+        ("scm", {"edges": [1, 2]}),
+        ("scm", {"noises": 5}),
+        ("scm", {"n": None}),
+        ("model", {"predictor_indices": 5}),
+        ("model", {"bias": 10**400}),
+        ("sweep", {"n_dags": "3"}),
+        ("sweep", {"d_values": 5}),
+        ("sweep", {"datagen": {"n_roots": "x"}}),
+        ("sweep", {"datagen": 7}),
+    ],
+    ids=["edges", "noises", "n", "predictors", "bias", "n_dags", "d_values", "n_roots", "datagen"],
+)
+def test_malformed_document_is_reported(files, tmp_path, capsys, document, change):
+    scm_path, _, model_path = files
+    bad = tmp_path / "bad.json"
+    if document == "sweep":
+        bad.write_text(json.dumps({"n_dags": 1, **change}))
+        argv = ["sweep", "--config", str(bad)]
+    else:
+        paths = {"scm": scm_path, "model": model_path}
+        bad.write_text(json.dumps({**fileio.load_json(paths[document]), **change}))
+        paths[document] = bad
+        argv = ["intervene", "--scm", str(paths["scm"]), "--model", str(paths["model"]), "--desired", "1"]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith(f"error: {bad}: ")
+
+
+def test_observation_plan_equals_the_library_plan(files, tmp_path):
+    scm_path, data_path, model_path = files
+    observation = fileio.load_dataset(data_path).rows[0]
+    obs_path, plan_path = tmp_path / "obs.json", tmp_path / "plan.json"
+    obs_path.write_text(json.dumps(observation.tolist()))
+    argv = ["intervene", "--scm", str(scm_path), "--model", str(model_path), "--desired", "1.5"]
+    assert main(argv + ["--observation-file", str(obs_path), "--out", str(plan_path)]) == 0
+    scm = fileio.scm_from_dict(fileio.load_json(scm_path))
+    model = fileio.model_from_dict(fileio.load_json(model_path))
+    i = select_intervention_target(augment_graph(scm.dag, model), model.predictor_indices)
+    expected = observation_specific_plan(observation, scm.dag, model, i, 1.5)
+    assert fileio.load_json(plan_path) == fileio.plan_to_dict(expected)
+
+
+@pytest.mark.parametrize("desired, warned", [("0", False), ("40", True)])
+def test_value_outside_the_data_is_warned(files, capsys, desired, warned):
+    scm_path, data_path, model_path = files
+    argv = ["intervene", "--scm", str(scm_path), "--model", str(model_path), "--desired", desired]
+    assert main(argv + ["--data", str(data_path)]) == 0
+    assert ("lies outside the observed range" in capsys.readouterr().out) == warned
+
+
+def test_fit_linear_on_chosen_predictors(files, tmp_path):
+    _, data_path, _ = files
+    out = tmp_path / "linear.json"
+    argv = ["fit", "--data", str(data_path), "--kind", "linear", "--target-index", "9", "--predictors", "1,2"]
+    assert main(argv + ["--out", str(out)]) == 0
+    expected = fit_linear(fileio.load_dataset(data_path), 9, (1, 2))
+    assert fileio.load_json(out) == fileio.model_to_dict(expected)

@@ -169,6 +169,12 @@ class TestPredictionModelType:
         with pytest.raises(ValueError):
             PredictionModel("linear", 0.0, np.array([1.0, 2.0]), (1,), 3)
 
+    @pytest.mark.parametrize("preds, target", [((0,), 2), ((1, -1), 3), ((1,), 0)])
+    def test_indices_below_one_rejected(self, preds, target):
+        # Index 0 would read position -1 of an observation, the last variable.
+        with pytest.raises(ValueError, match="start at 1"):
+            PredictionModel("linear", 0.0, np.ones(len(preds)), preds, target)
+
     @pytest.mark.parametrize("bias, coeffs", [(0.0, [np.nan, 1.0]), (np.inf, [1.0, 1.0]), (0.0, [1.0, -np.inf])])
     def test_non_finite_parameters_rejected(self, bias, coeffs):
         with pytest.raises(ValueError, match="finite"):

@@ -38,6 +38,12 @@ class TestNoiseSpec:
         assert draws.min() >= 3.0 and draws.max() <= 4.0
         assert (NoiseSpec.constant(-2.0).draw(rng, 5) == -2.0).all()
 
+    def test_gaussian_draw(self):
+        draws = NoiseSpec.gaussian(2.0, 0.5).draw(np.random.default_rng(1), 20_000)
+        assert (draws == np.random.default_rng(1).normal(2.0, 0.5, 20_000)).all()
+        assert draws.mean() == pytest.approx(2.0, abs=0.02)
+        assert draws.std() == pytest.approx(0.5, abs=0.02)
+
 
 class TestSample:
     def test_chain_with_constant_noise(self):

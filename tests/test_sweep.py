@@ -3,9 +3,9 @@ import json
 import numpy as np
 import pytest
 
-from causalsteer import DagGenConfig, SweepConfig, run_sweep
+from causalsteer import DagGenConfig, SweepConfig, run_sweep, sweep
 from causalsteer.cli import main
-from causalsteer.errors import InvalidConfig
+from causalsteer.errors import AllEffectsZero, CausalSteerError, InvalidConfig
 from causalsteer.sweep import _run_one_dag, sweep_config_from_dict, sweep_config_to_dict, sweep_result_to_csv
 
 GOLDEN_CONFIG = SweepConfig(
@@ -79,3 +79,40 @@ def test_check_rejects_single_training_row():
 def test_unknown_config_key_named():
     with pytest.raises(InvalidConfig, match="n_dag"):
         sweep_config_from_dict({"n_dag": 3})
+
+
+SMALL_CONFIG = SweepConfig(
+    n_dags=3, n_train=100, n_post=100, d_values=(0.0, 2.0), datagen=DagGenConfig(n_roots=3, n_descendants=4), seed=1
+)
+
+
+def _degenerate_dags(monkeypatch, n_degenerate):
+    """Make target selection raise AllEffectsZero on the first ``n_degenerate`` DAGs of a sweep."""
+    select = sweep.select_intervention_target
+    calls = []
+
+    def select_or_fail(augmented, candidates):
+        calls.append(None)
+        if len(calls) <= n_degenerate:
+            raise AllEffectsZero("no candidate has a causal effect on the prediction")
+        return select(augmented, candidates)
+
+    monkeypatch.setattr(sweep, "select_intervention_target", select_or_fail)
+
+
+def test_degenerate_dag_is_counted_and_excluded(monkeypatch):
+    seeds = np.random.SeedSequence(SMALL_CONFIG.seed).spawn(SMALL_CONFIG.n_dags)
+    kept = np.array([_run_one_dag(SMALL_CONFIG, s) for s in seeds[1:]]).sum(axis=0)
+    _degenerate_dags(monkeypatch, 1)
+    result = run_sweep(SMALL_CONFIG)
+    assert result.n_failed == 1
+    denom = 2 * SMALL_CONFIG.n_post
+    assert [row.accuracy_optimal for row in result.rows] == (kept[0] / denom).tolist()
+    assert [row.accuracy_naive for row in result.rows] == (kept[1] / denom).tolist()
+    assert all(line.endswith(",1") for line in sweep_result_to_csv(result).splitlines()[1:])
+
+
+def test_all_dags_degenerate_is_an_error(monkeypatch):
+    _degenerate_dags(monkeypatch, SMALL_CONFIG.n_dags)
+    with pytest.raises(CausalSteerError, match="all 3 DAGs failed"):
+        run_sweep(SMALL_CONFIG)
