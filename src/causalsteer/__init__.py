@@ -15,9 +15,7 @@ __version__ = "0.1.0"
 from .causal import (
     EffectDecomposition,
     InterventionPlan,
-    causal_effect,
     causal_effect_on_prediction,
-    causal_effect_regression,
     effects_on_prediction,
     naive_intervention_value,
     observation_specific_plan,
@@ -25,15 +23,13 @@ from .causal import (
     plan_for_scm,
     propagate,
     select_intervention_target,
-    total_effect_expectation,
 )
 from .datagen import DagGenConfig, generate_random_scm, median_split_labels, pick_random_target
-from .graph import Dag, children, parents, roots, topological_order
+from .graph import Dag
 from .models import (
     AugmentedGraph,
     PredictionModel,
     augment_graph,
-    decision,
     fit_linear,
     fit_logistic,
     predict,
@@ -64,11 +60,7 @@ __all__ = [
     "SweepResult",
     "analytic_means",
     "augment_graph",
-    "causal_effect",
     "causal_effect_on_prediction",
-    "causal_effect_regression",
-    "children",
-    "decision",
     "effects_on_prediction",
     "estimate_noise_means",
     "evaluate_intervention",
@@ -79,17 +71,13 @@ __all__ = [
     "naive_intervention_value",
     "observation_specific_plan",
     "optimal_intervention_value",
-    "parents",
     "pick_random_target",
     "plan_for_scm",
     "predict",
     "propagate",
-    "roots",
     "run_sweep",
     "sample",
     "sample_interventional",
     "scores",
     "select_intervention_target",
-    "topological_order",
-    "total_effect_expectation",
 ]

@@ -28,8 +28,8 @@ from .errors import (
     ZeroCoefficient,
 )
 from .graph import Dag
-from .models import AugmentedGraph, PredictionModel, augment_graph, fit_linear, predict
-from .scm import Dataset, Scm, analytic_means, estimate_noise_means, noise_means
+from .models import AugmentedGraph, PredictionModel, augment_graph, predict
+from .scm import Scm, analytic_means, estimate_noise_means
 
 #: Below this sensitivity the desired prediction is unreachable at finite c.
 EFFECT_THRESHOLD = 1e-12
@@ -92,32 +92,6 @@ def propagate(dag: Dag, base_terms, i: int) -> EffectDecomposition:
     rhs[:, i - 1] = (0.0, 1.0)
     mu, alpha = graph.solve(dag, rhs, fixed=i)
     return EffectDecomposition(mu, alpha)
-
-
-def total_effect_expectation(scm: Scm, i: int, c: float, j: int) -> float:
-    """E[X_j | do(X_i = c)] from the analytic decomposition."""
-    if not 1 <= j <= scm.n:
-        raise IndexOutOfRange(j, scm.n)
-    dec = propagate(scm.dag, noise_means(scm), i)
-    return float(dec.mu[j - 1] + dec.alpha[j - 1] * c)
-
-
-def causal_effect(dag: Dag, i: int, j: int) -> float:
-    """d/dc of E[X_j | do(X_i = c)]: the sum of path products from i to j."""
-    if not 1 <= j <= dag.n:
-        raise IndexOutOfRange(j, dag.n)
-    return float(propagate(dag, np.zeros(dag.n), i).alpha[j - 1])
-
-
-def causal_effect_regression(data: Dataset, dag: Dag, i: int, j: int) -> float:
-    """Empirical causal effect: coefficient of X_i when regressing X_j on X_i and pa(X_i).
-
-    A sampling-based estimator of ``causal_effect``; the analytic value is
-    authoritative when the weight matrix is known.
-    """
-    preds = (i,) + tuple(sorted(graph.parents(dag, i) - {j}))
-    model = fit_linear(data, j, preds)
-    return float(model.coeffs[0])
 
 
 def effects_on_prediction(augmented: AugmentedGraph) -> np.ndarray:

@@ -84,17 +84,22 @@ def _cmd_sample(args) -> int:
 
 
 def _parse_indices(text: str) -> tuple[int, ...]:
-    return tuple(int(t) for t in text.replace(",", " ").split())
+    try:
+        indices = tuple(int(t) for t in text.replace(",", " ").split())
+    except ValueError:
+        indices = ()
+    if not indices or len(set(indices)) != len(indices):
+        raise argparse.ArgumentTypeError(f"expected distinct integer indices, e.g. 1,2,5, got {text!r}")
+    return indices
 
 
 def _cmd_fit(args) -> int:
     data = fileio.load_dataset(args.data)
-    predictors = _parse_indices(args.predictors) if args.predictors else None
     if args.kind == "linear":
-        model = fit_linear(data, args.target_index, predictors)
+        model = fit_linear(data, args.target_index, args.predictors)
     else:
         labels = median_split_labels(data, args.target_index)
-        model = fit_logistic(data, labels, predictors, target_index=args.target_index)
+        model = fit_logistic(data, labels, args.predictors, target_index=args.target_index)
     _write(json.dumps(fileio.model_to_dict(model), indent=2) + "\n", args.out)
     return 0
 
@@ -222,7 +227,7 @@ def build_parser() -> _Parser:
     p.add_argument("--data", required=True)
     p.add_argument("--kind", choices=("linear", "logistic"), default="linear")
     p.add_argument("--target-index", type=int, required=True)
-    p.add_argument("--predictors", help="predictor indices, e.g. '1,2,5' (default: all others)")
+    p.add_argument("--predictors", type=_parse_indices, help="predictor indices, e.g. '1,2,5' (default: all others)")
     common(p)
     p.set_defaults(func=_cmd_fit)
 
@@ -268,7 +273,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (CausalSteerError, OSError, ValueError, KeyError) as exc:
+    except (CausalSteerError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -20,6 +20,17 @@ from .models import PredictionModel
 from .scm import Dataset, NoiseSpec, Scm
 
 
+# The JSON values a config field of each scalar type accepts; true is not an int.
+_JSON_SCALARS = {int: (int,), float: (int, float), bool: (bool,)}
+
+
+def _json_int(value, name: str) -> int:
+    """``value`` if it is a JSON integer, else TypeError: int() would truncate 2.7 and accept true."""
+    if type(value) not in _JSON_SCALARS[int]:
+        raise TypeError(f"{name} must be an integer, got {value!r}")
+    return value
+
+
 def dag_to_dict(dag: Dag) -> dict:
     edges = [
         {"from": int(j) + 1, "to": int(i) + 1, "weight": float(dag.weights[i, j])}
@@ -34,8 +45,8 @@ def dag_to_dict(dag: Dag) -> dict:
 
 def dag_from_dict(doc: dict) -> Dag:
     return Dag.from_edges(
-        int(doc["n"]),
-        ((int(e["from"]), int(e["to"]), float(e["weight"])) for e in doc.get("edges", [])),
+        _json_int(doc["n"], "n"),
+        ((_json_int(e["from"], "from"), _json_int(e["to"], "to"), float(e["weight"])) for e in doc.get("edges", [])),
         doc.get("names"),
     )
 
@@ -77,12 +88,15 @@ def model_to_dict(model: PredictionModel) -> dict:
 
 
 def model_from_dict(doc: dict) -> PredictionModel:
+    coeffs = doc["coeffs"]
+    if not isinstance(coeffs, list) or not all(type(c) in _JSON_SCALARS[float] for c in coeffs):
+        raise TypeError(f"coeffs must be a flat array of numbers, got {coeffs!r}")
     return PredictionModel(
         doc["kind"],
         float(doc["bias"]),
-        np.asarray(doc["coeffs"], dtype=float),
-        tuple(int(i) for i in doc["predictor_indices"]),
-        int(doc["target_index"]),
+        np.asarray(coeffs, dtype=float),
+        tuple(_json_int(i, "predictor_indices") for i in doc["predictor_indices"]),
+        _json_int(doc["target_index"], "target_index"),
     )
 
 
@@ -95,10 +109,6 @@ def plan_to_dict(plan: InterventionPlan) -> dict:
         "effects": [float(a) for a in plan.effects],
         "warnings": list(plan.warnings),
     }
-
-
-# The JSON values a config field of each scalar type accepts; true is not an int.
-_JSON_SCALARS = {int: (int,), float: (int, float), bool: (bool,)}
 
 
 def known_fields(cls, doc) -> dict:
@@ -152,14 +162,17 @@ def load_json(path) -> dict:
 
 
 def load_document(path, decode):
-    """``decode(load_json(path))``, a field of the wrong type reported as ValueError naming ``path``.
+    """``decode(load_json(path))``, a missing or mistyped field reported as ValueError naming ``path``.
 
     A list where a number belongs, ``null`` for a count or an integer too
-    large for a float surfaces from the decoders as TypeError or OverflowError.
+    large for a float surfaces from the decoders as TypeError or OverflowError,
+    an absent key as KeyError.
     """
     doc = load_json(path)
     try:
         return decode(doc)
+    except KeyError as exc:
+        raise ValueError(f"{path}: missing key {exc.args[0]!r}") from None
     except (TypeError, OverflowError) as exc:
         raise ValueError(f"{path}: {exc}") from None
 

@@ -21,7 +21,8 @@ class Dag:
     The constructor raises NonFiniteWeight, NonzeroDiagonal, or
     CycleDetected (with one witness cycle) unless the weights describe a
     finite, zero-diagonal DAG. It then stores the evaluation schedule once:
-    ``(vertex, parent indices)`` pairs, 0-based, in topological order.
+    ``(vertex, parent indices)`` pairs, 0-based, in topological order with
+    the lowest ready index first, so the order is deterministic.
     """
 
     weights: np.ndarray
@@ -79,15 +80,6 @@ class Dag:
 def _check_index(dag: Dag, i: int) -> None:
     if not 1 <= i <= dag.n:
         raise IndexOutOfRange(i, dag.n)
-
-
-def topological_order(dag: Dag) -> list[int]:
-    """Topological order of the variables, 1-based.
-
-    Among simultaneously ready vertices the lowest index comes first, so the
-    result is deterministic.
-    """
-    return [v + 1 for v, _ in dag.schedule]
 
 
 def _kahn_order(adj: np.ndarray) -> list[int]:
@@ -152,23 +144,6 @@ def _find_cycle(adj: np.ndarray, remaining: set[int]) -> list[int]:
             return [v + 1 for v in cycle]
         pos[nxt] = len(walk)
         walk.append(nxt)
-
-
-def parents(dag: Dag, i: int) -> set[int]:
-    """Variables with a direct edge into i."""
-    _check_index(dag, i)
-    return {int(j) + 1 for j in np.flatnonzero(dag.weights[i - 1])}
-
-
-def children(dag: Dag, i: int) -> set[int]:
-    """Variables that i feeds directly."""
-    _check_index(dag, i)
-    return {int(j) + 1 for j in np.flatnonzero(dag.weights[:, i - 1])}
-
-
-def roots(dag: Dag) -> set[int]:
-    """Variables with no parents."""
-    return {int(v) + 1 for v in np.flatnonzero(~(dag.weights != 0.0).any(axis=1))}
 
 
 def root_mask(dag: Dag) -> np.ndarray:

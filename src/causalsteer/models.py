@@ -88,17 +88,6 @@ class AugmentedGraph:
         w[np.array(self.yhat_parents) - 1] = self.yhat_weights
         return w
 
-    def to_dag(self) -> Dag:
-        """The combined graph on n+1 vertices; the prediction node is vertex n+1."""
-        n = self.base.n
-        w = np.zeros((n + 1, n + 1))
-        w[:n, :n] = self.base.weights
-        w[n, :n] = self.expanded_coeffs()
-        names = None
-        if self.base.names is not None:
-            names = self.base.names + ("yhat",)
-        return Dag(w, names)
-
 
 def fit_linear(data: Dataset, target_index: int, predictor_indices=None) -> PredictionModel:
     """Ordinary least squares of the target column on the predictor columns.
@@ -251,24 +240,6 @@ def scores(model: PredictionModel, rows: np.ndarray) -> np.ndarray:
     rows = np.asarray(rows, dtype=float)
     idx = [p - 1 for p in model.predictor_indices]
     return model.bias + rows[:, idx] @ model.coeffs
-
-
-def decision(model: PredictionModel, x, rng: np.random.Generator | None = None) -> int:
-    """Class 0 when the log-odds is negative, 1 when positive.
-
-    An exact zero is broken by a fair coin from ``rng`` (a fixed seed when
-    not supplied, so repeated calls stay deterministic).
-    """
-    if model.kind != "logistic":
-        raise ValueError("decision applies to logistic models only")
-    score = predict(model, x)
-    if score < 0:
-        return 0
-    if score > 0:
-        return 1
-    if rng is None:
-        rng = np.random.default_rng(0)
-    return int(rng.integers(2))
 
 
 def augment_graph(dag: Dag, model: PredictionModel) -> AugmentedGraph:

@@ -1,7 +1,7 @@
 """Brute-force reference implementations the library code must agree with.
 
-Deliberately naive: path enumeration and dense linear solves instead of
-forward substitution, so the two sides share no code.
+Deliberately naive: path enumeration, dense linear solves and regressions
+on samples instead of forward substitution, so the two sides share no code.
 """
 
 import numpy as np
@@ -36,6 +36,16 @@ def path_product_effect(dag: Dag, i: int, j: int) -> float:
             product *= dag.weights[b - 1, a - 1]
         total += product
     return total
+
+
+def causal_effect_regression(data, dag: Dag, i: int, j: int) -> float:
+    """Sampled causal effect of X_i on X_j: the coefficient of X_i in a least-squares
+    regression of X_j on X_i and its parents pa(X_i), the back-door adjustment set.
+    """
+    pa = [int(p) + 1 for p in np.flatnonzero(dag.weights[i - 1]) if p != j - 1]
+    x = data.rows[:, [c - 1 for c in [i] + pa]]
+    design = np.column_stack([np.ones(len(x)), x])
+    return float(np.linalg.lstsq(design, data.rows[:, j - 1], rcond=None)[0][1])
 
 
 def expanded_coeffs(n: int, model: PredictionModel) -> np.ndarray:

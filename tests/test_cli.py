@@ -7,6 +7,7 @@ import pytest
 from causalsteer import (
     DagGenConfig,
     augment_graph,
+    autompg,
     effects_on_prediction,
     fileio,
     fit_linear,
@@ -219,8 +220,21 @@ def test_intervene_takes_the_target_from_the_model(files, capsys):
         ("sweep", {"d_values": 5}),
         ("sweep", {"datagen": {"n_roots": "x"}}),
         ("sweep", {"datagen": 7}),
+        # int() would truncate each of these floats, and read true as 1.
+        ("scm", {"n": 9.9}),
+        ("scm", {"edges": [{"from": 1.7, "to": 2, "weight": 1.0}]}),
+        ("scm", {"edges": [{"from": 1, "to": 2.0, "weight": 1.0}]}),
+        ("model", {"predictor_indices": [1.7, 2.2], "coeffs": [1.0, 1.0]}),
+        ("model", {"predictor_indices": [True, 2], "coeffs": [1.0, 1.0]}),
+        ("model", {"target_index": 9.0}),
+        ("model", {"coeffs": [[1.0] * 8]}),
+        ("model", {"coeffs": [True] + [1.0] * 7}),
     ],
-    ids=["edges", "noises", "n", "predictors", "bias", "n_dags", "d_values", "n_roots", "datagen"],
+    ids=[
+        "edges", "noises", "n", "predictors", "bias", "n_dags", "d_values", "n_roots", "datagen",
+        "n-float", "from-float", "to-float", "predictors-float", "predictors-true", "target-float",
+        "coeffs-nested", "coeffs-true",
+    ],
 )
 def test_malformed_document_is_reported(files, tmp_path, capsys, document, change):
     scm_path, _, model_path = files
@@ -266,3 +280,43 @@ def test_fit_linear_on_chosen_predictors(files, tmp_path):
     assert main(argv + ["--out", str(out)]) == 0
     expected = fit_linear(fileio.load_dataset(data_path), 9, (1, 2))
     assert fileio.load_json(out) == fileio.model_to_dict(expected)
+
+
+@pytest.mark.parametrize(
+    "document, entry, key",
+    [
+        ("model", (), "bias"),
+        ("model", (), "kind"),
+        ("scm", (), "noises"),
+        ("scm", ("edges", 0), "weight"),
+        ("scm", ("noises", 0), "family"),
+        ("structure", (), "n"),
+    ],
+    ids=["bias", "kind", "noises", "weight", "family", "structure-n"],
+)
+def test_missing_key_names_the_file_and_the_key(files, tmp_path, capsys, document, entry, key):
+    scm_path, _, model_path = files
+    paths = {"scm": scm_path, "model": model_path, "structure": autompg.bundled_structure_path()}
+    doc = fileio.load_json(paths[document])
+    part = doc
+    for step in entry:
+        part = part[step]
+    del part[key]
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    if document == "structure":
+        argv = ["demo-autompg", "--structure", str(bad), "--data-file", str(AUTOMPG)]
+    else:
+        paths[document] = bad
+        argv = ["analyze", "--scm", str(paths["scm"]), "--model", str(paths["model"])]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: {bad}: missing key {key!r}\n"
+
+
+@pytest.mark.parametrize("spec", ["1.5", "a,b", "1,1"])
+def test_malformed_predictors_is_a_usage_error(files, capsys, spec):
+    _, data_path, _ = files
+    with pytest.raises(SystemExit) as exc:
+        main(["fit", "--data", str(data_path), "--target-index", "9", "--predictors", spec])
+    assert exc.value.code == 1
+    assert "--predictors" in capsys.readouterr().err

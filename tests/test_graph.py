@@ -3,8 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from causalsteer import Dag, children, graph, parents, roots, topological_order
-from causalsteer.graph import solve
+from causalsteer import Dag, graph
+from causalsteer.graph import root_mask, solve
 from causalsteer.errors import CycleDetected, IndexOutOfRange, NonFiniteWeight, NonzeroDiagonal
 
 
@@ -17,6 +17,11 @@ def random_dag(rng: np.random.Generator, n: int, p: float = 0.4) -> Dag:
                 w[i, j] = rng.uniform(0.5, 2.0) * rng.choice([-1.0, 1.0])
     perm = rng.permutation(n)
     return Dag(w[np.ix_(perm, perm)])
+
+
+def order(dag: Dag) -> list[int]:
+    """The 1-based variables in the order of the Dag's stored schedule."""
+    return [v + 1 for v, _ in dag.schedule]
 
 
 class TestValidate:
@@ -65,7 +70,7 @@ class TestValidate:
         dag = Dag(seven_vertex_dag.weights)
         for fixed in (None, 1, 4):
             solve(dag, np.ones((2, 7)), fixed=fixed)
-        assert topological_order(dag) == topological_order(seven_vertex_dag)
+        assert order(dag) == order(seven_vertex_dag)
         assert len(calls) == 1
 
     def test_non_square_rejected_at_construction(self):
@@ -96,15 +101,14 @@ class TestValidate:
 
 class TestTopologicalOrder:
     def test_chain(self, chain3):
-        assert topological_order(chain3) == [1, 2, 3]
+        assert order(chain3) == [1, 2, 3]
 
     def test_edgeless_ties_break_by_index(self):
-        assert topological_order(Dag(np.zeros((3, 3)))) == [1, 2, 3]
+        assert order(Dag(np.zeros((3, 3)))) == [1, 2, 3]
 
     def test_seven_vertex_graph(self, seven_vertex_dag):
-        order = topological_order(seven_vertex_dag)
-        pos = {v: k for k, v in enumerate(order)}
-        assert sorted(order) == list(range(1, 8))
+        pos = {v: k for k, v in enumerate(order(seven_vertex_dag))}
+        assert sorted(pos) == list(range(1, 8))
         assert pos[1] < pos[2] and pos[1] < pos[3]
         assert pos[2] < pos[4] and pos[3] < pos[4]
         assert pos[4] < pos[5] and pos[4] < pos[6]
@@ -112,18 +116,18 @@ class TestTopologicalOrder:
 
     def test_cyclic_raises(self):
         with pytest.raises(CycleDetected):
-            topological_order(Dag(np.array([[0.0, 1.0], [1.0, 0.0]])))
+            Dag(np.array([[0.0, 1.0], [1.0, 0.0]]))
 
     @given(st.integers(0, 10_000))
     @settings(max_examples=60, deadline=None)
     def test_parents_precede_children(self, seed):
         rng = np.random.default_rng(seed)
         dag = random_dag(rng, int(rng.integers(1, 10)))
-        order = topological_order(dag)
-        pos = {v: k for k, v in enumerate(order)}
-        assert sorted(order) == list(range(1, dag.n + 1))
-        for v in range(1, dag.n + 1):
-            for p in parents(dag, v):
+        pos = {v: k for k, (v, _) in enumerate(dag.schedule)}
+        assert sorted(pos) == list(range(dag.n))
+        for v, pa in dag.schedule:
+            assert pa.tolist() == np.flatnonzero(dag.weights[v]).tolist()
+            for p in pa:
                 assert pos[p] < pos[v]
 
 
@@ -162,31 +166,22 @@ class TestSolve:
 
 
 class TestNeighborhoods:
+    """The schedule lists each vertex's parents (0-based); root_mask marks the parentless."""
+
     def test_seven_vertex_parents(self, seven_vertex_dag):
-        assert parents(seven_vertex_dag, 4) == {2, 3}
+        assert dict(seven_vertex_dag.schedule)[3].tolist() == [1, 2]
 
     def test_edgeless_roots(self):
-        assert roots(Dag(np.zeros((4, 4)))) == {1, 2, 3, 4}
+        assert root_mask(Dag(np.zeros((4, 4)))).tolist() == [True] * 4
 
     def test_chain_children(self, chain3):
-        assert children(chain3, 2) == {3}
+        assert [v for v, pa in chain3.schedule if 1 in pa] == [2]
 
     def test_index_out_of_range(self, chain3):
         with pytest.raises(IndexOutOfRange):
-            parents(chain3, 4)
+            chain3.name_of(4)
         with pytest.raises(IndexOutOfRange):
-            children(chain3, 0)
-
-    @given(st.integers(0, 10_000))
-    @settings(max_examples=60, deadline=None)
-    def test_parents_children_are_transposes(self, seed):
-        rng = np.random.default_rng(seed)
-        dag = random_dag(rng, int(rng.integers(2, 10)))
-        for i in range(1, dag.n + 1):
-            for j in parents(dag, i):
-                assert i in children(dag, j)
-            for j in children(dag, i):
-                assert i in parents(dag, j)
+            chain3.name_of(0)
 
 
 class TestDagType:

@@ -2,15 +2,15 @@ import numpy as np
 import pytest
 
 from causalsteer import (
+    Dag,
     Dataset,
     PredictionModel,
     augment_graph,
-    decision,
+    evaluate_intervention,
     fit_linear,
     fit_logistic,
     predict,
     scores,
-    topological_order,
 )
 from causalsteer.errors import (
     DidNotConvergeWarning,
@@ -20,9 +20,20 @@ from causalsteer.errors import (
     SingleClass,
 )
 
+from .conftest import constant_scm
+
 
 def _sigmoid(z):
     return 1.0 / (1.0 + np.exp(-z))
+
+
+def class1_fraction(chain3: Dag, bias: float, seed: int = 0) -> float:
+    """The sweep's class-1 fraction on chain3 with every score exactly ``bias``.
+
+    Constant noises (1, 0, 0) hold X = (1, 2, 1), where X1 - X2/2 is exactly 0.
+    """
+    model = PredictionModel("logistic", bias, np.array([1.0, -0.5]), (1, 2), 3)
+    return evaluate_intervention(constant_scm(chain3, (1.0, 0.0, 0.0)), model, 1, 1.0, 100, seed)
 
 
 class TestFitLinear:
@@ -136,28 +147,28 @@ class TestPredictAndDecision:
         model = PredictionModel("linear", 4.5, np.zeros(2), (1, 2), 3)
         assert predict(model, [7.0, -3.0, 0.0]) == 4.5
 
-    def test_decision_signs(self):
-        model = PredictionModel("logistic", -1.0, np.zeros(1), (1,), 2)
-        assert decision(model, [0.0, 0.0]) == 0
-        model = PredictionModel("logistic", 0.001, np.zeros(1), (1,), 2)
-        assert decision(model, [0.0, 0.0]) == 1
+    def test_decision_signs(self, chain3):
+        assert class1_fraction(chain3, -1.0) == 0.0
+        assert class1_fraction(chain3, 0.001) == 1.0
 
     def test_decision_matches_score_sign(self):
         rng = np.random.default_rng(8)
         model = PredictionModel("logistic", 0.25, rng.normal(size=3), (1, 2, 3), 4)
-        for _ in range(50):
+        for seed in range(50):
             x = rng.normal(size=4)
-            assert decision(model, x) == (1 if predict(model, x) > 0 else 0)
+            # Edgeless, so every sample is x; do(X1 = x1) changes nothing.
+            scm = constant_scm(Dag(np.zeros((4, 4))), x)
+            fraction = evaluate_intervention(scm, model, 1, x[0], 10, seed)
+            assert fraction == (1.0 if predict(model, x) > 0 else 0.0)
 
-    def test_tie_breaks_uniformly_across_seeds(self):
-        model = PredictionModel("logistic", 0.0, np.zeros(1), (1,), 2)
-        draws = [decision(model, [1.0, 0.0], rng=np.random.default_rng(s)) for s in range(400)]
-        assert 0.4 < np.mean(draws) < 0.6
+    def test_tie_breaks_uniformly_across_seeds(self, chain3):
+        fractions = [class1_fraction(chain3, 0.0, seed=s) for s in range(40)]
+        se = np.sqrt(0.25 / (40 * 100))
+        assert abs(np.mean(fractions) - 0.5) <= 4 * se
 
-    def test_decision_requires_logistic(self):
-        model = PredictionModel("linear", 0.0, np.zeros(1), (1,), 2)
-        with pytest.raises(ValueError):
-            decision(model, [0.0, 0.0])
+    def test_tie_coin_is_seeded(self, chain3):
+        assert class1_fraction(chain3, 0.0, seed=7) == class1_fraction(chain3, 0.0, seed=7)
+        assert len({class1_fraction(chain3, 0.0, seed=s) for s in range(5)}) > 1
 
 
 class TestPredictionModelType:
@@ -188,14 +199,10 @@ class TestAugmentGraph:
         )
         augmented = augment_graph(seven_vertex_dag, model)
         assert augmented.yhat_parents == (1, 2, 3, 5, 6, 7)
-        combined = augmented.to_dag()
-        assert combined.n == 8
-        assert topological_order(combined)[-1] == 8
-        # the prediction node is a sink with the coefficients as in-weights
-        assert (combined.weights[:, 7] == 0.0).all()
+        # the coefficients are the prediction node's in-weights, zero at the target
         expanded = augmented.expanded_coeffs()
         assert expanded[3] == 0.0
-        assert (combined.weights[7, :7] == expanded).all()
+        assert expanded[[0, 1, 2, 4, 5, 6]].tolist() == [1.0, 2.0, 3.0, 4.0, 5.0, 6.0]
 
     def test_base_graph_unchanged(self, seven_vertex_dag):
         before = seven_vertex_dag.weights.copy()
