@@ -26,24 +26,8 @@ from .causal import (
 )
 from .datagen import DagGenConfig, generate_random_scm, median_split_labels, pick_random_target
 from .graph import Dag
-from .models import (
-    AugmentedGraph,
-    PredictionModel,
-    augment_graph,
-    fit_linear,
-    fit_logistic,
-    predict,
-    scores,
-)
-from .scm import (
-    Dataset,
-    NoiseSpec,
-    Scm,
-    analytic_means,
-    estimate_noise_means,
-    sample,
-    sample_interventional,
-)
+from .models import AugmentedGraph, PredictionModel, augment_graph, fit_linear, fit_logistic, scores
+from .scm import Dataset, NoiseSpec, Scm, analytic_means, estimate_noise_means, sample
 from .sweep import SweepConfig, SweepResult, evaluate_intervention, run_sweep
 
 __all__ = [
@@ -73,11 +57,9 @@ __all__ = [
     "optimal_intervention_value",
     "pick_random_target",
     "plan_for_scm",
-    "predict",
     "propagate",
     "run_sweep",
     "sample",
-    "sample_interventional",
     "scores",
     "select_intervention_target",
 ]

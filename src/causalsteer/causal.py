@@ -22,13 +22,13 @@ from . import graph
 from .errors import (
     AllEffectsZero,
     EmptyCandidates,
-    IndexOutOfRange,
     InterveneOnTarget,
     ZeroCausalEffect,
     ZeroCoefficient,
+    check_index,
 )
 from .graph import Dag
-from .models import AugmentedGraph, PredictionModel, augment_graph, predict
+from .models import AugmentedGraph, PredictionModel, augment_graph, scores
 from .scm import Scm, analytic_means, estimate_noise_means
 
 #: Below this sensitivity the desired prediction is unreachable at finite c.
@@ -82,8 +82,7 @@ def propagate(dag: Dag, base_terms, i: int) -> EffectDecomposition:
     i keep their mean and are insensitive to c.
     """
     n = dag.n
-    if not 1 <= i <= n:
-        raise IndexOutOfRange(i, n)
+    check_index(i, n)
     base = np.asarray(base_terms, dtype=float)
     if base.shape != (n,):
         raise ValueError(f"expected a length-{n} vector, got shape {base.shape}")
@@ -107,8 +106,7 @@ def effects_on_prediction(augmented: AugmentedGraph) -> np.ndarray:
 
 def causal_effect_on_prediction(augmented: AugmentedGraph, i: int) -> float:
     """d/dc of the expected prediction under do(X_i = c)."""
-    if not 1 <= i <= augmented.base.n:
-        raise IndexOutOfRange(i, augmented.base.n)
+    check_index(i, augmented.base.n)
     return float(effects_on_prediction(augmented)[i - 1])
 
 
@@ -122,8 +120,7 @@ def select_intervention_target(augmented: AugmentedGraph, candidates) -> int:
     if not cands:
         raise EmptyCandidates("no candidate variables supplied")
     for cand in cands:
-        if not 1 <= cand <= augmented.base.n:
-            raise IndexOutOfRange(cand, augmented.base.n)
+        check_index(cand, augmented.base.n)
     effects = np.abs(effects_on_prediction(augmented)[np.array(cands) - 1])
     # argmax returns the first maximum, the lowest index among ties.
     best = int(np.argmax(effects))
@@ -189,7 +186,7 @@ def naive_intervention_value(model: PredictionModel, x, i: int, d):
     wi = model.coeffs[model.predictor_indices.index(i)]
     if wi == 0.0:
         raise ZeroCoefficient(i)
-    return x[i - 1] + (np.asarray(d, dtype=float)[()] - predict(model, x)) / wi
+    return x[i - 1] + (np.asarray(d, dtype=float)[()] - scores(model, x)) / wi
 
 
 def observation_specific_plan(

@@ -23,7 +23,7 @@ from .causal import (
 from .datagen import DagGenConfig, generate_random_scm, median_split_labels
 from .errors import CausalSteerError
 from .models import augment_graph, fit_linear, fit_logistic
-from .scm import analytic_means, estimate_noise_means, sample, sample_interventional
+from .scm import analytic_means, estimate_noise_means, sample
 from .sweep import run_manifest, run_sweep, sweep_config_from_dict, sweep_result_to_csv
 
 
@@ -74,12 +74,7 @@ def _finite_float(text: str) -> float:
 
 def _cmd_sample(args) -> int:
     scm = fileio.load_document(args.scm, fileio.scm_from_dict)
-    if args.do:
-        i, c = args.do
-        data = sample_interventional(scm, i, c, args.rows, args.seed)
-    else:
-        data = sample(scm, args.rows, args.seed)
-    _write(fileio.dataset_to_csv(data), args.out)
+    _write(fileio.dataset_to_csv(sample(scm, args.rows, args.seed, args.do)), args.out)
     return 0
 
 

@@ -37,6 +37,12 @@ class IndexOutOfRange(CausalSteerError):
         super().__init__(f"{what} {index} out of range 1..{n}")
 
 
+def check_index(i, n: int, what: str = "variable index") -> None:
+    """Raise IndexOutOfRange unless i is one of the 1-based indices 1..n."""
+    if not 1 <= i <= n:
+        raise IndexOutOfRange(i, n, what)
+
+
 class RankDeficient(CausalSteerError):
     """The regression design matrix does not have full column rank."""
 

@@ -31,6 +31,13 @@ def _json_int(value, name: str) -> int:
     return value
 
 
+def _json_float(value, name: str) -> float:
+    """``float(value)`` if it is a JSON number, else TypeError: float() would accept "0.5" and true."""
+    if type(value) not in _JSON_SCALARS[float]:
+        raise TypeError(f"{name} must be a number, got {value!r}")
+    return float(value)
+
+
 def dag_to_dict(dag: Dag) -> dict:
     edges = [
         {"from": int(j) + 1, "to": int(i) + 1, "weight": float(dag.weights[i, j])}
@@ -46,7 +53,10 @@ def dag_to_dict(dag: Dag) -> dict:
 def dag_from_dict(doc: dict) -> Dag:
     return Dag.from_edges(
         _json_int(doc["n"], "n"),
-        ((_json_int(e["from"], "from"), _json_int(e["to"], "to"), float(e["weight"])) for e in doc.get("edges", [])),
+        (
+            (_json_int(e["from"], "from"), _json_int(e["to"], "to"), _json_float(e["weight"], "weight"))
+            for e in doc.get("edges", [])
+        ),
         doc.get("names"),
     )
 
@@ -64,7 +74,7 @@ def noise_from_dict(doc: dict) -> NoiseSpec:
     family = doc["family"]
     if family not in _NOISE_FIELDS:
         raise ValueError(f"unknown noise family {family!r}")
-    return NoiseSpec(family, tuple(float(doc[k]) for k in _NOISE_FIELDS[family]))
+    return NoiseSpec(family, tuple(_json_float(doc[k], k) for k in _NOISE_FIELDS[family]))
 
 
 def scm_to_dict(scm: Scm) -> dict:
@@ -93,7 +103,7 @@ def model_from_dict(doc: dict) -> PredictionModel:
         raise TypeError(f"coeffs must be a flat array of numbers, got {coeffs!r}")
     return PredictionModel(
         doc["kind"],
-        float(doc["bias"]),
+        _json_float(doc["bias"], "bias"),
         np.asarray(coeffs, dtype=float),
         tuple(_json_int(i, "predictor_indices") for i in doc["predictor_indices"]),
         _json_int(doc["target_index"], "target_index"),
@@ -136,18 +146,17 @@ def datagen_config_from_dict(doc: dict) -> DagGenConfig:
     return DagGenConfig(**kwargs)
 
 
+def fields_to_dict(config, **encoded) -> dict:
+    """The fields of the dataclass ``config`` in declaration order, ``encoded`` replacing some values.
+
+    The writing half of ``known_fields``: a field added to the dataclass
+    appears in every document without being listed here.
+    """
+    return {f.name: encoded.get(f.name, getattr(config, f.name)) for f in dataclasses.fields(config)}
+
+
 def datagen_config_to_dict(config: DagGenConfig) -> dict:
-    return {
-        "n_roots": config.n_roots,
-        "n_descendants": config.n_descendants,
-        "parent_prob": config.parent_prob,
-        "min_parents": config.min_parents,
-        "weight_lo": config.weight_lo,
-        "weight_hi": config.weight_hi,
-        "random_sign": config.random_sign,
-        "noise": noise_to_dict(config.noise),
-        "seed": config.seed,
-    }
+    return fields_to_dict(config, noise=noise_to_dict(config.noise))
 
 
 def save_json(doc: dict, path) -> None:

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import CycleDetected, IndexOutOfRange, NonFiniteWeight, NonzeroDiagonal
+from .errors import CycleDetected, NonFiniteWeight, NonzeroDiagonal, check_index
 
 
 @dataclass(frozen=True)
@@ -55,7 +55,7 @@ class Dag:
         return self.weights.shape[0]
 
     def name_of(self, i: int) -> str:
-        _check_index(self, i)
+        check_index(i, self.n)
         return self.names[i - 1] if self.names is not None else f"x{i}"
 
     @classmethod
@@ -68,18 +68,12 @@ class Dag:
         seen = set()
         for frm, to, weight in edges:
             for idx in (frm, to):
-                if not 1 <= idx <= n:
-                    raise IndexOutOfRange(idx, n, "edge endpoint")
+                check_index(idx, n, "edge endpoint")
             if (frm, to) in seen:
                 raise ValueError(f"duplicate edge {frm} -> {to}")
             seen.add((frm, to))
             w[to - 1, frm - 1] = weight
         return cls(w, names)
-
-
-def _check_index(dag: Dag, i: int) -> None:
-    if not 1 <= i <= dag.n:
-        raise IndexOutOfRange(i, dag.n)
 
 
 def _kahn_order(adj: np.ndarray) -> list[int]:
@@ -116,7 +110,7 @@ def solve(dag: Dag, rhs, fixed: int | None = None) -> np.ndarray:
     if x.shape[-1:] != (dag.n,):
         raise ValueError(f"expected a last axis of length {dag.n}, got shape {x.shape}")
     if fixed is not None:
-        _check_index(dag, fixed)
+        check_index(fixed, dag.n)
     w = dag.weights
     for v, pa in dag.schedule:
         if pa.size and v + 1 != fixed:

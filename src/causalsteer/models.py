@@ -10,13 +10,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (
-    DidNotConvergeWarning,
-    IndexOutOfRange,
-    InsufficientRows,
-    RankDeficient,
-    SingleClass,
-)
+from .errors import DidNotConvergeWarning, InsufficientRows, RankDeficient, SingleClass, check_index
 from .graph import Dag
 from .scm import Dataset
 
@@ -197,14 +191,12 @@ def fit_logistic(
 
 
 def _resolve_predictors(n: int, target_index: int, predictor_indices) -> tuple[int, ...]:
-    if not 1 <= target_index <= n:
-        raise IndexOutOfRange(target_index, n, "target index")
+    check_index(target_index, n, "target index")
     if predictor_indices is None:
         return tuple(i for i in range(1, n + 1) if i != target_index)
     preds = tuple(int(i) for i in predictor_indices)
     for i in preds:
-        if not 1 <= i <= n:
-            raise IndexOutOfRange(i, n, "predictor index")
+        check_index(i, n, "predictor index")
     if target_index in preds:
         raise ValueError(f"target variable {target_index} cannot be a predictor")
     return preds
@@ -224,22 +216,15 @@ def _penalized_loglik(x, y, beta, penalty) -> float:
     return float((y * score - np.logaddexp(0.0, score)).sum() - 0.5 * penalty @ beta**2)
 
 
-def predict(model: PredictionModel, x) -> float:
-    """Linear score bias + coeffs . x at one observation.
+def scores(model: PredictionModel, x) -> np.ndarray:
+    """Linear score bias + coeffs . x along the last axis of ``x``.
 
-    ``x`` supplies all n variables; only predictor positions are read. For a
-    logistic model this is the log-odds, not the probability.
+    ``x`` is one observation of all n variables (giving a scalar) or an
+    m x n matrix of them (giving m scores); only predictor positions are
+    read. For a logistic model this is the log-odds, not the probability.
     """
     x = np.asarray(x, dtype=float)
-    idx = [p - 1 for p in model.predictor_indices]
-    return float(model.bias + model.coeffs @ x[idx])
-
-
-def scores(model: PredictionModel, rows: np.ndarray) -> np.ndarray:
-    """Vectorized ``predict`` over the rows of an m x n matrix."""
-    rows = np.asarray(rows, dtype=float)
-    idx = [p - 1 for p in model.predictor_indices]
-    return model.bias + rows[:, idx] @ model.coeffs
+    return model.bias + x[..., [p - 1 for p in model.predictor_indices]] @ model.coeffs
 
 
 def augment_graph(dag: Dag, model: PredictionModel) -> AugmentedGraph:
@@ -249,6 +234,5 @@ def augment_graph(dag: Dag, model: PredictionModel) -> AugmentedGraph:
     weights; the base graph is not modified.
     """
     for i in model.predictor_indices + (model.target_index,):
-        if not 1 <= i <= dag.n:
-            raise IndexOutOfRange(i, dag.n)
+        check_index(i, dag.n)
     return AugmentedGraph(dag, model.predictor_indices, model.coeffs)

@@ -2,9 +2,10 @@
 
 Every variable obeys X_i = sum_k b_ik * X_k + N_i with independent noise
 N_i; a root variable's value is its noise draw. Sampling is the ground
-truth oracle for all interventional expectations. All samplers take a
-``seed`` accepted by ``numpy.random.default_rng`` (int, SeedSequence, or
-Generator), and identical seeds give bitwise-identical datasets.
+truth oracle for all interventional expectations. ``sample`` draws both
+observational and interventional data; its ``seed`` is anything
+``numpy.random.default_rng`` accepts (int, SeedSequence, or Generator), and
+identical seeds give bitwise-identical datasets.
 
 Samples and analytic means both come from ``graph.solve``, the package's
 one forward substitution; unlike a dense solve it keeps the columns an
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import graph
-from .errors import IndexOutOfRange
+from .errors import check_index
 from .graph import Dag
 
 _FAMILIES = ("gaussian", "uniform", "constant")
@@ -120,8 +121,7 @@ class Dataset:
         return self.rows.shape[1]
 
     def column(self, i: int) -> np.ndarray:
-        if not 1 <= i <= self.n:
-            raise IndexOutOfRange(i, self.n)
+        check_index(i, self.n)
         return self.rows[:, i - 1]
 
 
@@ -140,6 +140,9 @@ def _draw_noise(scm: Scm, rng: np.random.Generator, m: int) -> np.ndarray:
 
 
 def _simulate(scm: Scm, m: int, seed, do: tuple[int, float] | None) -> np.ndarray:
+    if do is not None:
+        # Before the noise write, where 0 would address the last column.
+        check_index(do[0], scm.n)
     if m < 1:
         raise ValueError(f"sample count must be >= 1, got {m}")
     # The noise array is released on return, before Dataset copies the result.
@@ -150,21 +153,16 @@ def _simulate(scm: Scm, m: int, seed, do: tuple[int, float] | None) -> np.ndarra
     return graph.solve(scm.dag, noise, fixed=do[0])
 
 
-def sample(scm: Scm, m: int, seed) -> Dataset:
-    """Draw m observations by evaluating variables in topological order."""
-    return Dataset(_simulate(scm, m, seed, None), scm.dag.names)
+def sample(scm: Scm, m: int, seed, do: tuple[int, float] | None = None) -> Dataset:
+    """Draw m observations, under do(X_i = c) when ``do`` is ``(i, c)``.
 
-
-def sample_interventional(scm: Scm, i: int, c: float, m: int, seed) -> Dataset:
-    """Draw m observations under do(X_i = c).
-
-    Variable i is fixed to c (its parents and noise ignored); descendants
-    respond through the structural equations. With the same seed, columns of
-    variables unaffected by the intervention match ``sample`` exactly.
+    Variables are evaluated in topological order. An intervened variable is
+    fixed to c (its parents and noise ignored) and its descendants respond
+    through the structural equations; with the same seed, the columns of
+    variables the intervention does not reach match the unintervened sample
+    exactly.
     """
-    if not 1 <= i <= scm.n:
-        raise IndexOutOfRange(i, scm.n)
-    return Dataset(_simulate(scm, m, seed, (i, float(c))), scm.dag.names)
+    return Dataset(_simulate(scm, m, seed, do), scm.dag.names)
 
 
 def analytic_means(scm: Scm) -> np.ndarray:

@@ -26,7 +26,7 @@ from .causal import (
 from .datagen import DagGenConfig, generate_random_scm, median_split_labels, pick_random_target
 from .errors import AllEffectsZero, CausalSteerError, InvalidConfig, ZeroCausalEffect, ZeroCoefficient
 from .models import PredictionModel, augment_graph, fit_logistic, scores
-from .scm import Scm, analytic_means, estimate_noise_means, sample, sample_interventional
+from .scm import Scm, analytic_means, estimate_noise_means, sample
 
 
 @dataclass(frozen=True)
@@ -70,8 +70,7 @@ def evaluate_intervention(scm: Scm, model: PredictionModel, i: int, c: float, n_
     Exact zero scores (measure zero for continuous data) get a fair coin.
     """
     rng = np.random.default_rng(seed)
-    data = sample_interventional(scm, i, c, n_post, rng)
-    s = scores(model, data.rows)
+    s = scores(model, sample(scm, n_post, rng, do=(i, c)).rows)
     ones = int((s > 0).sum())
     ties = int((s == 0).sum())
     if ties:
@@ -157,14 +156,9 @@ def sweep_config_from_dict(doc: dict) -> SweepConfig:
 
 
 def sweep_config_to_dict(config: SweepConfig) -> dict:
-    return {
-        "d_values": list(config.d_values),
-        "n_dags": config.n_dags,
-        "n_train": config.n_train,
-        "n_post": config.n_post,
-        "datagen": fileio.datagen_config_to_dict(config.datagen),
-        "seed": config.seed,
-    }
+    return fileio.fields_to_dict(
+        config, d_values=list(config.d_values), datagen=fileio.datagen_config_to_dict(config.datagen)
+    )
 
 
 def run_manifest(config: SweepConfig, result: SweepResult) -> dict:

@@ -1,10 +1,14 @@
+import hashlib
+import shutil
+import urllib.error
+import urllib.request
 from pathlib import Path
 
 import pytest
 
-from causalsteer.autompg import COLUMNS, parse_autompg
+from causalsteer.autompg import COLUMNS, fetch_autompg, parse_autompg
 from causalsteer.cli import main
-from causalsteer.errors import ParseError
+from causalsteer.errors import NetworkUnavailable, ParseError
 
 DATA = Path(__file__).parent / "data" / "autompg_synthetic.data"
 
@@ -62,3 +66,44 @@ def test_parse_errors_name_the_line(text, line):
         parse_autompg(text)
     assert exc.value.line == line
     assert str(exc.value).startswith(f"line {line}:")
+
+
+@pytest.fixture
+def offline(monkeypatch):
+    """Every download attempt fails, so a test passes only from the cache."""
+
+    def refuse(*args, **kwargs):
+        raise urllib.error.URLError("offline")
+
+    monkeypatch.setattr(urllib.request, "urlopen", refuse)
+
+
+def test_fetch_reads_a_cached_file_and_writes_its_checksum(tmp_path, offline):
+    shutil.copy(DATA, tmp_path / "auto-mpg.data")
+    data = fetch_autompg(tmp_path)
+    assert data.names == COLUMNS
+    assert data.rows.tolist() == parse_autompg(DATA.read_text()).rows.tolist()
+    assert (tmp_path / "auto-mpg.sha256").read_text() == hashlib.sha256(DATA.read_bytes()).hexdigest() + "\n"
+
+
+def test_fetch_rejects_a_file_changed_after_its_checksum(tmp_path, offline):
+    raw = tmp_path / "auto-mpg.data"
+    shutil.copy(DATA, raw)
+    fetch_autompg(tmp_path)
+    payload = bytearray(raw.read_bytes())
+    payload[0] ^= 1
+    raw.write_bytes(bytes(payload))
+    with pytest.raises(ParseError, match="checksum"):
+        fetch_autompg(tmp_path)
+
+
+def test_fetch_takes_the_cache_from_the_environment(tmp_path, monkeypatch, offline):
+    monkeypatch.setenv("CAUSALSTEER_CACHE", str(tmp_path))
+    shutil.copy(DATA, tmp_path / "auto-mpg.data")
+    assert fetch_autompg().m == parse_autompg(DATA.read_text()).m
+    assert (tmp_path / "auto-mpg.sha256").exists()
+
+
+def test_fetch_without_a_cached_file_names_where_to_put_it(tmp_path, offline):
+    with pytest.raises(NetworkUnavailable, match="auto-mpg.data"):
+        fetch_autompg(tmp_path)

@@ -21,7 +21,6 @@ from causalsteer import (
     plan_for_scm,
     propagate,
     sample,
-    sample_interventional,
     select_intervention_target,
 )
 from causalsteer.errors import (
@@ -120,7 +119,7 @@ class TestTotalEffectExpectation:
     def test_chain_against_monte_carlo(self, chain3):
         scm = uniform_scm(chain3)
         assert do_expectation(scm, 1, 3.0, 2) == pytest.approx(6.0)
-        data = sample_interventional(scm, 1, 3.0, 100_000, seed=9)
+        data = sample(scm, 100_000, seed=9, do=(1, 3.0))
         x2 = data.rows[:, 1]
         se = x2.std(ddof=1) / np.sqrt(x2.size)
         assert abs(x2.mean() - 6.0) <= 4 * se
@@ -179,8 +178,8 @@ class TestEffectOnPrediction:
         scm = uniform_scm(chain3)
         model = chain_model()
         m = 40_000
-        phi0 = model.bias + sample_interventional(scm, 1, 0.0, m, seed=16).rows[:, :2] @ model.coeffs
-        phi1 = model.bias + sample_interventional(scm, 1, 1.0, m, seed=17).rows[:, :2] @ model.coeffs
+        phi0 = model.bias + sample(scm, m, seed=16, do=(1, 0.0)).rows[:, :2] @ model.coeffs
+        phi1 = model.bias + sample(scm, m, seed=17, do=(1, 1.0)).rows[:, :2] @ model.coeffs
         slope = phi1.mean() - phi0.mean()
         se = np.sqrt(phi0.var(ddof=1) / m + phi1.var(ddof=1) / m)
         augmented = augment_graph(chain3, model)
@@ -302,7 +301,7 @@ class TestOptimalInterventionValue:
         assert plan.predicted_expectation == pytest.approx(6.0)
         # forward-simulate with zero noise: do(X1=2) gives X2=4, score 2+4=6
         scm = Scm(chain3, (NoiseSpec.constant(0.0),) * 3)
-        row = sample_interventional(scm, 1, plan.value, 1, seed=0).rows[0]
+        row = sample(scm, 1, seed=0, do=(1, plan.value)).rows[0]
         assert model.bias + row[:2] @ model.coeffs == pytest.approx(6.0)
 
     def test_status_quo_is_a_fixed_point(self):
@@ -405,7 +404,7 @@ class TestObservationSpecificPlan:
         assert plan.value == pytest.approx(7.0 / 3.0)
         # forward check with the noise frozen at the recovered value
         scm = Scm(chain3, (NoiseSpec.constant(0.0), NoiseSpec.constant(2.0), NoiseSpec.constant(0.0)))
-        row = sample_interventional(scm, 1, plan.value, 1, seed=0).rows[0]
+        row = sample(scm, 1, seed=0, do=(1, plan.value)).rows[0]
         assert row[0] + row[1] == pytest.approx(9.0)
 
     def test_zero_effect_propagates(self):

@@ -32,11 +32,13 @@ def files(tmp_path):
     return scm_path, data_path, model_path
 
 
-def test_sample_do_fixes_the_column(files, tmp_path):
+def test_sample_do_fixes_the_column(files, tmp_path, capsys):
     scm_path, _, _ = files
     out = tmp_path / "do.csv"
     assert main(["sample", "--scm", str(scm_path), "--rows", "5", "--do", "2=1.5", "--seed", "1", "--out", str(out)]) == 0
     assert (fileio.load_dataset(out).column(2) == 1.5).all()
+    assert main(["sample", "--scm", str(scm_path), "--do", "0=1"]) == 2
+    assert capsys.readouterr().err == "error: variable index 0 out of range 1..9\n"
 
 
 @pytest.mark.parametrize("spec", ["3", "x=1", "3=y", "="])
@@ -229,11 +231,15 @@ def test_intervene_takes_the_target_from_the_model(files, capsys):
         ("model", {"target_index": 9.0}),
         ("model", {"coeffs": [[1.0] * 8]}),
         ("model", {"coeffs": [True] + [1.0] * 7}),
+        # float() would read each of these as a number.
+        ("model", {"bias": "0.5"}),
+        ("scm", {"edges": [{"from": 1, "to": 2, "weight": True}]}),
+        ("scm", {"noises": [{"family": "gaussian", "mean": "0.5", "stddev": 1.0}] * 9}),
     ],
     ids=[
         "edges", "noises", "n", "predictors", "bias", "n_dags", "d_values", "n_roots", "datagen",
         "n-float", "from-float", "to-float", "predictors-float", "predictors-true", "target-float",
-        "coeffs-nested", "coeffs-true",
+        "coeffs-nested", "coeffs-true", "bias-string", "weight-true", "mean-string",
     ],
 )
 def test_malformed_document_is_reported(files, tmp_path, capsys, document, change):

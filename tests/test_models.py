@@ -9,7 +9,6 @@ from causalsteer import (
     evaluate_intervention,
     fit_linear,
     fit_logistic,
-    predict,
     scores,
 )
 from causalsteer.errors import (
@@ -141,11 +140,11 @@ class TestFitLogistic:
 class TestPredictAndDecision:
     def test_predict_sums_predictors(self):
         model = PredictionModel("linear", 0.0, np.array([1.0, 1.0]), (1, 2), 3)
-        assert predict(model, [2.0, 3.0, 99.0]) == 5.0
+        assert scores(model, [2.0, 3.0, 99.0]) == 5.0
 
     def test_zero_coefficients_return_bias(self):
         model = PredictionModel("linear", 4.5, np.zeros(2), (1, 2), 3)
-        assert predict(model, [7.0, -3.0, 0.0]) == 4.5
+        assert scores(model, [7.0, -3.0, 0.0]) == 4.5
 
     def test_decision_signs(self, chain3):
         assert class1_fraction(chain3, -1.0) == 0.0
@@ -159,7 +158,7 @@ class TestPredictAndDecision:
             # Edgeless, so every sample is x; do(X1 = x1) changes nothing.
             scm = constant_scm(Dag(np.zeros((4, 4))), x)
             fraction = evaluate_intervention(scm, model, 1, x[0], 10, seed)
-            assert fraction == (1.0 if predict(model, x) > 0 else 0.0)
+            assert fraction == (1.0 if scores(model, x) > 0 else 0.0)
 
     def test_tie_breaks_uniformly_across_seeds(self, chain3):
         fractions = [class1_fraction(chain3, 0.0, seed=s) for s in range(40)]

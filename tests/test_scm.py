@@ -10,7 +10,6 @@ from causalsteer import (
     estimate_noise_means,
     generate_random_scm,
     sample,
-    sample_interventional,
 )
 from causalsteer.errors import IndexOutOfRange
 from causalsteer.scm import noise_means
@@ -79,25 +78,27 @@ class TestSample:
 class TestSampleInterventional:
     def test_chain_do_root(self):
         dag = Dag(np.array([[0.0, 0.0], [2.0, 0.0]]))
-        data = sample_interventional(constant_scm(dag, (0.0, 0.0)), 1, 3.0, 1, seed=0)
+        data = sample(constant_scm(dag, (0.0, 0.0)), 1, seed=0, do=(1, 3.0))
         assert data.rows.tolist() == [[3.0, 6.0]]
 
     def test_do_on_leaf_leaves_other_columns_untouched(self, chain3):
         scm = uniform_scm(chain3)
         plain = sample(scm, 200, seed=5).rows
-        intervened = sample_interventional(scm, 3, 99.0, 200, seed=5).rows
+        intervened = sample(scm, 200, seed=5, do=(3, 99.0)).rows
         assert (intervened[:, 2] == 99.0).all()
         assert (intervened[:, :2] == plain[:, :2]).all()
 
     def test_seven_vertex_two_paths(self, seven_vertex_dag):
         # do(X1=1) reaches X4 via X2 and X3, so E[X4] = 2 with zero-mean noise
         scm = uniform_scm(seven_vertex_dag)
-        data = sample_interventional(scm, 1, 1.0, 100_000, seed=6)
+        data = sample(scm, 100_000, seed=6, do=(1, 1.0))
         assert data.rows[:, 3].mean() == pytest.approx(2.0, abs=0.03)
 
-    def test_index_out_of_range(self, chain3):
+    # Refused before the noise write: there n + 1 is past the end and 0 addresses the last column.
+    @pytest.mark.parametrize("i", [0, 4])
+    def test_index_out_of_range(self, chain3, i):
         with pytest.raises(IndexOutOfRange):
-            sample_interventional(uniform_scm(chain3), 4, 0.0, 1, seed=0)
+            sample(uniform_scm(chain3), 1, seed=0, do=(i, 0.0))
 
 
 class TestAnalyticMeans:

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -55,6 +56,9 @@ def test_cli_sweep_writes_csv_and_manifest(tmp_path):
     assert manifest["n_dags"] == 8
     assert manifest["n_failed"] == 0
     assert sweep_config_from_dict(manifest["config"]) == GOLDEN_CONFIG
+    # Every field is written, in declaration order.
+    assert list(manifest["config"]) == [f.name for f in dataclasses.fields(SweepConfig)]
+    assert list(manifest["config"]["datagen"]) == [f.name for f in dataclasses.fields(DagGenConfig)]
 
 
 @pytest.mark.parametrize("field", ["n_dags", "n_post"])
