@@ -15,16 +15,15 @@ import importlib.resources
 import os
 import urllib.error
 import urllib.request
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .causal import naive_intervention_value, optimal_intervention_value, select_intervention_target
+from .causal import naive_intervention_value, observation_specific_plan, select_intervention_target
 from .errors import NetworkUnavailable, ParseError
 from .graph import Dag
-from .models import PredictionModel, augment_graph, fit_linear
-from .scm import Dataset, estimate_noise_means
+from .models import augment_graph, fit_linear
+from .scm import Dataset
 
 AUTOMPG_URL = "https://archive.ics.uci.edu/ml/machine-learning-databases/auto-mpg/auto-mpg.data"
 CACHE_ENV = "CAUSALSTEER_CACHE"
@@ -109,48 +108,11 @@ def bundled_structure_path() -> Path:
     return Path(importlib.resources.files("causalsteer").joinpath("data/autompg_structure.json"))
 
 
-@dataclass(frozen=True)
-class DemoSuggestion:
-    desired: float
-    optimal_value: float
-    optimal_plausible: bool
-    naive_value: float
-    naive_plausible: bool
-
-
-@dataclass(frozen=True)
-class DemoReport:
-    """Suggested interventions for a list of desired MPG targets."""
-
-    intervene_on: int
-    intervene_name: str
-    observed_lo: float
-    observed_hi: float
-    model: PredictionModel
-    suggestions: tuple[DemoSuggestion, ...]
-
-    def format(self) -> str:
-        lines = [
-            f"intervention variable: {self.intervene_name} "
-            f"(observed range {self.observed_lo:g} .. {self.observed_hi:g})",
-            f"{'desired mpg':>12} {'optimal':>12} {'naive':>14}",
-        ]
-        for s in self.suggestions:
-            opt_flag = "" if s.optimal_plausible else " (!)"
-            nai_flag = "" if s.naive_plausible else " (!)"
-            lines.append(
-                f"{s.desired:>12g} {s.optimal_value:>12.3f}{opt_flag} {s.naive_value:>14.3f}{nai_flag}"
-            )
-        if any(not s.naive_plausible or not s.optimal_plausible for s in self.suggestions):
-            lines.append("(!) outside the observed range of the intervention variable")
-        return "\n".join(lines)
-
-
-def demo_autompg(structure: Dag, data: Dataset, desired_values) -> DemoReport:
-    """Fit MPG on the remaining five variables and steer it to each target.
+def demo_autompg(structure: Dag, data: Dataset, desired_values) -> str:
+    """The report: fit MPG on the remaining five variables and steer it to each target.
 
     Selects the variable with the greatest causal effect on the predicted
-    MPG, then reports the optimal intervention value next to the naive
+    MPG, then lists the optimal intervention value next to the naive
     per-equation value, flagging values outside the observed variable range.
     """
     if structure.n != data.n:
@@ -163,26 +125,24 @@ def demo_autompg(structure: Dag, data: Dataset, desired_values) -> DemoReport:
     target = names.index("mpg") + 1 if "mpg" in names else data.n
 
     model = fit_linear(data, target)
-    augmented = augment_graph(structure, model)
-    intervene_on = select_intervention_target(augmented, model.predictor_indices)
-
-    mu = data.rows.mean(axis=0)
-    noise = estimate_noise_means(structure, mu)
+    intervene_on = select_intervention_target(augment_graph(structure, model), model.predictor_indices)
     column = data.column(intervene_on)
     lo, hi = float(column.min()), float(column.max())
 
+    # The sample means are planned as one observation, their noise terms recovered parent by parent.
+    mu = data.rows.mean(axis=0)
     d = np.array(desired_values, dtype=float)
-    optimal = optimal_intervention_value(mu, structure, noise, model, intervene_on, d).value
+    optimal = observation_specific_plan(mu, structure, model, intervene_on, d).value
     naive = naive_intervention_value(model, mu, intervene_on, d)
-    suggestions = [
-        DemoSuggestion(float(dk), float(ok), bool(lo <= ok <= hi), float(nk), bool(lo <= nk <= hi))
-        for dk, ok, nk in zip(d, optimal, naive)
+
+    def flagged(value, width):
+        return f"{value:>{width}.3f}" + ("" if lo <= value <= hi else " (!)")
+
+    lines = [
+        f"intervention variable: {names[intervene_on - 1]} (observed range {lo:g} .. {hi:g})",
+        f"{'desired mpg':>12} {'optimal':>12} {'naive':>14}",
     ]
-    return DemoReport(
-        intervene_on=intervene_on,
-        intervene_name=names[intervene_on - 1],
-        observed_lo=lo,
-        observed_hi=hi,
-        model=model,
-        suggestions=tuple(suggestions),
-    )
+    lines += [f"{dk:>12g} {flagged(ok, 12)} {flagged(nk, 14)}" for dk, ok, nk in zip(d, optimal, naive)]
+    if any("(!)" in line for line in lines[2:]):
+        lines.append("(!) outside the observed range of the intervention variable")
+    return "\n".join(lines)

@@ -8,6 +8,7 @@ import argparse
 import dataclasses
 import json
 import sys
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -24,7 +25,7 @@ from .datagen import DagGenConfig, generate_random_scm, median_split_labels
 from .errors import CausalSteerError
 from .models import augment_graph, fit_linear, fit_logistic
 from .scm import analytic_means, estimate_noise_means, sample
-from .sweep import run_manifest, run_sweep, sweep_config_from_dict, sweep_result_to_csv
+from .sweep import SweepConfig, run_manifest, run_sweep, sweep_result_to_csv
 
 
 class _Parser(argparse.ArgumentParser):
@@ -44,7 +45,7 @@ def _write(text: str, out: str | None) -> None:
 
 def _cmd_gen_scm(args) -> int:
     if args.config:
-        config = fileio.load_document(args.config, fileio.datagen_config_from_dict)
+        config = fileio.load_document(args.config, partial(fileio.fields_from_dict, DagGenConfig))
     else:
         config = DagGenConfig()
     if args.seed is not None:
@@ -114,7 +115,7 @@ def _cmd_analyze(args) -> int:
 
 
 def _load_observation(path) -> np.ndarray:
-    doc = json.loads(Path(path).read_text())
+    doc = fileio.read_json(path)
     # Compared, not converted: float() of a huge JSON integer overflows.
     if not isinstance(doc, list) or not all(type(v) in (int, float) and abs(v) <= sys.float_info.max for v in doc):
         raise ValueError(f"{path}: expected a JSON array of finite numbers")
@@ -157,12 +158,12 @@ def _cmd_intervene(args) -> int:
     for w in warnings:
         print(f"warning: {w}")
     if args.out:
-        fileio.save_json(fileio.plan_to_dict(plan), args.out)
+        fileio.save_json(fileio.fields_to_dict(plan), args.out)
     return 0
 
 
 def _cmd_sweep(args) -> int:
-    config = fileio.load_document(args.config, sweep_config_from_dict)
+    config = fileio.load_document(args.config, partial(fileio.fields_from_dict, SweepConfig))
     if args.seed is not None:
         config = dataclasses.replace(config, seed=args.seed)
     result = run_sweep(config)
@@ -189,8 +190,7 @@ def _cmd_demo_autompg(args) -> int:
         data = autompg.parse_autompg(Path(args.data_file).read_text())
     else:
         data = autompg.fetch_autompg(args.cache_dir)
-    report = autompg.demo_autompg(structure, data, args.desired)
-    _write(report.format() + "\n", args.out)
+    _write(autompg.demo_autompg(structure, data, args.desired) + "\n", args.out)
     return 0
 
 

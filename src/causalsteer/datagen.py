@@ -15,6 +15,9 @@ from .errors import InvalidConfig
 from .graph import Dag
 from .scm import Dataset, NoiseSpec, Scm
 
+#: What ``numpy.random.default_rng`` receives as a generator's seed; a config document holds an integer or null.
+Seed = int | np.random.SeedSequence | None
+
 
 @dataclass(frozen=True)
 class DagGenConfig:
@@ -34,7 +37,7 @@ class DagGenConfig:
     weight_hi: float = 1.5
     random_sign: bool = True
     noise: NoiseSpec = field(default_factory=lambda: NoiseSpec.uniform(-1.0, 1.0))
-    seed: object = None
+    seed: Seed = None
 
     def check(self) -> None:
         if self.n_roots < 1:

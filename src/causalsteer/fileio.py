@@ -1,4 +1,4 @@
-"""Loading and saving of graphs, SCMs, models, datasets, and plans.
+"""Loading and saving of graphs, SCMs, models, configs, datasets, and plans.
 
 All documents are JSON with 1-based variable indices; datasets are headered
 CSV with one column per variable and %.12g numeric formatting.
@@ -12,30 +12,48 @@ from pathlib import Path
 
 import numpy as np
 
-from .causal import InterventionPlan
-from .datagen import DagGenConfig
+from .datagen import Seed
 from .errors import InvalidConfig
 from .graph import Dag
 from .models import PredictionModel
 from .scm import Dataset, NoiseSpec, Scm
 
 
-# The JSON values a config field of each scalar type accepts; true is not an int.
-_JSON_SCALARS = {int: (int,), float: (int, float), bool: (bool,)}
+# The JSON values a field of each scalar type accepts, and their name; true is not an int.
+_JSON_SCALARS = {
+    int: ((int,), "an integer"),
+    float: ((int, float), "a number"),
+    bool: ((bool,), "true or false"),
+    str: ((str,), "a string"),
+    Seed: ((int, type(None)), "an integer or null"),
+}
 
 
-def _json_int(value, name: str) -> int:
-    """``value`` if it is a JSON integer, else TypeError: int() would truncate 2.7 and accept true."""
-    if type(value) not in _JSON_SCALARS[int]:
-        raise TypeError(f"{name} must be an integer, got {value!r}")
+def _json_scalar(value, ftype, name: str):
+    """``value`` if it is JSON of the scalar type ``ftype``, else TypeError.
+
+    Checked, not converted: int() would truncate 2.7, float() accept "0.5"
+    and true, and str() read [1] as a name.
+    """
+    accepted, what = _JSON_SCALARS[ftype]
+    if type(value) not in accepted:
+        raise TypeError(f"{name} must be {what}, got {value!r}")
     return value
 
 
+def _json_int(value, name: str) -> int:
+    return _json_scalar(value, int, name)
+
+
 def _json_float(value, name: str) -> float:
-    """``float(value)`` if it is a JSON number, else TypeError: float() would accept "0.5" and true."""
-    if type(value) not in _JSON_SCALARS[float]:
-        raise TypeError(f"{name} must be a number, got {value!r}")
-    return float(value)
+    return float(_json_scalar(value, float, name))
+
+
+def _json_array(value, ftype, name: str) -> list:
+    """``value`` if it is a JSON array of ``ftype`` scalars, else TypeError: tuple() would split "abc"."""
+    if not isinstance(value, list):
+        raise TypeError(f"{name} must be an array, got {value!r}")
+    return [_json_scalar(v, ftype, name) for v in value]
 
 
 def dag_to_dict(dag: Dag) -> dict:
@@ -57,7 +75,7 @@ def dag_from_dict(doc: dict) -> Dag:
             (_json_int(e["from"], "from"), _json_int(e["to"], "to"), _json_float(e["weight"], "weight"))
             for e in doc.get("edges", [])
         ),
-        doc.get("names"),
+        _json_array(doc["names"], str, "names") if "names" in doc else None,
     )
 
 
@@ -98,34 +116,21 @@ def model_to_dict(model: PredictionModel) -> dict:
 
 
 def model_from_dict(doc: dict) -> PredictionModel:
-    coeffs = doc["coeffs"]
-    if not isinstance(coeffs, list) or not all(type(c) in _JSON_SCALARS[float] for c in coeffs):
-        raise TypeError(f"coeffs must be a flat array of numbers, got {coeffs!r}")
     return PredictionModel(
         doc["kind"],
         _json_float(doc["bias"], "bias"),
-        np.asarray(coeffs, dtype=float),
-        tuple(_json_int(i, "predictor_indices") for i in doc["predictor_indices"]),
+        np.asarray(_json_array(doc["coeffs"], float, "coeffs"), dtype=float),
+        tuple(_json_array(doc["predictor_indices"], int, "predictor_indices")),
         _json_int(doc["target_index"], "target_index"),
     )
 
 
-def plan_to_dict(plan: InterventionPlan) -> dict:
-    return {
-        "target_variable": plan.target_variable,
-        "value": plan.value,
-        "desired_prediction": plan.desired_prediction,
-        "predicted_expectation": plan.predicted_expectation,
-        "effects": [float(a) for a in plan.effects],
-        "warnings": list(plan.warnings),
-    }
+def fields_from_dict(cls, doc):
+    """An instance of the dataclass ``cls`` from the JSON object ``doc``, each value decoded by its field's type.
 
-
-def known_fields(cls, doc) -> dict:
-    """A copy of ``doc``, checked against the fields of the dataclass ``cls``.
-
-    Raises InvalidConfig on a key that is not a field, and TypeError when
-    ``doc`` is not an object or a scalar field holds a value of another type.
+    An absent field keeps its default. Raises InvalidConfig on a key that is
+    not a field, and TypeError when ``doc`` is not an object or a value is
+    not JSON of its field's type.
     """
     if not isinstance(doc, dict):
         raise TypeError(f"{cls.__name__} must be a JSON object, got {doc!r}")
@@ -133,38 +138,57 @@ def known_fields(cls, doc) -> dict:
     unknown = sorted(set(doc) - set(types))
     if unknown:
         raise InvalidConfig(f"unknown {cls.__name__} key(s): {', '.join(map(repr, unknown))}")
+    kwargs = {}
     for name, value in doc.items():
-        if type(value) not in _JSON_SCALARS.get(types[name], (type(value),)):
-            raise TypeError(f"{cls.__name__}.{name} must be {types[name].__name__}, got {value!r}")
-    return dict(doc)
+        ftype, field_name = types[name], f"{cls.__name__}.{name}"
+        if ftype is NoiseSpec:
+            kwargs[name] = noise_from_dict(value)
+        elif dataclasses.is_dataclass(ftype):
+            kwargs[name] = fields_from_dict(ftype, value)
+        elif ftype == tuple[float, ...]:
+            kwargs[name] = tuple(map(float, _json_array(value, float, field_name)))
+        else:
+            kwargs[name] = _json_scalar(value, ftype, field_name)
+    return cls(**kwargs)
 
 
-def datagen_config_from_dict(doc: dict) -> DagGenConfig:
-    kwargs = known_fields(DagGenConfig, doc)
-    if "noise" in kwargs:
-        kwargs["noise"] = noise_from_dict(kwargs["noise"])
-    return DagGenConfig(**kwargs)
+def fields_to_dict(obj) -> dict:
+    """The fields of the dataclass ``obj`` in declaration order, each value encoded by its type.
 
-
-def fields_to_dict(config, **encoded) -> dict:
-    """The fields of the dataclass ``config`` in declaration order, ``encoded`` replacing some values.
-
-    The writing half of ``known_fields``: a field added to the dataclass
+    The writing half of ``fields_from_dict``: a field added to the dataclass
     appears in every document without being listed here.
     """
-    return {f.name: encoded.get(f.name, getattr(config, f.name)) for f in dataclasses.fields(config)}
-
-
-def datagen_config_to_dict(config: DagGenConfig) -> dict:
-    return fields_to_dict(config, noise=noise_to_dict(config.noise))
+    doc = {}
+    for f in dataclasses.fields(obj):
+        value = getattr(obj, f.name)
+        if isinstance(value, NoiseSpec):
+            value = noise_to_dict(value)
+        elif dataclasses.is_dataclass(value):
+            value = fields_to_dict(value)
+        elif isinstance(value, (tuple, np.ndarray)):
+            value = np.asarray(value).tolist()
+        doc[f.name] = value
+    return doc
 
 
 def save_json(doc: dict, path) -> None:
     Path(path).write_text(json.dumps(doc, indent=2) + "\n")
 
 
+def read_json(path):
+    """The JSON value in ``path``.
+
+    Text that is not UTF-8 JSON, or nests too deeply to parse, raises a
+    ValueError naming ``path``.
+    """
+    try:
+        return json.loads(Path(path).read_text())
+    except (ValueError, RecursionError) as exc:
+        raise ValueError(f"{path}: {exc}") from None
+
+
 def load_json(path) -> dict:
-    doc = json.loads(Path(path).read_text())
+    doc = read_json(path)
     if not isinstance(doc, dict):
         raise ValueError(f"{path}: expected a JSON object")
     return doc

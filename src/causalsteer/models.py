@@ -18,6 +18,8 @@ from .scm import Dataset
 IRLS_TOL = 1e-8
 #: L2 penalty on the logistic coefficients (never the bias).
 IRLS_L2 = 1e-6
+#: IRLS gives up, with a DidNotConvergeWarning, after this many Newton steps.
+IRLS_MAX_ITER = 100
 
 
 @dataclass(frozen=True)
@@ -102,22 +104,15 @@ def fit_linear(data: Dataset, target_index: int, predictor_indices=None) -> Pred
     return PredictionModel("linear", float(beta[0]), beta[1:], preds, target_index)
 
 
-def fit_logistic(
-    data: Dataset,
-    labels,
-    predictor_indices=None,
-    *,
-    target_index: int,
-    max_iter: int = 100,
-) -> PredictionModel:
+def fit_logistic(data: Dataset, labels, predictor_indices=None, *, target_index: int) -> PredictionModel:
     """Penalized maximum-likelihood logistic regression via IRLS.
 
     Newton updates with step-halving keep the penalized log-likelihood
     non-decreasing; the L2 penalty ``IRLS_L2`` on the coefficients (never
     the bias) guarantees a finite optimum under complete separation.
     Converged when the largest absolute coefficient update drops below
-    ``IRLS_TOL``. On hitting ``max_iter`` a DidNotConvergeWarning is issued
-    and the model is returned with ``converged=False``.
+    ``IRLS_TOL``. On hitting ``IRLS_MAX_ITER`` a DidNotConvergeWarning is
+    issued and the model is returned with ``converged=False``.
 
     ``target_index`` records which variable the labels were derived from;
     the predictors default to all other variables.
@@ -142,7 +137,7 @@ def fit_logistic(
     trace = [_penalized_loglik(x, y, beta, penalty)]
     converged = False
     it = 0
-    for it in range(1, max_iter + 1):
+    for it in range(1, IRLS_MAX_ITER + 1):
         score = x @ beta
         prob = _sigmoid(score)
         grad = x.T @ (y - prob) - penalty * beta
@@ -175,7 +170,7 @@ def fit_logistic(
             break
     if not converged:
         warnings.warn(
-            f"IRLS did not meet tol={IRLS_TOL} within {max_iter} iterations",
+            f"IRLS did not meet tol={IRLS_TOL} within {IRLS_MAX_ITER} iterations",
             DidNotConvergeWarning,
         )
     return PredictionModel(

@@ -47,6 +47,9 @@ class SweepConfig:
         for name, least in (("n_dags", 1), ("n_train", 2), ("n_post", 1)):
             if getattr(self, name) < least:
                 raise InvalidConfig(f"{name} must be >= {least}, got {getattr(self, name)}")
+        if self.datagen.seed is not None:
+            # _run_one_dag draws each DAG from a seed spawned from ``seed``.
+            raise InvalidConfig(f"datagen.seed must be null in a sweep, got {self.datagen.seed!r}; set seed instead")
         self.datagen.check()
 
 
@@ -146,27 +149,12 @@ def sweep_result_to_csv(result: SweepResult) -> str:
     return out.getvalue()
 
 
-def sweep_config_from_dict(doc: dict) -> SweepConfig:
-    kwargs = fileio.known_fields(SweepConfig, doc)
-    if "datagen" in kwargs:
-        kwargs["datagen"] = fileio.datagen_config_from_dict(kwargs["datagen"])
-    if "d_values" in kwargs:
-        kwargs["d_values"] = tuple(float(d) for d in kwargs["d_values"])
-    return SweepConfig(**kwargs)
-
-
-def sweep_config_to_dict(config: SweepConfig) -> dict:
-    return fileio.fields_to_dict(
-        config, d_values=list(config.d_values), datagen=fileio.datagen_config_to_dict(config.datagen)
-    )
-
-
 def run_manifest(config: SweepConfig, result: SweepResult) -> dict:
     from . import __version__
 
     return {
         "causalsteer_version": __version__,
-        "config": sweep_config_to_dict(config),
+        "config": fileio.fields_to_dict(config),
         "n_dags": result.n_dags,
         "n_failed": result.n_failed,
     }

@@ -19,12 +19,20 @@ from causalsteer.cli import main
 AUTOMPG = Path(__file__).parent / "data" / "autompg_synthetic.data"
 
 
+class RawJson(str):
+    """Document text written as is, for what json.dumps cannot produce."""
+
+
+# Deeper than any recursion limit; the JSON parser gives up on it.
+DEEP = RawJson("[" * 100_000)
+
+
 @pytest.fixture
 def files(tmp_path):
     """An SCM file, a training CSV drawn from it and a logistic model fitted on it."""
     scm_path, data_path, model_path = tmp_path / "scm.json", tmp_path / "train.csv", tmp_path / "model.json"
     config_path = tmp_path / "gen.json"
-    config_path.write_text(json.dumps(fileio.datagen_config_to_dict(DagGenConfig(n_roots=3, n_descendants=6))))
+    config_path.write_text(json.dumps(fileio.fields_to_dict(DagGenConfig(n_roots=3, n_descendants=6))))
     assert main(["gen-scm", "--config", str(config_path), "--seed", "5", "--out", str(scm_path)]) == 0
     assert main(["sample", "--scm", str(scm_path), "--rows", "300", "--seed", "6", "--out", str(data_path)]) == 0
     argv = ["fit", "--data", str(data_path), "--kind", "logistic", "--target-index", "9", "--out", str(model_path)]
@@ -105,12 +113,15 @@ def test_fit_on_header_only_csv(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "doc",
-    [{"a": 1}, 3.5, "1,2", [{"a": 1}], ["x"], [0.0] * 8 + [float("nan")], [float("inf")] + [0.0] * 8, [10**400] + [0] * 8],
+    [
+        {"a": 1}, 3.5, "1,2", [{"a": 1}], ["x"], [0.0] * 8 + [float("nan")], [float("inf")] + [0.0] * 8,
+        [10**400] + [0] * 8, pytest.param(DEEP, id="deep"), pytest.param(RawJson("[1.0,"), id="not-json"),
+    ],
 )
 def test_observation_file_must_be_a_number_array(files, tmp_path, capsys, doc):
     scm_path, _, model_path = files
     observation = tmp_path / "obs.json"
-    observation.write_text(json.dumps(doc))
+    observation.write_text(doc if isinstance(doc, RawJson) else json.dumps(doc))
     argv = ["intervene", "--scm", str(scm_path), "--model", str(model_path), "--desired", "1.0"]
     assert main(argv + ["--observation-file", str(observation)]) == 2
     err = capsys.readouterr().err
@@ -235,26 +246,54 @@ def test_intervene_takes_the_target_from_the_model(files, capsys):
         ("model", {"bias": "0.5"}),
         ("scm", {"edges": [{"from": 1, "to": 2, "weight": True}]}),
         ("scm", {"noises": [{"family": "gaussian", "mean": "0.5", "stddev": 1.0}] * 9}),
+        ("sweep", {"d_values": ["0.5", True]}),
+        # float() of each character would read this as 1, 2.
+        ("sweep", {"d_values": "12"}),
+        # default_rng would raise TypeError on each of these seeds.
+        ("gen-scm", {"seed": 1.5}),
+        ("gen-scm", {"seed": "abc"}),
+        ("gen-scm", {"seed": {"a": 1}}),
+        # str() of each entry would read these as nine names.
+        ("scm", {"names": "abcdefghi"}),
+        ("scm", {"names": [[1], 2, 3, 4, 5, 6, 7, 8, 9]}),
+        ("scm", DEEP),
+        ("model", DEEP),
+        ("sweep", DEEP),
+        ("gen-scm", DEEP),
+        ("scm", RawJson('{"n": 9,')),
     ],
     ids=[
         "edges", "noises", "n", "predictors", "bias", "n_dags", "d_values", "n_roots", "datagen",
         "n-float", "from-float", "to-float", "predictors-float", "predictors-true", "target-float",
         "coeffs-nested", "coeffs-true", "bias-string", "weight-true", "mean-string",
+        "d_values-string-true", "d_values-string", "seed-float", "seed-string", "seed-object",
+        "names-string", "names-nested", "scm-deep", "model-deep", "sweep-deep", "gen-scm-deep",
+        "scm-not-json",
     ],
 )
 def test_malformed_document_is_reported(files, tmp_path, capsys, document, change):
     scm_path, _, model_path = files
+    paths = {"scm": scm_path, "model": model_path}
     bad = tmp_path / "bad.json"
-    if document == "sweep":
-        bad.write_text(json.dumps({"n_dags": 1, **change}))
-        argv = ["sweep", "--config", str(bad)]
-    else:
-        paths = {"scm": scm_path, "model": model_path}
-        bad.write_text(json.dumps({**fileio.load_json(paths[document]), **change}))
+    if document in paths:
+        base = fileio.load_json(paths[document])
         paths[document] = bad
         argv = ["intervene", "--scm", str(paths["scm"]), "--model", str(paths["model"]), "--desired", "1"]
+    else:
+        base = {"n_dags": 1} if document == "sweep" else {}
+        argv = [document, "--config", str(bad)]
+    bad.write_text(change if isinstance(change, RawJson) else json.dumps({**base, **change}))
     assert main(argv) == 2
     assert capsys.readouterr().err.startswith(f"error: {bad}: ")
+
+
+def test_sweep_refuses_a_datagen_seed(tmp_path, capsys):
+    # Each DAG draws from a seed spawned from the sweep's seed, so a datagen seed would go unread.
+    config = tmp_path / "sweep.json"
+    datagen = {"n_roots": 3, "n_descendants": 4, "seed": 7}
+    config.write_text(json.dumps({"n_dags": 2, "n_train": 50, "n_post": 50, "datagen": datagen}))
+    assert main(["sweep", "--config", str(config)]) == 2
+    assert capsys.readouterr().err.startswith("error: datagen.seed must be null")
 
 
 def test_observation_plan_equals_the_library_plan(files, tmp_path):
@@ -268,7 +307,75 @@ def test_observation_plan_equals_the_library_plan(files, tmp_path):
     model = fileio.model_from_dict(fileio.load_json(model_path))
     i = select_intervention_target(augment_graph(scm.dag, model), model.predictor_indices)
     expected = observation_specific_plan(observation, scm.dag, model, i, 1.5)
-    assert fileio.load_json(plan_path) == fileio.plan_to_dict(expected)
+    assert fileio.load_json(plan_path) == fileio.fields_to_dict(expected)
+
+
+# Dyadic weights and coefficients keep every plan number exact, so the bytes below do not depend on the BLAS.
+STEER_SCM = {
+    "n": 3,
+    "edges": [
+        {"from": 1, "to": 2, "weight": 2.0}, {"from": 1, "to": 3, "weight": 1.0}, {"from": 2, "to": 3, "weight": 0.5},
+    ],
+    "noises": [
+        {"family": "gaussian", "mean": 1.0, "stddev": 1.0},
+        {"family": "uniform", "lo": 0.0, "hi": 2.0},
+        {"family": "constant", "value": 0.5},
+    ],
+}
+STEER_MODEL = {"kind": "logistic", "bias": -0.5, "coeffs": [1.0, 0.5], "predictor_indices": [1, 2], "target_index": 3}
+
+POPULATION_PLAN = """\
+{
+  "target_variable": 1,
+  "value": 1.5,
+  "desired_prediction": 3.0,
+  "predicted_expectation": 3.0,
+  "effects": [
+    1.0,
+    2.0,
+    2.0
+  ],
+  "warnings": [
+    "value 1.5 lies outside the observed range 0 .. 1 of variable 1"
+  ]
+}
+"""
+
+OBSERVATION_PLAN = """\
+{
+  "target_variable": 1,
+  "value": 1.25,
+  "desired_prediction": 3.0,
+  "predicted_expectation": 3.0,
+  "effects": [
+    1.0,
+    2.0,
+    2.0
+  ],
+  "warnings": []
+}
+"""
+
+
+@pytest.mark.parametrize(
+    "option, content, plan, printed",
+    [
+        ("--data", "x1,x2,x3\n0,0,0\n1,1,1\n", POPULATION_PLAN, "do(X1 = 1.5) steers the expected prediction to 3\n"
+         "naive per-equation value: 2\nwarning: value 1.5 lies outside the observed range 0 .. 1 of variable 1\n"),
+        ("--observation-file", "[1.0, 4.0, 2.0]", OBSERVATION_PLAN,
+         "do(X1 = 1.25) steers the expected prediction to 3\nnaive per-equation value: 1.5\n"),
+    ],
+    ids=["population", "observation"],
+)
+def test_plan_file_bytes_are_pinned(tmp_path, capsys, option, content, plan, printed):
+    scm_path, model_path, extra, out = (tmp_path / name for name in ("scm.json", "model.json", "extra", "plan.json"))
+    scm_path.write_text(json.dumps(STEER_SCM))
+    model_path.write_text(json.dumps(STEER_MODEL))
+    extra.write_text(content)
+    argv = ["intervene", "--scm", str(scm_path), "--model", str(model_path), "--desired", "3", option, str(extra)]
+    assert main(argv + ["--out", str(out)]) == 0
+    assert out.read_text() == plan
+    assert capsys.readouterr().out == printed
 
 
 @pytest.mark.parametrize("desired, warned", [("0", False), ("40", True)])

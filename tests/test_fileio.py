@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from causalsteer import Dag, DagGenConfig, Dataset, NoiseSpec, PredictionModel, Scm, generate_random_scm
+from causalsteer import Dag, DagGenConfig, Dataset, NoiseSpec, PredictionModel, Scm, SweepConfig, generate_random_scm
 from causalsteer import fileio
 from causalsteer.causal import InterventionPlan
 from causalsteer.errors import CycleDetected
@@ -76,7 +76,7 @@ class TestModelDocuments:
 class TestPlanDocuments:
     def test_plan_export_fields(self):
         plan = InterventionPlan(2, 1.5, 6.0, 6.0, np.array([0.0, 1.0, 0.5]), ("careful",))
-        doc = fileio.plan_to_dict(plan)
+        doc = fileio.fields_to_dict(plan)
         assert doc["target_variable"] == 2
         assert doc["value"] == 1.5
         assert doc["effects"] == [0.0, 1.0, 0.5]
@@ -110,9 +110,18 @@ class TestDatasetCsv:
         assert restored.rows == pytest.approx(rows, rel=1e-11)
 
 
+def _through_json(config):
+    """``config`` written by ``fields_to_dict``, through JSON text, and read back by ``fields_from_dict``."""
+    return fileio.fields_from_dict(type(config), json.loads(json.dumps(fileio.fields_to_dict(config))))
+
+
 class TestConfigDocuments:
     def test_datagen_round_trip(self):
-        config = DagGenConfig(n_roots=5, n_descendants=9, parent_prob=0.2,
-                              noise=NoiseSpec.gaussian(0.0, 2.0), seed=3)
-        doc = fileio.datagen_config_to_dict(config)
-        assert fileio.datagen_config_from_dict(json.loads(json.dumps(doc))) == config
+        for noise in (NoiseSpec.gaussian(0.0, 2.0), NoiseSpec.uniform(-0.5, 2.5), NoiseSpec.constant(0.25)):
+            config = DagGenConfig(n_roots=5, n_descendants=9, parent_prob=0.2, random_sign=False, noise=noise, seed=3)
+            assert _through_json(config) == config
+
+    def test_sweep_round_trip(self):
+        datagen = DagGenConfig(n_roots=2, min_parents=2, noise=NoiseSpec.gaussian(1.0, 0.5))
+        config = SweepConfig(d_values=(-1.0, 0.5, 3.0), n_dags=4, datagen=datagen, seed=7)
+        assert _through_json(config) == config

@@ -9,6 +9,7 @@ from causalsteer import (
     evaluate_intervention,
     fit_linear,
     fit_logistic,
+    models,
     scores,
 )
 from causalsteer.errors import (
@@ -126,13 +127,14 @@ class TestFitLogistic:
         with pytest.raises(SingleClass):
             fit_logistic(data, np.ones(4, dtype=int), target_index=2)
 
-    def test_warning_when_iteration_capped(self):
+    def test_warning_when_iteration_capped(self, monkeypatch):
         rng = np.random.default_rng(7)
         x = rng.normal(size=(500, 2))
         labels = (rng.random(500) < _sigmoid(x @ [2.0, -1.0])).astype(int)
         data = Dataset(np.column_stack([x, np.zeros(500)]))
+        monkeypatch.setattr(models, "IRLS_MAX_ITER", 1)
         with pytest.warns(DidNotConvergeWarning):
-            model = fit_logistic(data, labels, target_index=3, max_iter=1)
+            model = fit_logistic(data, labels, target_index=3)
         assert not model.converged
         assert model.n_iter == 1
 

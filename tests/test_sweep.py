@@ -4,10 +4,10 @@ import json
 import numpy as np
 import pytest
 
-from causalsteer import DagGenConfig, SweepConfig, run_sweep, sweep
+from causalsteer import DagGenConfig, SweepConfig, fileio, run_sweep, sweep
 from causalsteer.cli import main
 from causalsteer.errors import AllEffectsZero, CausalSteerError, InvalidConfig
-from causalsteer.sweep import _run_one_dag, sweep_config_from_dict, sweep_config_to_dict, sweep_result_to_csv
+from causalsteer.sweep import _run_one_dag, sweep_result_to_csv
 
 GOLDEN_CONFIG = SweepConfig(
     n_dags=8,
@@ -48,14 +48,14 @@ def test_dag_order_does_not_matter():
 
 def test_cli_sweep_writes_csv_and_manifest(tmp_path):
     config_path = tmp_path / "config.json"
-    config_path.write_text(json.dumps(sweep_config_to_dict(GOLDEN_CONFIG)))
+    config_path.write_text(json.dumps(fileio.fields_to_dict(GOLDEN_CONFIG)))
     out = tmp_path / "sweep.csv"
     assert main(["sweep", "--config", str(config_path), "--out", str(out)]) == 0
     assert out.read_text() == GOLDEN_CSV
     manifest = json.loads((tmp_path / "sweep.manifest.json").read_text())
     assert manifest["n_dags"] == 8
     assert manifest["n_failed"] == 0
-    assert sweep_config_from_dict(manifest["config"]) == GOLDEN_CONFIG
+    assert fileio.fields_from_dict(SweepConfig, manifest["config"]) == GOLDEN_CONFIG
     # Every field is written, in declaration order.
     assert list(manifest["config"]) == [f.name for f in dataclasses.fields(SweepConfig)]
     assert list(manifest["config"]["datagen"]) == [f.name for f in dataclasses.fields(DagGenConfig)]
@@ -82,7 +82,7 @@ def test_check_rejects_single_training_row():
 
 def test_unknown_config_key_named():
     with pytest.raises(InvalidConfig, match="n_dag"):
-        sweep_config_from_dict({"n_dag": 3})
+        fileio.fields_from_dict(SweepConfig, {"n_dag": 3})
 
 
 SMALL_CONFIG = SweepConfig(
