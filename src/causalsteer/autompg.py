@@ -74,7 +74,7 @@ def fetch_autompg(cache_dir=None) -> Dataset:
     """Return the Auto-MPG dataset, downloading and caching the raw file once.
 
     A cached copy is reused without touching the network; its SHA-256 is
-    checked against the sidecar written at download time.
+    checked against the sidecar written when the file is first read.
     """
     cache = Path(cache_dir) if cache_dir is not None else default_cache_dir()
     raw_path = cache / "auto-mpg.data"
@@ -90,16 +90,13 @@ def fetch_autompg(cache_dir=None) -> Dataset:
                 f"place the raw file manually at {raw_path}"
             ) from exc
         raw_path.write_bytes(payload)
-        digest_path.write_text(hashlib.sha256(payload).hexdigest() + "\n")
     payload = raw_path.read_bytes()
-    if digest_path.exists():
-        expected = digest_path.read_text().strip()
-        actual = hashlib.sha256(payload).hexdigest()
-        if actual != expected:
-            raise ParseError(1, f"cached file checksum {actual[:12]} != recorded {expected[:12]}")
-    else:
-        digest_path.parent.mkdir(parents=True, exist_ok=True)
-        digest_path.write_text(hashlib.sha256(payload).hexdigest() + "\n")
+    actual = hashlib.sha256(payload).hexdigest()
+    if not digest_path.exists():
+        digest_path.write_text(actual + "\n")
+    expected = digest_path.read_text().strip()
+    if actual != expected:
+        raise ParseError(1, f"cached file checksum {actual[:12]} != recorded {expected[:12]}")
     return parse_autompg(payload.decode("utf-8"))
 
 

@@ -73,7 +73,7 @@ def dag_from_dict(doc: dict) -> Dag:
         _json_int(doc["n"], "n"),
         (
             (_json_int(e["from"], "from"), _json_int(e["to"], "to"), _json_float(e["weight"], "weight"))
-            for e in doc.get("edges", [])
+            for e in doc["edges"]
         ),
         _json_array(doc["names"], str, "names") if "names" in doc else None,
     )
@@ -92,6 +92,7 @@ def noise_from_dict(doc: dict) -> NoiseSpec:
     family = doc["family"]
     if family not in _NOISE_FIELDS:
         raise ValueError(f"unknown noise family {family!r}")
+    _reject_unknown_keys(doc, ("family", *_NOISE_FIELDS[family]), f"{family} noise")
     return NoiseSpec(family, tuple(_json_float(doc[k], k) for k in _NOISE_FIELDS[family]))
 
 
@@ -125,6 +126,12 @@ def model_from_dict(doc: dict) -> PredictionModel:
     )
 
 
+def _reject_unknown_keys(doc: dict, known, what: str) -> None:
+    unknown = sorted(set(doc) - set(known))
+    if unknown:
+        raise InvalidConfig(f"unknown {what} key(s): {', '.join(map(repr, unknown))}")
+
+
 def fields_from_dict(cls, doc):
     """An instance of the dataclass ``cls`` from the JSON object ``doc``, each value decoded by its field's type.
 
@@ -135,9 +142,7 @@ def fields_from_dict(cls, doc):
     if not isinstance(doc, dict):
         raise TypeError(f"{cls.__name__} must be a JSON object, got {doc!r}")
     types = {f.name: f.type for f in dataclasses.fields(cls)}
-    unknown = sorted(set(doc) - set(types))
-    if unknown:
-        raise InvalidConfig(f"unknown {cls.__name__} key(s): {', '.join(map(repr, unknown))}")
+    _reject_unknown_keys(doc, types, cls.__name__)
     kwargs = {}
     for name, value in doc.items():
         ftype, field_name = types[name], f"{cls.__name__}.{name}"
@@ -195,18 +200,18 @@ def load_json(path) -> dict:
 
 
 def load_document(path, decode):
-    """``decode(load_json(path))``, a missing or mistyped field reported as ValueError naming ``path``.
+    """``decode(load_json(path))``, a missing, unknown or mistyped field reported as ValueError naming ``path``.
 
     A list where a number belongs, ``null`` for a count or an integer too
     large for a float surfaces from the decoders as TypeError or OverflowError,
-    an absent key as KeyError.
+    an absent key as KeyError, an unknown key as InvalidConfig.
     """
     doc = load_json(path)
     try:
         return decode(doc)
     except KeyError as exc:
         raise ValueError(f"{path}: missing key {exc.args[0]!r}") from None
-    except (TypeError, OverflowError) as exc:
+    except (TypeError, OverflowError, InvalidConfig) as exc:
         raise ValueError(f"{path}: {exc}") from None
 
 
@@ -225,10 +230,18 @@ def save_dataset(data: Dataset, path) -> None:
 
 
 def load_dataset(path) -> Dataset:
+    """The headered CSV in ``path``; a row that is not one number per column is a ValueError naming its line."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, [])
-        rows = [[float(v) for v in row] for row in reader]
+        rows = []
+        for row in reader:
+            if len(row) != len(header):
+                raise ValueError(f"{path}: line {reader.line_num}: expected {len(header)} fields, found {len(row)}")
+            try:
+                rows.append([float(v) for v in row])
+            except ValueError as exc:
+                raise ValueError(f"{path}: line {reader.line_num}: {exc}") from None
     if not rows:
         raise ValueError(f"{path}: the file has no data rows")
     return Dataset(np.asarray(rows, dtype=float), tuple(header))

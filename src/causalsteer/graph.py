@@ -6,7 +6,7 @@ where ``weights[i-1, j-1]`` is the connection strength of variable j into
 variable i; an entry of exactly zero means "no edge".
 """
 
-import heapq
+import graphlib
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -21,8 +21,10 @@ class Dag:
     The constructor raises NonFiniteWeight, NonzeroDiagonal, or
     CycleDetected (with one witness cycle) unless the weights describe a
     finite, zero-diagonal DAG. It then stores the evaluation schedule once:
-    ``(vertex, parent indices)`` pairs, 0-based, in topological order with
-    the lowest ready index first, so the order is deterministic.
+    ``(vertex, parent indices)`` pairs, 0-based, in the deterministic
+    topological order of ``graphlib.TopologicalSorter``. ``solve`` sets each
+    vertex from its parents' final values only, so any topological order
+    gives the same results.
     """
 
     weights: np.ndarray
@@ -47,8 +49,16 @@ class Dag:
         diag = np.flatnonzero(np.diagonal(w))
         if diag.size:
             raise NonzeroDiagonal(int(diag[0]) + 1)
-        order = _kahn_order(w != 0.0)
-        object.__setattr__(self, "schedule", tuple((v, np.flatnonzero(w[v])) for v in order))
+        parents = {v: np.flatnonzero(w[v]) for v in range(w.shape[0])}
+        sorter = graphlib.TopologicalSorter({v: pa.tolist() for v, pa in parents.items()})
+        try:
+            order = tuple(sorter.static_order())
+        except graphlib.CycleError as exc:
+            # args[1] lists the cycle in edge order with its first vertex repeated at the end.
+            cycle = [v + 1 for v in exc.args[1][:-1]]
+            m = cycle.index(min(cycle))
+            raise CycleDetected(cycle[m:] + cycle[:m]) from None
+        object.__setattr__(self, "schedule", tuple((v, parents[v]) for v in order))
 
     @property
     def n(self) -> int:
@@ -76,26 +86,6 @@ class Dag:
         return cls(w, names)
 
 
-def _kahn_order(adj: np.ndarray) -> list[int]:
-    # Kahn's algorithm, lowest ready index first; raises CycleDetected when
-    # no order exists.
-    n = adj.shape[0]
-    indegree = adj.sum(axis=1)
-    ready = [v for v in range(n) if indegree[v] == 0]
-    heapq.heapify(ready)
-    order: list[int] = []
-    while ready:
-        v = heapq.heappop(ready)
-        order.append(v)
-        for child in np.flatnonzero(adj[:, v]):
-            indegree[child] -= 1
-            if indegree[child] == 0:
-                heapq.heappush(ready, int(child))
-    if len(order) < n:
-        raise CycleDetected(_find_cycle(adj, set(range(n)) - set(order)))
-    return order
-
-
 def solve(dag: Dag, rhs, fixed: int | None = None) -> np.ndarray:
     """Solve x = W~ x + rhs along the last axis of ``rhs``; W~ is W with row ``fixed`` zeroed.
 
@@ -116,28 +106,6 @@ def solve(dag: Dag, rhs, fixed: int | None = None) -> np.ndarray:
         if pa.size and v + 1 != fixed:
             x[..., v] = x[..., pa] @ w[v, pa] + x[..., v]
     return x
-
-
-def _find_cycle(adj: np.ndarray, remaining: set[int]) -> list[int]:
-    # Every vertex left over by Kahn's algorithm has a parent among the
-    # leftovers, so walking parent links must revisit a vertex.
-    start = min(remaining)
-    walk = [start]
-    pos = {start: 0}
-    while True:
-        parents_in = [p for p in np.flatnonzero(adj[walk[-1]]) if p in remaining]
-        nxt = int(min(parents_in))
-        if nxt in pos:
-            s = pos[nxt]
-            tail = walk[s:]
-            # tail = [v_s .. v_t] with edges v_{k+1} -> v_k and closing edge
-            # v_s -> v_t; report vertices in edge order starting at v_s.
-            cycle = [tail[0]] + tail[:0:-1]
-            m = cycle.index(min(cycle))
-            cycle = cycle[m:] + cycle[:m]
-            return [v + 1 for v in cycle]
-        pos[nxt] = len(walk)
-        walk.append(nxt)
 
 
 def root_mask(dag: Dag) -> np.ndarray:

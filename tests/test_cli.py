@@ -96,6 +96,15 @@ def test_unknown_datagen_key_is_reported(tmp_path, capsys):
     assert err.startswith("error:") and "'n_root'" in err
 
 
+def test_unknown_noise_key_is_reported(tmp_path, capsys):
+    config = tmp_path / "gen.json"
+    noise = {"family": "uniform", "lo": 0, "hi": 1, "mean": 5}
+    config.write_text(json.dumps({"n_roots": 2, "n_descendants": 2, "noise": noise}))
+    assert main(["gen-scm", "--config", str(config)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {config}: ") and "'mean'" in err
+
+
 def test_fit_on_empty_csv(tmp_path, capsys):
     empty = tmp_path / "empty.csv"
     empty.write_text("")
@@ -109,6 +118,19 @@ def test_fit_on_header_only_csv(tmp_path, capsys):
     assert main(["fit", "--data", str(header_only), "--target-index", "1"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and str(header_only) in err and "no data rows" in err
+
+
+@pytest.mark.parametrize(
+    "text, reason",
+    [("x1,x2\n1,2\n3\n", "expected 2 fields, found 1"), ("x1,x2\n1,2\n3,abc\n", "could not convert")],
+    ids=["short-row", "not-a-number"],
+)
+def test_fit_on_malformed_csv_names_the_line(tmp_path, capsys, text, reason):
+    data = tmp_path / "bad.csv"
+    data.write_text(text)
+    assert main(["fit", "--data", str(data), "--target-index", "1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {data}: line 3: ") and reason in err
 
 
 @pytest.mark.parametrize(
@@ -261,6 +283,7 @@ def test_intervene_takes_the_target_from_the_model(files, capsys):
         ("sweep", DEEP),
         ("gen-scm", DEEP),
         ("scm", RawJson('{"n": 9,')),
+        ("scm", {"noises": [{"family": "uniform", "lo": 0.0, "hi": 1.0, "mean": 5.0}] * 9}),
     ],
     ids=[
         "edges", "noises", "n", "predictors", "bias", "n_dags", "d_values", "n_roots", "datagen",
@@ -268,7 +291,7 @@ def test_intervene_takes_the_target_from_the_model(files, capsys):
         "coeffs-nested", "coeffs-true", "bias-string", "weight-true", "mean-string",
         "d_values-string-true", "d_values-string", "seed-float", "seed-string", "seed-object",
         "names-string", "names-nested", "scm-deep", "model-deep", "sweep-deep", "gen-scm-deep",
-        "scm-not-json",
+        "scm-not-json", "noise-unknown-key",
     ],
 )
 def test_malformed_document_is_reported(files, tmp_path, capsys, document, change):
@@ -404,8 +427,9 @@ def test_fit_linear_on_chosen_predictors(files, tmp_path):
         ("scm", ("edges", 0), "weight"),
         ("scm", ("noises", 0), "family"),
         ("structure", (), "n"),
+        ("scm", (), "edges"),
     ],
-    ids=["bias", "kind", "noises", "weight", "family", "structure-n"],
+    ids=["bias", "kind", "noises", "weight", "family", "structure-n", "edges"],
 )
 def test_missing_key_names_the_file_and_the_key(files, tmp_path, capsys, document, entry, key):
     scm_path, _, model_path = files

@@ -1,9 +1,11 @@
+import graphlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from causalsteer import Dag, graph
+from causalsteer import Dag
 from causalsteer.graph import root_mask, solve
 from causalsteer.errors import CycleDetected, IndexOutOfRange, NonFiniteWeight, NonzeroDiagonal
 
@@ -65,9 +67,15 @@ class TestValidate:
 
     def test_schedule_is_computed_once(self, monkeypatch, seven_vertex_dag):
         calls = []
-        kahn_order = graph._kahn_order
-        monkeypatch.setattr(graph, "_kahn_order", lambda adj: calls.append(1) or kahn_order(adj))
+
+        class CountingSorter(graphlib.TopologicalSorter):
+            def __init__(self, *args):
+                calls.append(1)
+                super().__init__(*args)
+
+        monkeypatch.setattr(graphlib, "TopologicalSorter", CountingSorter)
         dag = Dag(seven_vertex_dag.weights)
+        assert len(calls) == 1
         for fixed in (None, 1, 4):
             solve(dag, np.ones((2, 7)), fixed=fixed)
         assert order(dag) == order(seven_vertex_dag)
@@ -95,6 +103,8 @@ class TestValidate:
                 Dag(w)
             cycle = exc.value.cycle
             assert len(cycle) >= 2
+            assert cycle[0] == min(cycle)
+            assert len(set(cycle)) == len(cycle), f"vertex repeated in witness {cycle}"
             for a, b in zip(cycle, cycle[1:] + cycle[:1]):
                 assert w[b - 1, a - 1] != 0, f"missing edge {a}->{b} in witness {cycle}"
 
