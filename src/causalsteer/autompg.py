@@ -101,7 +101,13 @@ def fetch_autompg(cache_dir=None) -> Dataset:
 
 
 def bundled_structure_path() -> Path:
-    """Path of the illustrative causal-structure file shipped with the package."""
+    """Path of the illustrative causal-structure file shipped with the package.
+
+    Illustrative causal structure for the Auto-MPG demo. Hand-specified
+    engineering assumptions (engine size drives displacement, which drives
+    mass and power, which drive fuel consumption and sprint time); NOT a
+    learned structure.
+    """
     return Path(importlib.resources.files("causalsteer").joinpath("data/autompg_structure.json"))
 
 

@@ -22,7 +22,7 @@ from .causal import (
     select_intervention_target,
 )
 from .datagen import DagGenConfig, generate_random_scm, median_split_labels
-from .errors import CausalSteerError
+from .errors import CausalSteerError, ParseError
 from .models import augment_graph, fit_linear, fit_logistic
 from .scm import analytic_means, estimate_noise_means, sample
 from .sweep import SweepConfig, run_manifest, run_sweep, sweep_result_to_csv
@@ -187,7 +187,10 @@ def _cmd_demo_autompg(args) -> int:
     structure_path = args.structure or autompg.bundled_structure_path()
     structure = fileio.load_document(structure_path, fileio.dag_from_dict)
     if args.data_file:
-        data = autompg.parse_autompg(Path(args.data_file).read_text())
+        try:
+            data = autompg.parse_autompg(Path(args.data_file).read_text())
+        except ParseError as exc:
+            raise ValueError(f"{args.data_file}: {exc}") from None
     else:
         data = autompg.fetch_autompg(args.cache_dir)
     _write(autompg.demo_autompg(structure, data, args.desired) + "\n", args.out)

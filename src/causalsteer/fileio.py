@@ -8,12 +8,13 @@ import csv
 import dataclasses
 import io
 import json
+import math
 from pathlib import Path
 
 import numpy as np
 
 from .datagen import Seed
-from .errors import InvalidConfig
+from .errors import CausalSteerError, InvalidConfig
 from .graph import Dag
 from .models import PredictionModel
 from .scm import Dataset, NoiseSpec, Scm
@@ -23,7 +24,6 @@ from .scm import Dataset, NoiseSpec, Scm
 _JSON_SCALARS = {
     int: ((int,), "an integer"),
     float: ((int, float), "a number"),
-    bool: ((bool,), "true or false"),
     str: ((str,), "a string"),
     Seed: ((int, type(None)), "an integer or null"),
 }
@@ -68,13 +68,19 @@ def dag_to_dict(dag: Dag) -> dict:
     return doc
 
 
+_DAG_KEYS = ("n", "edges", "names")
+
+
+def _edge(doc) -> tuple[int, int, float]:
+    _reject_unknown_keys(doc, ("from", "to", "weight"), "edge")
+    return _json_int(doc["from"], "from"), _json_int(doc["to"], "to"), _json_float(doc["weight"], "weight")
+
+
 def dag_from_dict(doc: dict) -> Dag:
+    _reject_unknown_keys(doc, _DAG_KEYS, "DAG")
     return Dag.from_edges(
         _json_int(doc["n"], "n"),
-        (
-            (_json_int(e["from"], "from"), _json_int(e["to"], "to"), _json_float(e["weight"], "weight"))
-            for e in doc["edges"]
-        ),
+        map(_edge, doc["edges"]),
         _json_array(doc["names"], str, "names") if "names" in doc else None,
     )
 
@@ -103,7 +109,9 @@ def scm_to_dict(scm: Scm) -> dict:
 
 
 def scm_from_dict(doc: dict) -> Scm:
-    return Scm(dag_from_dict(doc), tuple(noise_from_dict(d) for d in doc["noises"]))
+    _reject_unknown_keys(doc, (*_DAG_KEYS, "noises"), "SCM")
+    dag = dag_from_dict({k: v for k, v in doc.items() if k != "noises"})
+    return Scm(dag, tuple(noise_from_dict(d) for d in doc["noises"]))
 
 
 def model_to_dict(model: PredictionModel) -> dict:
@@ -117,6 +125,7 @@ def model_to_dict(model: PredictionModel) -> dict:
 
 
 def model_from_dict(doc: dict) -> PredictionModel:
+    _reject_unknown_keys(doc, ("kind", "bias", "coeffs", "predictor_indices", "target_index"), "model")
     return PredictionModel(
         doc["kind"],
         _json_float(doc["bias"], "bias"),
@@ -146,9 +155,7 @@ def fields_from_dict(cls, doc):
     kwargs = {}
     for name, value in doc.items():
         ftype, field_name = types[name], f"{cls.__name__}.{name}"
-        if ftype is NoiseSpec:
-            kwargs[name] = noise_from_dict(value)
-        elif dataclasses.is_dataclass(ftype):
+        if dataclasses.is_dataclass(ftype):
             kwargs[name] = fields_from_dict(ftype, value)
         elif ftype == tuple[float, ...]:
             kwargs[name] = tuple(map(float, _json_array(value, float, field_name)))
@@ -166,9 +173,7 @@ def fields_to_dict(obj) -> dict:
     doc = {}
     for f in dataclasses.fields(obj):
         value = getattr(obj, f.name)
-        if isinstance(value, NoiseSpec):
-            value = noise_to_dict(value)
-        elif dataclasses.is_dataclass(value):
+        if dataclasses.is_dataclass(value):
             value = fields_to_dict(value)
         elif isinstance(value, (tuple, np.ndarray)):
             value = np.asarray(value).tolist()
@@ -200,18 +205,20 @@ def load_json(path) -> dict:
 
 
 def load_document(path, decode):
-    """``decode(load_json(path))``, a missing, unknown or mistyped field reported as ValueError naming ``path``.
+    """``decode(load_json(path))``, any error of the document reported as ValueError naming ``path``.
 
     A list where a number belongs, ``null`` for a count or an integer too
     large for a float surfaces from the decoders as TypeError or OverflowError,
-    an absent key as KeyError, an unknown key as InvalidConfig.
+    an absent key as KeyError, an unknown key as InvalidConfig, and a value
+    the graph or noise refuses (a duplicate edge, a cycle, an unknown noise
+    family) as ValueError or CausalSteerError.
     """
     doc = load_json(path)
     try:
         return decode(doc)
     except KeyError as exc:
         raise ValueError(f"{path}: missing key {exc.args[0]!r}") from None
-    except (TypeError, OverflowError, InvalidConfig) as exc:
+    except (TypeError, OverflowError, ValueError, CausalSteerError) as exc:
         raise ValueError(f"{path}: {exc}") from None
 
 
@@ -230,7 +237,7 @@ def save_dataset(data: Dataset, path) -> None:
 
 
 def load_dataset(path) -> Dataset:
-    """The headered CSV in ``path``; a row that is not one number per column is a ValueError naming its line."""
+    """The headered CSV in ``path``; a row that is not one finite number per column is a ValueError naming its line."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, [])
@@ -239,9 +246,12 @@ def load_dataset(path) -> Dataset:
             if len(row) != len(header):
                 raise ValueError(f"{path}: line {reader.line_num}: expected {len(header)} fields, found {len(row)}")
             try:
-                rows.append([float(v) for v in row])
+                values = [float(v) for v in row]
             except ValueError as exc:
                 raise ValueError(f"{path}: line {reader.line_num}: {exc}") from None
+            if not all(map(math.isfinite, values)):
+                raise ValueError(f"{path}: line {reader.line_num}: non-finite entry in {','.join(row)}")
+            rows.append(values)
     if not rows:
         raise ValueError(f"{path}: the file has no data rows")
     return Dataset(np.asarray(rows, dtype=float), tuple(header))

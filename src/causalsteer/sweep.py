@@ -63,7 +63,6 @@ class SweepRow:
 @dataclass(frozen=True)
 class SweepResult:
     rows: tuple[SweepRow, ...]
-    n_dags: int
     n_failed: int
 
 
@@ -138,7 +137,7 @@ def run_sweep(config: SweepConfig) -> SweepResult:
         SweepRow(float(d), opt_total[k] / denom, naive_total[k] / denom)
         for k, d in enumerate(config.d_values)
     )
-    return SweepResult(rows, config.n_dags, n_failed)
+    return SweepResult(rows, n_failed)
 
 
 def sweep_result_to_csv(result: SweepResult) -> str:
@@ -155,6 +154,6 @@ def run_manifest(config: SweepConfig, result: SweepResult) -> dict:
     return {
         "causalsteer_version": __version__,
         "config": fileio.fields_to_dict(config),
-        "n_dags": result.n_dags,
+        "n_dags": config.n_dags,
         "n_failed": result.n_failed,
     }

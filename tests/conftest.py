@@ -25,3 +25,18 @@ def constant_scm(dag: Dag, values) -> Scm:
 
 def uniform_scm(dag: Dag, lo: float = -1.0, hi: float = 1.0) -> Scm:
     return Scm(dag, (NoiseSpec.uniform(lo, hi),) * dag.n)
+
+
+def dense_random_scm(n_roots: int, n_descendants: int, density: float, seed) -> Scm:
+    """A random SCM with many directed paths, for properties the sparse generated DAGs rarely exercise.
+
+    Each descendant attaches to each earlier vertex with probability
+    ``density``; magnitudes are uniform in [0.5, 1.5] with random signs, and
+    every noise is uniform(-1, 1).
+    """
+    rng = np.random.default_rng(seed)
+    n = n_roots + n_descendants
+    weights = rng.uniform(0.5, 1.5, (n, n)) * rng.choice([-1.0, 1.0], (n, n)) * (rng.random((n, n)) < density)
+    weights = np.tril(weights, k=-1)
+    weights[:n_roots] = 0.0
+    return uniform_scm(Dag(weights))

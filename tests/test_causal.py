@@ -33,7 +33,7 @@ from causalsteer.errors import (
 )
 from causalsteer.scm import noise_means
 
-from .conftest import uniform_scm
+from .conftest import dense_random_scm, uniform_scm
 from .oracles import (
     causal_effect_regression,
     expanded_coeffs,
@@ -82,10 +82,7 @@ class TestPropagate:
     def test_matches_linear_solve(self):
         rng = np.random.default_rng(0)
         for _ in range(25):
-            scm = generate_random_scm(
-                DagGenConfig(n_roots=3, n_descendants=int(rng.integers(2, 10)),
-                             parent_prob=0.4, seed=int(rng.integers(2**32)))
-            )
+            scm = dense_random_scm(3, int(rng.integers(2, 10)), 0.4, int(rng.integers(2**32)))
             base = noise_means(scm)
             i = int(rng.integers(1, scm.n + 1))
             c = float(rng.normal(scale=3.0))
@@ -144,10 +141,7 @@ class TestCausalEffect:
     def test_against_path_enumeration(self):
         rng = np.random.default_rng(13)
         for _ in range(30):
-            scm = generate_random_scm(
-                DagGenConfig(n_roots=2, n_descendants=int(rng.integers(2, 9)),
-                             parent_prob=0.5, seed=int(rng.integers(2**32)))
-            )
+            scm = dense_random_scm(2, int(rng.integers(2, 9)), 0.5, int(rng.integers(2**32)))
             dag = scm.dag
             i = int(rng.integers(1, dag.n + 1))
             j = int(rng.integers(1, dag.n + 1))
@@ -197,10 +191,7 @@ class TestEffectVector:
     def instances(permute: bool):
         rng = np.random.default_rng(27 + permute)
         for _ in range(30):
-            scm = generate_random_scm(
-                DagGenConfig(n_roots=3, n_descendants=int(rng.integers(3, 15)),
-                             parent_prob=0.3, seed=int(rng.integers(2**32)))
-            )
+            scm = dense_random_scm(3, int(rng.integers(3, 15)), 0.3, int(rng.integers(2**32)))
             n = scm.n
             dag = scm.dag
             if permute:
@@ -269,10 +260,7 @@ class TestSelectInterventionTarget:
     def test_permutation_equivariance(self):
         rng = np.random.default_rng(18)
         for _ in range(20):
-            scm = generate_random_scm(
-                DagGenConfig(n_roots=3, n_descendants=9, parent_prob=0.3,
-                             seed=int(rng.integers(2**32)))
-            )
+            scm = dense_random_scm(3, 9, 0.3, int(rng.integers(2**32)))
             n = scm.n
             model = random_model(rng, n)
             augmented = augment_graph(scm.dag, model)

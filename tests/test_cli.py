@@ -97,12 +97,34 @@ def test_unknown_datagen_key_is_reported(tmp_path, capsys):
 
 
 def test_unknown_noise_key_is_reported(tmp_path, capsys):
-    config = tmp_path / "gen.json"
+    scm = tmp_path / "scm.json"
     noise = {"family": "uniform", "lo": 0, "hi": 1, "mean": 5}
-    config.write_text(json.dumps({"n_roots": 2, "n_descendants": 2, "noise": noise}))
-    assert main(["gen-scm", "--config", str(config)]) == 2
+    scm.write_text(json.dumps({"n": 2, "edges": [], "noises": [noise] * 2}))
+    assert main(["sample", "--scm", str(scm)]) == 2
     err = capsys.readouterr().err
-    assert err.startswith(f"error: {config}: ") and "'mean'" in err
+    assert err.startswith(f"error: {scm}: ") and "'mean'" in err
+
+
+# The generator settings that are datagen constants, each with its value there.
+FIXED_GENERATOR_SETTINGS = {
+    "parent_prob": 0.05,
+    "min_parents": 1,
+    "weight_lo": 0.5,
+    "weight_hi": 1.5,
+    "random_sign": True,
+    "noise": {"family": "uniform", "lo": -1.0, "hi": 1.0},
+}
+
+
+@pytest.mark.parametrize("key", list(FIXED_GENERATOR_SETTINGS))
+@pytest.mark.parametrize("command", ["gen-scm", "sweep"])
+def test_fixed_generator_setting_is_an_unknown_key(tmp_path, capsys, command, key):
+    datagen = {"n_roots": 3, "n_descendants": 4, key: FIXED_GENERATOR_SETTINGS[key]}
+    doc = datagen if command == "gen-scm" else {"n_dags": 1, "n_train": 50, "n_post": 50, "datagen": datagen}
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(doc))
+    assert main([command, "--config", str(config)]) == 2
+    assert capsys.readouterr().err == f"error: {config}: unknown DagGenConfig key(s): {key!r}\n"
 
 
 def test_fit_on_empty_csv(tmp_path, capsys):
@@ -122,8 +144,13 @@ def test_fit_on_header_only_csv(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "text, reason",
-    [("x1,x2\n1,2\n3\n", "expected 2 fields, found 1"), ("x1,x2\n1,2\n3,abc\n", "could not convert")],
-    ids=["short-row", "not-a-number"],
+    [
+        ("x1,x2\n1,2\n3\n", "expected 2 fields, found 1"),
+        ("x1,x2\n1,2\n3,abc\n", "could not convert"),
+        ("x1,x2\n1,2\n3,nan\n", "non-finite"),
+        ("x1,x2\n1,2\n-inf,4\n", "non-finite"),
+    ],
+    ids=["short-row", "not-a-number", "nan", "inf"],
 )
 def test_fit_on_malformed_csv_names_the_line(tmp_path, capsys, text, reason):
     data = tmp_path / "bad.csv"
@@ -180,6 +207,13 @@ def test_non_finite_desired_is_a_usage_error(files, capsys, value):
         main(["demo-autompg", "--data-file", "unused.data", f"--desired={value}"])
     assert exc.value.code == 1
     assert "--desired" in capsys.readouterr().err
+
+
+def test_demo_data_file_error_names_the_file(tmp_path, capsys):
+    data = tmp_path / "auto.data"
+    data.write_text("1 2 3\n")
+    assert main(["demo-autompg", "--data-file", str(data)]) == 2
+    assert capsys.readouterr().err == f"error: {data}: line 1: expected 8 numeric fields, found 3\n"
 
 
 def test_sweep_rejects_non_finite_d(tmp_path, capsys):
@@ -284,6 +318,15 @@ def test_intervene_takes_the_target_from_the_model(files, capsys):
         ("gen-scm", DEEP),
         ("scm", RawJson('{"n": 9,')),
         ("scm", {"noises": [{"family": "uniform", "lo": 0.0, "hi": 1.0, "mean": 5.0}] * 9}),
+        # Unknown keys, which would otherwise be ignored.
+        ("scm", {"nmes": list("abcdefghi")}),
+        ("scm", {"edges": [{"from": 1, "to": 2, "weight": 1.0, "sign": -1}]}),
+        ("model", {"note": "fitted"}),
+        # Values the graph or the noise refuses.
+        ("scm", {"noises": [{"family": "laplace", "scale": 1.0}] * 9}),
+        ("scm", {"edges": [{"from": 1, "to": 2, "weight": 1.0}] * 2}),
+        ("scm", {"edges": [{"from": 99, "to": 2, "weight": 1.0}]}),
+        ("scm", {"edges": [{"from": 1, "to": 2, "weight": 1.0}, {"from": 2, "to": 1, "weight": 1.0}]}),
     ],
     ids=[
         "edges", "noises", "n", "predictors", "bias", "n_dags", "d_values", "n_roots", "datagen",
@@ -291,7 +334,8 @@ def test_intervene_takes_the_target_from_the_model(files, capsys):
         "coeffs-nested", "coeffs-true", "bias-string", "weight-true", "mean-string",
         "d_values-string-true", "d_values-string", "seed-float", "seed-string", "seed-object",
         "names-string", "names-nested", "scm-deep", "model-deep", "sweep-deep", "gen-scm-deep",
-        "scm-not-json", "noise-unknown-key",
+        "scm-not-json", "noise-unknown-key", "scm-unknown-key", "edge-unknown-key", "model-unknown-key",
+        "noise-family", "duplicate-edge", "endpoint-out-of-range", "cycle",
     ],
 )
 def test_malformed_document_is_reported(files, tmp_path, capsys, document, change):

@@ -5,6 +5,7 @@ from causalsteer import (
     DagGenConfig,
     Dataset,
     NoiseSpec,
+    datagen,
     generate_random_scm,
     median_split_labels,
     pick_random_target,
@@ -52,10 +53,10 @@ class TestGenerateRandomScm:
 
     def test_edge_density_concentrates_near_parent_prob(self):
         # estimate attachment probability over many seeds, excluding forced parents
-        p = 0.1
+        p = datagen.PARENT_PROB
         hits, trials, forced = 0, 0, 0
         for seed in range(40):
-            config = DagGenConfig(n_roots=10, n_descendants=30, parent_prob=p, seed=seed)
+            config = DagGenConfig(n_roots=10, n_descendants=30, seed=seed)
             scm = generate_random_scm(config)
             counts = (scm.dag.weights != 0).sum(axis=1)[10:]
             forced += int((counts == 1).sum())  # may include forced top-ups
@@ -69,18 +70,12 @@ class TestGenerateRandomScm:
         with pytest.raises(InvalidConfig):
             generate_random_scm(DagGenConfig(n_roots=0))
         with pytest.raises(InvalidConfig):
-            generate_random_scm(DagGenConfig(parent_prob=1.5))
-        with pytest.raises(InvalidConfig):
-            generate_random_scm(DagGenConfig(weight_lo=0.0))
-        with pytest.raises(InvalidConfig):
-            generate_random_scm(DagGenConfig(weight_lo=2.0, weight_hi=1.0))
-        with pytest.raises(InvalidConfig):
-            generate_random_scm(DagGenConfig(n_roots=2, min_parents=3))
+            generate_random_scm(DagGenConfig(n_descendants=-1))
 
     def test_noise_family_applied_everywhere(self):
-        config = DagGenConfig(n_roots=2, n_descendants=3, noise=NoiseSpec.gaussian(1.0, 0.5), seed=4)
-        scm = generate_random_scm(config)
-        assert all(spec == NoiseSpec.gaussian(1.0, 0.5) for spec in scm.noises)
+        scm = generate_random_scm(DagGenConfig(n_roots=2, n_descendants=3, seed=4))
+        assert scm.noises == (datagen.NOISE,) * 5
+        assert datagen.NOISE == NoiseSpec.uniform(-1.0, 1.0)
 
 
 class TestMedianSplitLabels:

@@ -6,7 +6,7 @@ import pytest
 from causalsteer import Dag, DagGenConfig, Dataset, NoiseSpec, PredictionModel, Scm, SweepConfig, generate_random_scm
 from causalsteer import fileio
 from causalsteer.causal import InterventionPlan
-from causalsteer.errors import CycleDetected
+from causalsteer.errors import CycleDetected, InvalidConfig
 
 
 class TestGraphDocuments:
@@ -31,6 +31,19 @@ class TestGraphDocuments:
         with pytest.raises(CycleDetected):
             fileio.dag_from_dict(doc)
 
+    @pytest.mark.parametrize(
+        "doc, key",
+        [
+            ({"n": 2, "edges": [], "nmes": ["a", "b"]}, "nmes"),
+            ({"n": 2, "edges": [], "noises": []}, "noises"),
+            ({"n": 2, "edges": [{"from": 1, "to": 2, "weight": 1.0, "sign": -1}]}, "sign"),
+        ],
+        ids=["top-level", "scm-key", "edge"],
+    )
+    def test_unknown_keys_rejected(self, doc, key):
+        with pytest.raises(InvalidConfig, match=repr(key)):
+            fileio.dag_from_dict(doc)
+
     def test_one_based_orientation(self):
         # edge 1 -> 2 must land in weights[1, 0] (strength of 1 into 2)
         dag = fileio.dag_from_dict({"n": 2, "edges": [{"from": 1, "to": 2, "weight": 3.0}]})
@@ -45,6 +58,16 @@ class TestScmDocuments:
         restored = fileio.scm_from_dict(fileio.scm_to_dict(scm))
         assert restored.noises == scm.noises
         assert (restored.dag.weights == dag.weights).all()
+
+    @pytest.mark.parametrize(
+        "noise",
+        [NoiseSpec.gaussian(0.0, 2.0), NoiseSpec.uniform(-0.5, 2.5), NoiseSpec.constant(0.25)],
+        ids=["gaussian", "uniform", "constant"],
+    )
+    def test_each_noise_family_survives_json_text(self, chain3, noise):
+        scm = Scm(chain3, (noise,) * 3)
+        restored = fileio.scm_from_dict(json.loads(json.dumps(fileio.scm_to_dict(scm))))
+        assert restored.noises == scm.noises
 
     def test_generated_scm_survives_round_trip(self):
         scm = generate_random_scm(DagGenConfig(n_roots=3, n_descendants=7, seed=0))
@@ -117,11 +140,11 @@ def _through_json(config):
 
 class TestConfigDocuments:
     def test_datagen_round_trip(self):
-        for noise in (NoiseSpec.gaussian(0.0, 2.0), NoiseSpec.uniform(-0.5, 2.5), NoiseSpec.constant(0.25)):
-            config = DagGenConfig(n_roots=5, n_descendants=9, parent_prob=0.2, random_sign=False, noise=noise, seed=3)
+        for seed in (3, None):
+            config = DagGenConfig(n_roots=5, n_descendants=9, seed=seed)
             assert _through_json(config) == config
 
     def test_sweep_round_trip(self):
-        datagen = DagGenConfig(n_roots=2, min_parents=2, noise=NoiseSpec.gaussian(1.0, 0.5))
+        datagen = DagGenConfig(n_roots=2, n_descendants=4)
         config = SweepConfig(d_values=(-1.0, 0.5, 3.0), n_dags=4, datagen=datagen, seed=7)
         assert _through_json(config) == config
