@@ -93,15 +93,19 @@ def propagate(dag: Dag, base_terms, i: int) -> EffectDecomposition:
     return EffectDecomposition(mu, alpha)
 
 
-def effects_on_prediction(augmented: AugmentedGraph) -> np.ndarray:
+def effects_on_prediction(augmented: AugmentedGraph, fixed: int | None = None) -> np.ndarray:
     """d/dc of the expected prediction under do(X_k = c), for every k at once.
 
     Entry k-1 is w . (column k of (I - W)^-1); solving on the identity
     yields all columns in one pass. Exactly 0.0 for a variable with no
     directed path into a predictor.
+
+    With ``fixed = i`` the equation of X_i is cut, as under do(X_i = c), and
+    entry k-1 is the weight of N_k in the post-intervention score: with the
+    noise vector's entry i set to c, the score is bias + effects . noise.
     """
     n = augmented.base.n
-    return graph.solve(augmented.base, np.eye(n)) @ augmented.expanded_coeffs()
+    return graph.solve(augmented.base, np.eye(n), fixed=fixed) @ augmented.expanded_coeffs()
 
 
 def causal_effect_on_prediction(augmented: AugmentedGraph, i: int) -> float:

@@ -211,11 +211,16 @@ def load_document(path, decode):
     large for a float surfaces from the decoders as TypeError or OverflowError,
     an absent key as KeyError, an unknown key as InvalidConfig, and a value
     the graph or noise refuses (a duplicate edge, a cycle, an unknown noise
-    family) as ValueError or CausalSteerError.
+    family) as ValueError or CausalSteerError. A decoded config with a
+    ``check`` method (``DagGenConfig``, ``SweepConfig``) is checked here, so
+    an out-of-range count names the file too.
     """
     doc = load_json(path)
     try:
-        return decode(doc)
+        value = decode(doc)
+        if hasattr(value, "check"):
+            value.check()
+        return value
     except KeyError as exc:
         raise ValueError(f"{path}: missing key {exc.args[0]!r}") from None
     except (TypeError, OverflowError, ValueError, CausalSteerError) as exc:

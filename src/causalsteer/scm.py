@@ -131,26 +131,30 @@ def noise_means(scm: Scm) -> np.ndarray:
 
 
 def _draw_noise(scm: Scm, rng: np.random.Generator, m: int) -> np.ndarray:
-    # Drawn per variable in index order, independent of evaluation order, so
-    # that an intervention leaves every other variable's draws untouched.
-    noise = np.empty((m, scm.n))
+    """An n x m array whose row k-1 holds m draws of N_k.
+
+    Drawn per variable in index order, independent of evaluation order, so
+    that an intervention leaves every other variable's draws untouched.
+    """
+    if m < 1:
+        raise ValueError(f"sample count must be >= 1, got {m}")
+    noise = np.empty((scm.n, m))
     for k, spec in enumerate(scm.noises):
-        noise[:, k] = spec.draw(rng, m)
+        noise[k] = spec.draw(rng, m)
     return noise
 
 
 def _simulate(scm: Scm, m: int, seed, do: tuple[int, float] | None) -> np.ndarray:
     if do is not None:
-        # Before the noise write, where 0 would address the last column.
+        # Before the noise write, where 0 would address the last row.
         check_index(do[0], scm.n)
-    if m < 1:
-        raise ValueError(f"sample count must be >= 1, got {m}")
-    # The noise array is released on return, before Dataset copies the result.
     noise = _draw_noise(scm, np.random.default_rng(seed), m)
-    if do is None:
-        return graph.solve(scm.dag, noise)
-    noise[:, do[0] - 1] = do[1]
-    return graph.solve(scm.dag, noise, fixed=do[0])
+    if do is not None:
+        noise[do[0] - 1] = do[1]
+    # One sample per row for solve. Rebinding frees the drawn array before
+    # solve copies, and the copy is freed before Dataset copies the result.
+    noise = np.ascontiguousarray(noise.T)
+    return graph.solve(scm.dag, noise, fixed=None if do is None else do[0])
 
 
 def sample(scm: Scm, m: int, seed, do: tuple[int, float] | None = None) -> Dataset:

@@ -7,6 +7,13 @@ desired value d both with the closed-form optimal value and with the naive
 per-equation solution. The score per d is the fraction of fresh
 post-intervention samples the classifier assigns to class 1.
 
+The samples are scored in score space. Under do(X_i = c) a sample's score
+is bias + e . noise, with the noise draws' entry i set to c and e =
+``effects_on_prediction(augmented, fixed=i)``, computed once per DAG; no
+sample is solved for. The noise and the tie coin are drawn as ``sample``
+would draw them, so every class-1 count equals that of sampling under
+do(X_i = c) and scoring each row (the oracle in ``tests/oracles.py``).
+
 Each DAG's randomness derives from an independently spawned seed, so the
 result is invariant to execution order and bitwise reproducible.
 """
@@ -19,14 +26,15 @@ import numpy as np
 
 from . import fileio
 from .causal import (
+    effects_on_prediction,
     naive_intervention_value,
     optimal_intervention_value,
     select_intervention_target,
 )
 from .datagen import DagGenConfig, generate_random_scm, median_split_labels, pick_random_target
 from .errors import AllEffectsZero, CausalSteerError, InvalidConfig, ZeroCausalEffect, ZeroCoefficient
-from .models import PredictionModel, augment_graph, fit_logistic, scores
-from .scm import Scm, analytic_means, estimate_noise_means, sample
+from .models import PredictionModel, augment_graph, fit_logistic
+from .scm import Scm, _draw_noise, analytic_means, estimate_noise_means, sample
 
 
 @dataclass(frozen=True)
@@ -66,18 +74,34 @@ class SweepResult:
     n_failed: int
 
 
-def evaluate_intervention(scm: Scm, model: PredictionModel, i: int, c: float, n_post: int, seed) -> float:
-    """Fraction of post-intervention samples the model assigns to class 1.
+def _class1_count(scm: Scm, bias: float, effects: np.ndarray, i: int, c: float, n_post: int, seed) -> int:
+    """How many of n_post samples under do(X_i = c) score above 0.
 
-    Exact zero scores (measure zero for continuous data) get a fair coin.
+    ``effects`` is ``effects_on_prediction(augmented, fixed=i)``. Exact zero
+    scores (measure zero for continuous data) get a fair coin each.
     """
+    if not np.isfinite(c):
+        raise ValueError(f"intervention value must be finite, got {c}")
     rng = np.random.default_rng(seed)
-    s = scores(model, sample(scm, n_post, rng, do=(i, c)).rows)
+    noise = _draw_noise(scm, rng, n_post)
+    noise[i - 1] = c
+    s = bias + effects @ noise
     ones = int((s > 0).sum())
     ties = int((s == 0).sum())
     if ties:
         ones += int(rng.integers(2, size=ties).sum())
-    return ones / n_post
+    return ones
+
+
+def evaluate_intervention(scm: Scm, model: PredictionModel, i: int, c: float, n_post: int, seed) -> float:
+    """Fraction of n_post samples under do(X_i = c) the model assigns to class 1.
+
+    Scored in score space, as the sweep scores (see the module docstring):
+    the fraction equals that of ``sample(scm, n_post, rng, do=(i, c))``
+    scored row by row, with the same seed. Exact zero scores get a fair coin.
+    """
+    effects = effects_on_prediction(augment_graph(scm.dag, model), fixed=i)
+    return _class1_count(scm, model.bias, effects, i, c, n_post, seed) / n_post
 
 
 def _run_one_dag(config: SweepConfig, seed: np.random.SeedSequence):
@@ -98,8 +122,10 @@ def _run_one_dag(config: SweepConfig, seed: np.random.SeedSequence):
     c_opt = optimal_intervention_value(mu, scm.dag, noise, model, intervene_on, d).value
     c_naive = naive_intervention_value(model, mu, intervene_on, d)
 
+    effects = effects_on_prediction(augmented, fixed=intervene_on)
+
     def class1_count(c, s):
-        return round(evaluate_intervention(scm, model, intervene_on, c, config.n_post, s) * config.n_post)
+        return _class1_count(scm, model.bias, effects, intervene_on, c, config.n_post, s)
 
     eval_seeds = s_eval.spawn(2 * d.size)
     opt_counts = [class1_count(c, s) for c, s in zip(c_opt, eval_seeds[0::2])]

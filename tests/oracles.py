@@ -2,11 +2,13 @@
 
 Deliberately naive: path enumeration, dense linear solves and regressions
 on samples instead of forward substitution, so the two sides share no code.
+The one exception is ``class1_count_by_sampling``, which must draw the very
+noise the sweep draws and so samples through ``causalsteer.sample``.
 """
 
 import numpy as np
 
-from causalsteer import Dag, PredictionModel
+from causalsteer import Dag, PredictionModel, Scm, sample, scores
 
 
 def enumerate_paths(dag: Dag, i: int, j: int):
@@ -106,3 +108,16 @@ def grid_refine_intervention_value(
         lo = grid[max(k - 1, 0)]
         hi = grid[min(k + 1, points - 1)]
     return float(0.5 * (lo + hi))
+
+
+def class1_count_by_sampling(scm: Scm, model: PredictionModel, i: int, c: float, n_post: int, seed) -> int:
+    """The sweep's class-1 count the long way: sample n_post rows under
+    do(X_i = c), score every row, and flip a fair coin for each exact zero.
+    """
+    rng = np.random.default_rng(seed)
+    s = scores(model, sample(scm, n_post, rng, do=(i, c)).rows)
+    ones = int((s > 0).sum())
+    ties = int((s == 0).sum())
+    if ties:
+        ones += int(rng.integers(2, size=ties).sum())
+    return ones

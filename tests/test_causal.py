@@ -217,6 +217,18 @@ class TestEffectVector:
         assert all(lower_triangular) != permute
 
     @pytest.mark.parametrize("permute", [False, True])
+    def test_fixed_cuts_the_intervened_equation(self, permute):
+        for dag, model in self.instances(permute):
+            w = expanded_coeffs(dag.n, model)
+            for i in range(1, dag.n + 1):
+                effects = effects_on_prediction(augment_graph(dag, model), fixed=i)
+                cut = dag.weights.copy()
+                cut[i - 1] = 0.0
+                np.testing.assert_allclose(effects, prediction_effects_dense(Dag(cut), w), rtol=1e-12, atol=1e-12)
+                # Cutting X_i's own equation leaves its own effect as it was.
+                assert effects[i - 1] == causal_effect_on_prediction(augment_graph(dag, model), i)
+
+    @pytest.mark.parametrize("permute", [False, True])
     def test_exact_zero_off_ancestors(self, permute):
         zeros = 0
         for dag, model in self.instances(permute):

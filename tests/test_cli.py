@@ -220,7 +220,26 @@ def test_sweep_rejects_non_finite_d(tmp_path, capsys):
     config = tmp_path / "sweep.json"
     config.write_text(json.dumps({"n_dags": 1, "d_values": [1.0, float("nan")]}))
     assert main(["sweep", "--config", str(config)]) == 2
-    assert capsys.readouterr().err.startswith("error: d_values must be finite")
+    assert capsys.readouterr().err.startswith(f"error: {config}: d_values must be finite")
+
+
+@pytest.mark.parametrize(
+    "command, doc, message",
+    [
+        ("gen-scm", {"n_roots": 0}, "n_roots must be >= 1, got 0"),
+        ("gen-scm", {"n_descendants": -1}, "n_descendants must be >= 0, got -1"),
+        ("sweep", {"n_dags": 0}, "n_dags must be >= 1, got 0"),
+        ("sweep", {"n_post": 0}, "n_post must be >= 1, got 0"),
+        ("sweep", {"d_values": []}, "d_values must be nonempty"),
+        ("sweep", {"datagen": {"n_roots": 0}}, "n_roots must be >= 1, got 0"),
+    ],
+    ids=["n_roots", "n_descendants", "n_dags", "n_post", "d_values", "datagen"],
+)
+def test_config_range_error_names_the_file(tmp_path, capsys, command, doc, message):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(doc))
+    assert main([command, "--config", str(config)]) == 2
+    assert capsys.readouterr().err == f"error: {config}: {message}\n"
 
 
 def test_sweep_rejects_single_training_row(tmp_path, capsys):
@@ -360,7 +379,7 @@ def test_sweep_refuses_a_datagen_seed(tmp_path, capsys):
     datagen = {"n_roots": 3, "n_descendants": 4, "seed": 7}
     config.write_text(json.dumps({"n_dags": 2, "n_train": 50, "n_post": 50, "datagen": datagen}))
     assert main(["sweep", "--config", str(config)]) == 2
-    assert capsys.readouterr().err.startswith("error: datagen.seed must be null")
+    assert capsys.readouterr().err.startswith(f"error: {config}: datagen.seed must be null")
 
 
 def test_observation_plan_equals_the_library_plan(files, tmp_path):

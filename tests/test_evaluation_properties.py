@@ -1,0 +1,76 @@
+"""The sweep's score-space class-1 count equals sampling and scoring, exactly.
+
+``sweep._class1_count`` scores do(X_i = c) as bias + e . noise without
+solving for a sample; ``tests/oracles.py::class1_count_by_sampling`` draws
+the same noise through ``sample`` and scores every row. On random dense
+DAGs with mixed noise families and random models, the counts must be equal
+for every intervened variable, including when every score is exactly 0 and
+the tie coin decides.
+"""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from causalsteer import NoiseSpec, PredictionModel, Scm, augment_graph, effects_on_prediction, evaluate_intervention
+from causalsteer.sweep import _class1_count
+
+from .conftest import dense_random_scm
+from .oracles import class1_count_by_sampling
+
+N_POST = 64
+
+
+def _random_noise(rng: np.random.Generator) -> NoiseSpec:
+    family = rng.integers(3)
+    if family == 0:
+        return NoiseSpec.gaussian(rng.normal(0.0, 1.0), rng.uniform(0.0, 2.0))
+    if family == 1:
+        lo = rng.normal(0.0, 1.0)
+        return NoiseSpec.uniform(lo, lo + rng.uniform(0.0, 2.0))
+    return NoiseSpec.constant(rng.normal(0.0, 1.0))
+
+
+@st.composite
+def instances(draw):
+    """A dense random SCM on 2..10 variables with Gaussian, uniform and
+    constant noises, a random linear-score model, and a random c.
+
+    With ``tie`` set, the bias and c are 0 and every noise that can reach a
+    predictor is the constant 0, so every score is exactly 0.
+    """
+    n_roots = draw(st.integers(1, 4))
+    n_descendants = draw(st.integers(1, 6))
+    density = draw(st.floats(0.1, 0.9))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    dag = dense_random_scm(n_roots, n_descendants, density, rng).dag
+    n = dag.n
+    target = int(rng.integers(1, n + 1))
+    others = [k for k in range(1, n + 1) if k != target]
+    preds = tuple(int(k) for k in rng.choice(others, size=rng.integers(1, len(others) + 1), replace=False))
+    noises = [_random_noise(rng) for _ in range(n)]
+    bias = rng.normal(0.0, 2.0)
+    c = rng.normal(0.0, 3.0)
+    model = PredictionModel("logistic", bias, rng.normal(0.0, 1.0, len(preds)), preds, target)
+    tie = draw(st.booleans())
+    if tie:
+        model = PredictionModel("logistic", 0.0, model.coeffs, preds, target)
+        reaches = effects_on_prediction(augment_graph(dag, model)) != 0.0
+        noises = [NoiseSpec.constant(0.0) if r else spec for r, spec in zip(reaches, noises)]
+        c = 0.0
+    return Scm(dag, tuple(noises)), model, c, draw(st.integers(0, 2**32 - 1)), tie
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(instances())
+def test_score_space_count_equals_sampling(instance):
+    scm, model, c, seed, tie = instance
+    augmented = augment_graph(scm.dag, model)
+    for i in range(1, scm.n + 1):
+        effects = effects_on_prediction(augmented, fixed=i)
+        count = _class1_count(scm, model.bias, effects, i, c, N_POST, seed)
+        assert count == class1_count_by_sampling(scm, model, i, c, N_POST, seed)
+        assert evaluate_intervention(scm, model, i, c, N_POST, seed) == count / N_POST
+        if tie:
+            # Every score is 0, so the coin decides each row: all 0 or all 1 has chance 2^-63.
+            assert 0 < count < N_POST

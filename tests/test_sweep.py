@@ -1,10 +1,11 @@
 import dataclasses
+import hashlib
 import json
 
 import numpy as np
 import pytest
 
-from causalsteer import DagGenConfig, SweepConfig, fileio, run_sweep, sweep
+from causalsteer import DagGenConfig, PredictionModel, SweepConfig, fileio, generate_random_scm, run_sweep, sweep
 from causalsteer.cli import main
 from causalsteer.errors import AllEffectsZero, CausalSteerError, InvalidConfig
 from causalsteer.sweep import _run_one_dag, sweep_result_to_csv
@@ -30,6 +31,37 @@ GOLDEN_CSV = (
 
 def test_golden_csv():
     assert sweep_result_to_csv(run_sweep(GOLDEN_CONFIG)) == GOLDEN_CSV
+
+
+# Few variables and many post-intervention rows, where evaluation is most of the work.
+MANY_ROWS_CONFIG = SweepConfig(
+    n_dags=3,
+    n_train=200,
+    n_post=5000,
+    d_values=(0.0, 2.0, 4.0),
+    datagen=DagGenConfig(n_roots=5, n_descendants=10),
+    seed=11,
+)
+
+MANY_ROWS_CSV = (
+    "d,accuracy_optimal,accuracy_naive,n_failed\n"
+    "0,0.497867,0.665467,0\n"
+    "2,0.887000,0.974467,0\n"
+    "4,0.966267,0.999867,0\n"
+)
+
+
+def test_golden_csv_many_rows():
+    assert sweep_result_to_csv(run_sweep(MANY_ROWS_CONFIG)) == MANY_ROWS_CSV
+
+
+def test_sweep_hash():
+    """SHA-256 of the CSVs of three sweeps over six default-size DAGs, in seed order."""
+    digest = hashlib.sha256()
+    for seed in range(3):
+        csv = sweep_result_to_csv(run_sweep(SweepConfig(n_dags=6, n_train=300, n_post=300, seed=seed)))
+        digest.update(csv.encode())
+    assert digest.hexdigest() == "cc2174eeecbe2e47281a06693e230aeefa2bf25df18c8443d66ad4fb70363e6a"
 
 
 def test_dag_order_does_not_matter():
@@ -59,6 +91,14 @@ def test_cli_sweep_writes_csv_and_manifest(tmp_path):
     # Every field is written, in declaration order.
     assert list(manifest["config"]) == [f.name for f in dataclasses.fields(SweepConfig)]
     assert list(manifest["config"]["datagen"]) == [f.name for f in dataclasses.fields(DagGenConfig)]
+
+
+@pytest.mark.parametrize("c", [np.nan, np.inf])
+def test_evaluate_intervention_rejects_non_finite_value(c):
+    scm = generate_random_scm(DagGenConfig(n_roots=2, n_descendants=2, seed=0))
+    model = PredictionModel("logistic", 0.0, np.array([1.0]), (4,), 1)
+    with pytest.raises(ValueError, match="finite"):
+        sweep.evaluate_intervention(scm, model, 2, c, 10, 0)
 
 
 @pytest.mark.parametrize("field", ["n_dags", "n_post"])
