@@ -13,7 +13,6 @@ position k-1.
 __version__ = "0.1.0"
 
 from .causal import (
-    EffectDecomposition,
     InterventionPlan,
     causal_effect_on_prediction,
     effects_on_prediction,
@@ -21,7 +20,6 @@ from .causal import (
     observation_specific_plan,
     optimal_intervention_value,
     plan_for_scm,
-    propagate,
     select_intervention_target,
 )
 from .datagen import DagGenConfig, generate_random_scm, median_split_labels, pick_random_target
@@ -35,7 +33,6 @@ __all__ = [
     "Dag",
     "DagGenConfig",
     "Dataset",
-    "EffectDecomposition",
     "InterventionPlan",
     "NoiseSpec",
     "PredictionModel",
@@ -57,7 +54,6 @@ __all__ = [
     "optimal_intervention_value",
     "pick_random_target",
     "plan_for_scm",
-    "propagate",
     "run_sweep",
     "sample",
     "scores",

@@ -1,17 +1,17 @@
-"""Total-effect propagation and optimal intervention values.
+"""Causal effects on the prediction and optimal intervention values.
 
-The central object is the decomposition E[X_j | do(X_i = c)] = mu_j +
-alpha_j * c, where alpha is column i of the total-effect matrix
-(I - W)^-1: the sum over directed paths i -> j of the products of their
-edge weights. From it follow the causal effect of any variable on the
-prediction node, the ranking that picks the intervention target, and the
-closed-form intervention value that makes the expected prediction hit a
-desired value.
+Under do(X_i = c) every variable's mean is mu_j + alpha_j * c, where alpha
+is column i of the total-effect matrix (I - W)^-1: the sum over directed
+paths i -> j of the products of their edge weights. From it follow the
+causal effect of any variable on the prediction node, the ranking that
+picks the intervention target, and the closed-form intervention value that
+makes the expected prediction hit a desired value.
 
 Each is one call of ``graph.solve``, the package's one forward
-substitution: two right-hand sides give (mu, alpha), the identity gives
-every variable's effect at once. Unlike a dense solve it keeps structural
-zeros exact, so a variable with no path to the prediction has effect 0.0.
+substitution: the plan solves two right-hand sides for (mu, alpha), the
+identity gives every variable's effect at once. Unlike a dense solve it
+keeps structural zeros exact, so a variable with no path to the prediction
+has effect 0.0.
 """
 
 from dataclasses import dataclass
@@ -21,7 +21,6 @@ import numpy as np
 from . import graph
 from .errors import (
     AllEffectsZero,
-    EmptyCandidates,
     InterveneOnTarget,
     ZeroCausalEffect,
     ZeroCoefficient,
@@ -33,22 +32,6 @@ from .scm import Scm, analytic_means, estimate_noise_means
 
 #: Below this sensitivity the desired prediction is unreachable at finite c.
 EFFECT_THRESHOLD = 1e-12
-
-
-@dataclass(frozen=True)
-class EffectDecomposition:
-    """Per-variable response to do(X_i = c): E[X_j | do] = mu[j-1] + alpha[j-1]*c.
-
-    alpha is 1 at the intervened variable, 0 at every non-descendant of it;
-    mu holds the c-independent part of each post-intervention mean.
-    """
-
-    mu: np.ndarray
-    alpha: np.ndarray
-
-    def expectations(self, c) -> np.ndarray:
-        """Post-intervention means of all variables under do(X_i = c), one row per c."""
-        return self.mu + np.multiply.outer(c, self.alpha)
 
 
 @dataclass(frozen=True)
@@ -66,31 +49,6 @@ class InterventionPlan:
     desired_prediction: float | np.ndarray
     predicted_expectation: float | np.ndarray
     effects: np.ndarray
-    warnings: tuple[str, ...] = ()
-
-
-def propagate(dag: Dag, base_terms, i: int) -> EffectDecomposition:
-    """Decompose every variable's mean under do(X_i = c) into mu + alpha*c.
-
-    ``base_terms`` is a length-n vector holding, per variable, the noise
-    expectation for non-roots and the pre-intervention mean for roots (for
-    an Scm both equal its noise means; use per-observation values for the
-    observation-specific variant). Entry i is never read.
-
-    alpha is the solution for the unit vector e_i and mu for the base terms
-    with entry i zeroed, both with X_i's own equation cut; roots other than
-    i keep their mean and are insensitive to c.
-    """
-    n = dag.n
-    check_index(i, n)
-    base = np.asarray(base_terms, dtype=float)
-    if base.shape != (n,):
-        raise ValueError(f"expected a length-{n} vector, got shape {base.shape}")
-    rhs = np.zeros((2, n))
-    rhs[0] = base
-    rhs[:, i - 1] = (0.0, 1.0)
-    mu, alpha = graph.solve(dag, rhs, fixed=i)
-    return EffectDecomposition(mu, alpha)
 
 
 def effects_on_prediction(augmented: AugmentedGraph, fixed: int | None = None) -> np.ndarray:
@@ -105,7 +63,7 @@ def effects_on_prediction(augmented: AugmentedGraph, fixed: int | None = None) -
     noise vector's entry i set to c, the score is bias + effects . noise.
     """
     n = augmented.base.n
-    return graph.solve(augmented.base, np.eye(n), fixed=fixed) @ augmented.expanded_coeffs()
+    return graph.solve(augmented.base, np.eye(n), fixed=fixed) @ augmented.coeffs
 
 
 def causal_effect_on_prediction(augmented: AugmentedGraph, i: int) -> float:
@@ -118,19 +76,16 @@ def select_intervention_target(augmented: AugmentedGraph, candidates) -> int:
     """The candidate with the greatest absolute causal effect on the prediction.
 
     Ties break toward the lowest index. Raises AllEffectsZero when no
-    candidate moves the prediction at all.
+    candidate moves the prediction at all, and so when there is none.
     """
     cands = sorted(set(int(i) for i in candidates))
-    if not cands:
-        raise EmptyCandidates("no candidate variables supplied")
     for cand in cands:
         check_index(cand, augmented.base.n)
-    effects = np.abs(effects_on_prediction(augmented)[np.array(cands) - 1])
-    # argmax returns the first maximum, the lowest index among ties.
-    best = int(np.argmax(effects))
-    if effects[best] < EFFECT_THRESHOLD:
+    effects = np.abs(effects_on_prediction(augmented)[[k - 1 for k in cands]])
+    if not cands or effects.max() < EFFECT_THRESHOLD:
         raise AllEffectsZero("no candidate has a causal effect on the prediction")
-    return cands[best]
+    # argmax returns the first maximum, the lowest index among ties.
+    return cands[int(np.argmax(effects))]
 
 
 def optimal_intervention_value(
@@ -143,18 +98,19 @@ def optimal_intervention_value(
 ) -> InterventionPlan:
     """The intervention value c making E[prediction | do(X_i = c)] equal d.
 
-    Inputs mirror the per-variable bookkeeping: ``mu`` holds pre-intervention
-    expectations (only root entries are consumed), ``noise`` the noise
-    expectations (only non-root entries are consumed; pass the output of
-    ``estimate_noise_means``). The closed form is exact for linear structure:
+    ``mu`` holds pre-intervention expectations (only root entries are
+    consumed), ``noise`` the noise expectations (only non-root entries are
+    consumed; pass the output of ``estimate_noise_means``). One solve with X_i's
+    own equation cut gives every variable's mean under do(X_i = 0), mu_i (from
+    the base terms with entry i zeroed), and its slope in c, alpha (from the
+    unit vector e_i). The closed form is exact for linear structure:
 
-        c = (d - w . mu_prop - bias) / (w . alpha)
+        c = (d - w . mu_i - bias) / (w . alpha)
 
     with w the model coefficients scattered over all n variables (zero at
-    the target) and (mu_prop, alpha) from ``propagate``. An array d reuses
-    the one decomposition; each entry equals its scalar plan bit for bit. Raises
-    ZeroCausalEffect when the denominator vanishes and InterveneOnTarget
-    when i is the model's target variable.
+    the target). An array d reuses the one solve; each entry equals its
+    scalar plan bit for bit. Raises ZeroCausalEffect when the denominator
+    vanishes and InterveneOnTarget when i is the model's target variable.
     """
     if i == model.target_index:
         raise InterveneOnTarget(i)
@@ -163,16 +119,19 @@ def optimal_intervention_value(
     if mu.shape != (dag.n,) or noise.shape != (dag.n,):
         raise ValueError(f"mu and noise must be length-{dag.n} vectors")
     d = np.asarray(d, dtype=float)[()]
-    w = augment_graph(dag, model).expanded_coeffs()
-    base = np.where(graph.root_mask(dag), mu, noise)
-    dec = propagate(dag, base, i)
-    sensitivity = float(w @ dec.alpha)
+    w = augment_graph(dag, model).coeffs
+    check_index(i, dag.n)
+    rhs = np.zeros((2, dag.n))
+    rhs[0] = np.where(graph.root_mask(dag), mu, noise)
+    rhs[:, i - 1] = (0.0, 1.0)
+    mu_i, alpha = graph.solve(dag, rhs, fixed=i)
+    sensitivity = float(w @ alpha)
     if abs(sensitivity) < EFFECT_THRESHOLD:
         raise ZeroCausalEffect(i, sensitivity)
-    c = (d - float(w @ dec.mu) - model.bias) / sensitivity
+    c = (d - float(w @ mu_i) - model.bias) / sensitivity
     # Row-wise, as BLAS sums a matrix-vector product in another order than a dot.
-    achieved = (dec.expectations(c) * w).sum(axis=-1) + model.bias
-    return InterventionPlan(i, c, d, achieved, dec.alpha)
+    achieved = ((mu_i + np.multiply.outer(c, alpha)) * w).sum(axis=-1) + model.bias
+    return InterventionPlan(i, c, d, achieved, alpha)
 
 
 def naive_intervention_value(model: PredictionModel, x, i: int, d):

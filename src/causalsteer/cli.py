@@ -5,6 +5,7 @@ that draws randomness takes --seed and is bitwise reproducible.
 """
 
 import argparse
+import contextlib
 import dataclasses
 import json
 import sys
@@ -22,7 +23,7 @@ from .causal import (
     select_intervention_target,
 )
 from .datagen import DagGenConfig, generate_random_scm, median_split_labels
-from .errors import CausalSteerError, ParseError
+from .errors import CausalSteerError, ParseError, ZeroCoefficient
 from .models import augment_graph, fit_linear, fit_logistic
 from .scm import analytic_means, estimate_noise_means, sample
 from .sweep import SweepConfig, run_manifest, run_sweep, sweep_result_to_csv
@@ -114,11 +115,13 @@ def _cmd_analyze(args) -> int:
     return 0
 
 
-def _load_observation(path) -> np.ndarray:
+def _load_observation(path, n: int) -> np.ndarray:
     doc = fileio.read_json(path)
     # Compared, not converted: float() of a huge JSON integer overflows.
     if not isinstance(doc, list) or not all(type(v) in (int, float) and abs(v) <= sys.float_info.max for v in doc):
         raise ValueError(f"{path}: expected a JSON array of finite numbers")
+    if len(doc) != n:
+        raise ValueError(f"{path}: expected {n} values, one per variable, found {len(doc)}")
     return np.asarray(doc, dtype=float)
 
 
@@ -131,7 +134,7 @@ def _cmd_intervene(args) -> int:
         i = select_intervention_target(augmented, model.predictor_indices)
 
     if args.observation_file:
-        observation = _load_observation(args.observation_file)
+        observation = _load_observation(args.observation_file, scm.n)
         plan = observation_specific_plan(observation, scm.dag, model, i, args.desired)
         naive_x = observation
     else:
@@ -141,24 +144,26 @@ def _cmd_intervene(args) -> int:
         )
         naive_x = mu
 
-    warnings = list(plan.warnings)
+    warnings = []
     if args.data:
-        column = fileio.load_dataset(args.data).column(i)
+        data = fileio.load_dataset(args.data)
+        if data.n != scm.n:
+            raise ValueError(f"{args.data}: expected {scm.n} columns, one per variable, found {data.n}")
+        column = data.column(i)
         lo, hi = float(column.min()), float(column.max())
         if not lo <= plan.value <= hi:
             warnings.append(
                 f"value {plan.value:g} lies outside the observed range "
                 f"{lo:g} .. {hi:g} of variable {i}"
             )
-    plan = dataclasses.replace(plan, warnings=tuple(warnings))
 
     print(f"do(X{i} = {plan.value:.12g}) steers the expected prediction to {plan.desired_prediction:g}")
-    if i in model.predictor_indices and model.coeffs[model.predictor_indices.index(i)] != 0.0:
+    with contextlib.suppress(ZeroCoefficient):
         print(f"naive per-equation value: {naive_intervention_value(model, naive_x, i, args.desired):.12g}")
     for w in warnings:
         print(f"warning: {w}")
     if args.out:
-        fileio.save_json(fileio.fields_to_dict(plan), args.out)
+        fileio.save_json({**fileio.fields_to_dict(plan), "warnings": warnings}, args.out)
     return 0
 
 

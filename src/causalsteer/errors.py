@@ -55,10 +55,6 @@ class SingleClass(CausalSteerError):
     """Logistic fitting requires both classes to be present in the labels."""
 
 
-class EmptyCandidates(CausalSteerError):
-    """No candidate variables were supplied for target selection."""
-
-
 class AllEffectsZero(CausalSteerError):
     """No candidate variable has any causal effect on the prediction node."""
 

@@ -63,26 +63,14 @@ class PredictionModel:
 class AugmentedGraph:
     """A Dag with the prediction node grafted on as a sink.
 
-    The prediction node's parents are the predictors and its incoming
-    weights are the model coefficients. The model bias is not carried: it
-    shifts the prediction but no causal effect. Adding a sink keeps the
-    graph acyclic.
+    ``coeffs`` holds the prediction node's incoming weights scattered over
+    the n variables: each predictor's model coefficient, zero elsewhere (the
+    target included). The model bias is not carried: it shifts the
+    prediction but no causal effect. Adding a sink keeps the graph acyclic.
     """
 
     base: Dag
-    yhat_parents: tuple[int, ...]
-    yhat_weights: np.ndarray
-
-    def expanded_coeffs(self) -> np.ndarray:
-        """Coefficients scattered into a length-n vector, zero off-predictor.
-
-        The model target (and any unused variable) gets a zero, which is the
-        "insert a zero at the target position" expansion when the predictors
-        are all remaining variables.
-        """
-        w = np.zeros(self.base.n)
-        w[np.array(self.yhat_parents) - 1] = self.yhat_weights
-        return w
+    coeffs: np.ndarray
 
 
 def fit_linear(data: Dataset, target_index: int, predictor_indices=None) -> PredictionModel:
@@ -230,4 +218,7 @@ def augment_graph(dag: Dag, model: PredictionModel) -> AugmentedGraph:
     """
     for i in model.predictor_indices + (model.target_index,):
         check_index(i, dag.n)
-    return AugmentedGraph(dag, model.predictor_indices, model.coeffs)
+    coeffs = np.zeros(dag.n)
+    coeffs[[p - 1 for p in model.predictor_indices]] = model.coeffs
+    coeffs.flags.writeable = False
+    return AugmentedGraph(dag, coeffs)

@@ -1,5 +1,3 @@
-import dataclasses
-
 import numpy as np
 import pytest
 
@@ -13,19 +11,16 @@ from causalsteer import (
     augment_graph,
     causal_effect_on_prediction,
     effects_on_prediction,
-    estimate_noise_means,
     generate_random_scm,
     naive_intervention_value,
     observation_specific_plan,
     optimal_intervention_value,
     plan_for_scm,
-    propagate,
     sample,
     select_intervention_target,
 )
 from causalsteer.errors import (
     AllEffectsZero,
-    EmptyCandidates,
     IndexOutOfRange,
     InterveneOnTarget,
     ZeroCausalEffect,
@@ -56,28 +51,46 @@ def random_model(rng, n: int, kind: str = "linear") -> PredictionModel:
     return PredictionModel(kind, float(rng.normal()), coeffs, preds, target)
 
 
+def reading(j: int, n: int) -> PredictionModel:
+    """A linear model reading X_j alone with unit coefficient and zero bias: its score is X_j."""
+    return PredictionModel("linear", 0.0, np.array([1.0]), (j,), j % n + 1)
+
+
+def alpha(dag: Dag, i: int) -> np.ndarray:
+    """Column i of (I - W)^-1: the ``effects`` of a plan on X_i."""
+    return optimal_intervention_value(np.zeros(dag.n), dag, np.zeros(dag.n), reading(i, dag.n), i, 0.0).effects
+
+
+def effect(dag: Dag, i: int, j: int) -> float:
+    """d/dc of E[X_j | do(X_i = c)]: alpha_j of the plan on X_i."""
+    return float(alpha(dag, i)[j - 1])
+
+
 class TestPropagate:
+    """The per-variable response to do(X_i = c), mu + alpha * c, seen through plans."""
+
     def test_chain_alpha_and_mu(self, chain3):
-        dec = propagate(chain3, np.zeros(3), 1)
-        assert dec.alpha.tolist() == [1.0, 2.0, 1.0]
-        assert dec.mu.tolist() == [0.0, 0.0, 0.0]
+        assert alpha(chain3, 1).tolist() == [1.0, 2.0, 1.0]
+        # Zero base terms give mu = 0, so a model reading X2 reaches d at c = d / alpha_2.
+        plan = optimal_intervention_value(np.zeros(3), chain3, np.zeros(3), reading(2, 3), 1, 3.0)
+        assert plan.value == 1.5
 
     def test_leaf_intervention_keeps_other_means(self, chain3):
-        # base terms: root mean 1.0, noise means 0.5 and 0.25
-        dec = propagate(chain3, np.array([1.0, 0.5, 0.25]), 3)
-        assert dec.alpha.tolist() == [0.0, 0.0, 1.0]
-        assert dec.mu[:2] == pytest.approx([1.0, 2.5])
-        assert dec.mu[2] == 0.0
+        # base terms: root mean 1.0, noise means 0.5 and 0.25; under do(X3 = c), X2 keeps its mean 2.5
+        mu, noise = np.array([1.0, 0.0, 0.0]), np.array([0.0, 0.5, 0.25])
+        model = PredictionModel("linear", 0.0, np.array([1.0, 1.0]), (2, 3), 1)
+        plan = optimal_intervention_value(mu, chain3, noise, model, 3, 4.5)
+        assert plan.effects.tolist() == [0.0, 0.0, 1.0]
+        assert plan.value == pytest.approx(2.0)
+        assert plan.predicted_expectation == pytest.approx(4.5)
 
     def test_seven_vertex_unit_weights(self, seven_vertex_dag):
-        dec = propagate(seven_vertex_dag, np.zeros(7), 1)
         expected = {2: 1.0, 3: 1.0, 4: 2.0, 5: 2.0, 6: 2.0, 7: 2.0}
         for j, a in expected.items():
-            assert dec.alpha[j - 1] == pytest.approx(a)
+            assert effect(seven_vertex_dag, 1, j) == pytest.approx(a)
 
     def test_alpha_zero_off_descendants(self, seven_vertex_dag):
-        dec = propagate(seven_vertex_dag, np.zeros(7), 6)
-        assert np.flatnonzero(dec.alpha).tolist() == [5, 6]  # X6 itself and X7
+        assert np.flatnonzero(alpha(seven_vertex_dag, 6)).tolist() == [5, 6]  # X6 itself and X7
 
     def test_matches_linear_solve(self):
         rng = np.random.default_rng(0)
@@ -85,48 +98,51 @@ class TestPropagate:
             scm = dense_random_scm(3, int(rng.integers(2, 10)), 0.4, int(rng.integers(2**32)))
             base = noise_means(scm)
             i = int(rng.integers(1, scm.n + 1))
-            c = float(rng.normal(scale=3.0))
-            dec = propagate(scm.dag, base, i)
-            solved = interventional_means_solve(scm.dag, base, i, c)
-            assert dec.expectations(c) == pytest.approx(solved, abs=1e-10)
-
-
-def do_expectation(scm: Scm, i: int, c: float, j: int) -> float:
-    """E[X_j | do(X_i = c)] from the decomposition the plans use."""
-    return float(propagate(scm.dag, noise_means(scm), i).expectations(c)[j - 1])
-
-
-def effect(dag: Dag, i: int, j: int) -> float:
-    """d/dc of E[X_j | do(X_i = c)]: alpha_j of the decomposition for i."""
-    return float(propagate(dag, np.zeros(dag.n), i).alpha[j - 1])
+            slope = interventional_means_solve(scm.dag, base, i, 1.0) - interventional_means_solve(scm.dag, base, i, 0.0)
+            assert alpha(scm.dag, i) == pytest.approx(slope, abs=1e-10)
+            # The plan's value, put through the dense solve, gives the desired mean of X_i.
+            d = float(rng.normal(scale=3.0))
+            plan = plan_for_scm(scm, reading(i, scm.n), i, d)
+            assert interventional_means_solve(scm.dag, base, i, plan.value)[i - 1] == pytest.approx(d, abs=1e-10)
 
 
 class TestTotalEffectExpectation:
+    """E[X_j | do(X_i = c)] through the plan of a model that reads X_j alone."""
+
     def test_intervened_variable_returns_c(self, chain3):
         scm = uniform_scm(chain3)
-        for c in (-2.0, 0.0, 3.5):
-            assert do_expectation(scm, 2, c, 2) == pytest.approx(c)
+        for d in (-2.0, 0.0, 3.5):
+            assert plan_for_scm(scm, reading(2, 3), 2, d).value == pytest.approx(d)
 
     def test_root_unmoved_by_any_intervention(self, seven_vertex_dag):
         scm = Scm(seven_vertex_dag, (NoiseSpec.uniform(0, 2),) * 7)
-        mu1 = analytic_means(scm)[0]
-        for c in (-5.0, 10.0):
-            assert do_expectation(scm, 4, c, 1) == pytest.approx(mu1)
+        assert effect(seven_vertex_dag, 4, 1) == 0.0
+        # No value of X4 moves the mean of the root X1.
+        with pytest.raises(ZeroCausalEffect):
+            plan_for_scm(scm, reading(1, 7), 4, 5.0)
 
     def test_chain_against_monte_carlo(self, chain3):
+        # E[X2 | do(X1 = c)] = 2c, so steering X2's mean to 6 needs c = 3.
         scm = uniform_scm(chain3)
-        assert do_expectation(scm, 1, 3.0, 2) == pytest.approx(6.0)
-        data = sample(scm, 100_000, seed=9, do=(1, 3.0))
-        x2 = data.rows[:, 1]
+        plan = plan_for_scm(scm, reading(2, 3), 1, 6.0)
+        assert plan.value == pytest.approx(3.0)
+        x2 = sample(scm, 100_000, seed=9, do=(1, plan.value)).rows[:, 1]
         se = x2.std(ddof=1) / np.sqrt(x2.size)
         assert abs(x2.mean() - 6.0) <= 4 * se
 
     def test_linearity_of_decomposition(self):
         scm = generate_random_scm(DagGenConfig(n_roots=4, n_descendants=10, seed=21))
-        dec = propagate(scm.dag, noise_means(scm), 2)
-        c1, c2 = -1.5, 4.0
-        slopes = (dec.expectations(c1) - dec.expectations(c2)) / (c1 - c2)
-        assert slopes == pytest.approx(dec.alpha, abs=1e-12)
+        d1, d2 = -1.5, 4.0
+        moved = 0
+        for j in range(1, scm.n + 1):
+            if j == 2 or effect(scm.dag, 2, j) == 0.0:
+                continue
+            # Each mean is affine in c with slope alpha_j, so d is too.
+            plans = [plan_for_scm(scm, reading(j, scm.n), 2, d) for d in (d1, d2)]
+            slope = (d1 - d2) / (plans[0].value - plans[1].value)
+            assert slope == pytest.approx(plans[0].effects[j - 1], rel=1e-12)
+            moved += 1
+        assert moved > 0
 
 
 class TestCausalEffect:
@@ -259,7 +275,7 @@ class TestSelectInterventionTarget:
 
     def test_empty_candidates(self, chain3):
         augmented = augment_graph(chain3, chain_model())
-        with pytest.raises(EmptyCandidates):
+        with pytest.raises(AllEffectsZero):
             select_intervention_target(augmented, ())
 
     def test_tie_breaks_to_lowest_index(self):
@@ -309,7 +325,7 @@ class TestOptimalInterventionValue:
         rng = np.random.default_rng(20)
         model = random_model(rng, scm.n)
         mu = analytic_means(scm)
-        d = float(model.bias + augment_graph(scm.dag, model).expanded_coeffs() @ mu)
+        d = float(model.bias + augment_graph(scm.dag, model).coeffs @ mu)
         for i in model.predictor_indices:
             try:
                 plan = plan_for_scm(scm, model, i, d)

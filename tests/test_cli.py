@@ -165,6 +165,7 @@ def test_fit_on_malformed_csv_names_the_line(tmp_path, capsys, text, reason):
     [
         {"a": 1}, 3.5, "1,2", [{"a": 1}], ["x"], [0.0] * 8 + [float("nan")], [float("inf")] + [0.0] * 8,
         [10**400] + [0] * 8, pytest.param(DEEP, id="deep"), pytest.param(RawJson("[1.0,"), id="not-json"),
+        pytest.param([0.0] * 8, id="short"), pytest.param([0.0] * 10, id="long"),
     ],
 )
 def test_observation_file_must_be_a_number_array(files, tmp_path, capsys, doc):
@@ -393,7 +394,7 @@ def test_observation_plan_equals_the_library_plan(files, tmp_path):
     model = fileio.model_from_dict(fileio.load_json(model_path))
     i = select_intervention_target(augment_graph(scm.dag, model), model.predictor_indices)
     expected = observation_specific_plan(observation, scm.dag, model, i, 1.5)
-    assert fileio.load_json(plan_path) == fileio.fields_to_dict(expected)
+    assert fileio.load_json(plan_path) == {**fileio.fields_to_dict(expected), "warnings": []}
 
 
 # Dyadic weights and coefficients keep every plan number exact, so the bytes below do not depend on the BLAS.
@@ -462,6 +463,57 @@ def test_plan_file_bytes_are_pinned(tmp_path, capsys, option, content, plan, pri
     assert main(argv + ["--out", str(out)]) == 0
     assert out.read_text() == plan
     assert capsys.readouterr().out == printed
+
+
+@pytest.fixture
+def steer_files(tmp_path):
+    """The SCM and model files of the pinned plans."""
+    scm_path, model_path = tmp_path / "scm.json", tmp_path / "model.json"
+    scm_path.write_text(json.dumps(STEER_SCM))
+    model_path.write_text(json.dumps(STEER_MODEL))
+    return ["intervene", "--scm", str(scm_path), "--model", str(model_path), "--desired", "3"]
+
+
+@pytest.mark.parametrize("header", ["x1,x2,x3,x4", "x1,x2", "x1"], ids=["wider", "narrower", "one-column"])
+def test_data_of_another_width_is_reported(steer_files, tmp_path, capsys, header):
+    data = tmp_path / "data.csv"
+    width = header.count(",") + 1
+    data.write_text(header + "\n" + ",".join(["0"] * width) + "\n")
+    assert main(steer_files + ["--data", str(data)]) == 2
+    assert capsys.readouterr().err == f"error: {data}: expected 3 columns, one per variable, found {width}\n"
+
+
+def test_non_predictor_index_prints_no_naive_value(tmp_path, capsys):
+    # The model reads X2 alone; X1 moves it through the edge 1 -> 2 but has no coefficient.
+    scm_path, model_path = tmp_path / "scm.json", tmp_path / "model.json"
+    scm_path.write_text(json.dumps(STEER_SCM))
+    model_path.write_text(json.dumps({**STEER_MODEL, "coeffs": [1.0], "predictor_indices": [2]}))
+    argv = ["intervene", "--scm", str(scm_path), "--model", str(model_path), "--desired", "3", "--intervene-index", "1"]
+    assert main(argv) == 0
+    assert capsys.readouterr().out == "do(X1 = 1.25) steers the expected prediction to 3\n"
+
+
+@pytest.mark.parametrize(
+    "index, message",
+    [
+        ("3", "variable 3 is the prediction target; intervene on a different variable"),
+        ("4", "variable index 4 out of range 1..3"),
+        ("0", "variable index 0 out of range 1..3"),
+    ],
+    ids=["target", "beyond-n", "zero"],
+)
+def test_unplannable_index_exits_2(steer_files, capsys, index, message):
+    assert main(steer_files + ["--intervene-index", index]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_one_variable_sweep_counts_every_dag_as_failed(tmp_path, capsys):
+    # The single variable is the target, so no DAG has a candidate to intervene on.
+    config = tmp_path / "sweep.json"
+    datagen = {"n_roots": 1, "n_descendants": 0}
+    config.write_text(json.dumps({"n_dags": 2, "n_train": 50, "n_post": 50, "datagen": datagen}))
+    assert main(["sweep", "--config", str(config)]) == 2
+    assert capsys.readouterr().err == "error: all 2 DAGs failed; nothing to report\n"
 
 
 @pytest.mark.parametrize("desired, warned", [("0", False), ("40", True)])

@@ -198,12 +198,10 @@ class TestAugmentGraph:
         model = PredictionModel(
             "linear", 0.5, np.arange(1.0, 7.0), (1, 2, 3, 5, 6, 7), target_index=4
         )
-        augmented = augment_graph(seven_vertex_dag, model)
-        assert augmented.yhat_parents == (1, 2, 3, 5, 6, 7)
         # the coefficients are the prediction node's in-weights, zero at the target
-        expanded = augmented.expanded_coeffs()
-        assert expanded[3] == 0.0
-        assert expanded[[0, 1, 2, 4, 5, 6]].tolist() == [1.0, 2.0, 3.0, 4.0, 5.0, 6.0]
+        coeffs = augment_graph(seven_vertex_dag, model).coeffs
+        assert coeffs[3] == 0.0
+        assert coeffs[[0, 1, 2, 4, 5, 6]].tolist() == [1.0, 2.0, 3.0, 4.0, 5.0, 6.0]
 
     def test_base_graph_unchanged(self, seven_vertex_dag):
         before = seven_vertex_dag.weights.copy()
@@ -213,13 +211,15 @@ class TestAugmentGraph:
 
     def test_zero_coefficient_model(self, chain3):
         model = PredictionModel("linear", 1.0, np.zeros(2), (1, 2), 3)
-        augmented = augment_graph(chain3, model)
-        assert (augmented.expanded_coeffs() == 0.0).all()
+        assert (augment_graph(chain3, model).coeffs == 0.0).all()
 
     def test_single_predictor(self, chain3):
         model = PredictionModel("linear", 0.0, np.array([2.5]), (2,), 3)
-        augmented = augment_graph(chain3, model)
-        assert augmented.expanded_coeffs().tolist() == [0.0, 2.5, 0.0]
+        assert augment_graph(chain3, model).coeffs.tolist() == [0.0, 2.5, 0.0]
+
+    def test_no_predictors(self, chain3):
+        model = PredictionModel("linear", 0.5, np.array([]), (), 3)
+        assert augment_graph(chain3, model).coeffs.tolist() == [0.0, 0.0, 0.0]
 
     def test_out_of_range_predictor(self, chain3):
         model = PredictionModel("linear", 0.0, np.array([1.0]), (9,), 3)
