@@ -101,9 +101,21 @@ def _cmd_fit(args) -> int:
     return 0
 
 
-def _cmd_analyze(args) -> int:
+def _load_scm_and_model(args):
+    """The --scm and --model documents, every index of the model checked against the SCM's n."""
     scm = fileio.load_document(args.scm, fileio.scm_from_dict)
     model = fileio.load_document(args.model, fileio.model_from_dict)
+    # PredictionModel has already refused indices below 1.
+    n = scm.n
+    for what, indices in (("predictor index", model.predictor_indices), ("target index", (model.target_index,))):
+        for i in indices:
+            if i > n:
+                raise ValueError(f"{args.model}: {what} {i} out of range 1..{n}, the variables of {args.scm}")
+    return scm, model
+
+
+def _cmd_analyze(args) -> int:
+    scm, model = _load_scm_and_model(args)
     augmented = augment_graph(scm.dag, model)
     all_effects = effects_on_prediction(augmented)
     effects = [(i, float(all_effects[i - 1])) for i in model.predictor_indices]
@@ -126,8 +138,7 @@ def _load_observation(path, n: int) -> np.ndarray:
 
 
 def _cmd_intervene(args) -> int:
-    scm = fileio.load_document(args.scm, fileio.scm_from_dict)
-    model = fileio.load_document(args.model, fileio.model_from_dict)
+    scm, model = _load_scm_and_model(args)
     augmented = augment_graph(scm.dag, model)
     i = args.intervene_index
     if i is None:

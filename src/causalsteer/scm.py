@@ -7,12 +7,21 @@ observational and interventional data; its ``seed`` is anything
 ``numpy.random.default_rng`` accepts (int, SeedSequence, or Generator), and
 identical seeds give bitwise-identical datasets.
 
+The noise is drawn with one in-place fill per run of consecutive equal
+specs (``Scm.noise_runs``), which takes the same stream as one draw per
+variable in index order: numpy computes each gaussian or uniform draw as
+``loc + scale * u`` per element from standard draws taken in order, and a
+fill of a contiguous block takes those draws in the same C order, then
+applies the same two operations.
+
 Samples and analytic means both come from ``graph.solve``, the package's
 one forward substitution; unlike a dense solve it keeps the columns an
 intervention cannot reach bitwise equal to the observational sample.
 """
 
-from dataclasses import dataclass
+import itertools
+import math
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -34,14 +43,18 @@ class NoiseSpec:
         if self.family not in _FAMILIES:
             raise ValueError(f"unknown noise family {self.family!r}")
         params = tuple(float(p) for p in self.params)
-        if not all(np.isfinite(params)):
+        if not all(map(math.isfinite, params)):
             raise ValueError(f"noise parameters must be finite, got {params}")
+        # numpy refuses a scale or range with the sign bit set, -0.0 included,
+        # and a uniform range that overflows; so do these checks.
         if self.family == "gaussian":
-            if len(params) != 2 or params[1] < 0:
-                raise ValueError("gaussian noise needs (mean, stddev) with stddev >= 0")
+            if len(params) != 2 or math.copysign(1.0, params[1]) < 0:
+                raise ValueError(f"gaussian noise needs (mean, stddev) with stddev >= 0, got {params}")
         elif self.family == "uniform":
-            if len(params) != 2 or params[0] > params[1]:
-                raise ValueError("uniform noise needs (lo, hi) with lo <= hi")
+            if len(params) != 2 or math.copysign(1.0, params[1] - params[0]) < 0:
+                raise ValueError(f"uniform noise needs (lo, hi) with lo <= hi, got {params}")
+            if not math.isfinite(params[1] - params[0]):
+                raise ValueError(f"uniform noise needs a finite range hi - lo, got {params}")
         elif len(params) != 1:
             raise ValueError("constant noise needs a single value")
         object.__setattr__(self, "params", params)
@@ -65,26 +78,57 @@ class NoiseSpec:
             return 0.5 * (self.params[0] + self.params[1])
         return self.params[0]
 
-    def draw(self, rng: np.random.Generator, m: int) -> np.ndarray:
+    def fill(self, rng: np.random.Generator, out: np.ndarray) -> None:
+        """Overwrite the C-contiguous float array ``out`` with draws, in C order.
+
+        The values and the stream position equal ``rng.normal(mean, stddev,
+        out.size)`` or ``rng.uniform(lo, hi, out.size)``; a constant draws nothing.
+        """
+        if self.family == "constant":
+            out.fill(self.params[0])
+            return
         if self.family == "gaussian":
-            return rng.normal(self.params[0], self.params[1], size=m)
-        if self.family == "uniform":
-            return rng.uniform(self.params[0], self.params[1], size=m)
-        return np.full(m, self.params[0])
+            loc, scale = self.params
+            rng.standard_normal(out=out)
+        else:
+            loc, scale = self.params[0], self.params[1] - self.params[0]
+            rng.random(out=out)
+        out *= scale
+        out += loc
+
+
+def _run_key(spec: NoiseSpec):
+    return spec.family, spec.params, math.copysign(1.0, spec.params[0])
 
 
 @dataclass(frozen=True)
 class Scm:
-    """A Dag plus one NoiseSpec per variable."""
+    """A Dag plus one NoiseSpec per variable.
+
+    The constructor stores ``noise_runs``: ``(start, end, spec)`` for each
+    maximal run of consecutive equal specs, 0-based and end-exclusive, in
+    index order. Equal specs draw the same bits except where a gaussian mean
+    or a constant is 0.0 in one and -0.0 in the other (0.0 + -0.0 is 0.0),
+    so the sign of the first parameter splits runs too. The other
+    parameters cannot differ that way: a stddev and a uniform ``hi - lo``
+    are never -0.0.
+    """
 
     dag: Dag
     noises: tuple[NoiseSpec, ...]
+    noise_runs: tuple[tuple[int, int, NoiseSpec], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         noises = tuple(self.noises)
         if len(noises) != self.dag.n:
             raise ValueError(f"expected {self.dag.n} noise specs, got {len(noises)}")
         object.__setattr__(self, "noises", noises)
+        runs, start = [], 0
+        for _, group in itertools.groupby(noises, key=_run_key):
+            end = start + len(list(group))
+            runs.append((start, end, noises[start]))
+            start = end
+        object.__setattr__(self, "noise_runs", tuple(runs))
 
     @property
     def n(self) -> int:
@@ -133,14 +177,16 @@ def noise_means(scm: Scm) -> np.ndarray:
 def _draw_noise(scm: Scm, rng: np.random.Generator, m: int) -> np.ndarray:
     """An n x m array whose row k-1 holds m draws of N_k.
 
-    Drawn per variable in index order, independent of evaluation order, so
-    that an intervention leaves every other variable's draws untouched.
+    One fill per run of equal specs, the same stream as one draw per
+    variable in index order (see the module docstring). The order does not
+    depend on the evaluation order, so an intervention leaves every other
+    variable's draws untouched.
     """
     if m < 1:
         raise ValueError(f"sample count must be >= 1, got {m}")
     noise = np.empty((scm.n, m))
-    for k, spec in enumerate(scm.noises):
-        noise[k] = spec.draw(rng, m)
+    for start, end, spec in scm.noise_runs:
+        spec.fill(rng, noise[start:end])
     return noise
 
 

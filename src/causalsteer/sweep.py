@@ -18,6 +18,7 @@ Each DAG's randomness derives from an independently spawned seed, so the
 result is invariant to execution order and bitwise reproducible.
 """
 
+import collections
 import dataclasses
 import io
 from dataclasses import dataclass, field
@@ -70,8 +71,14 @@ class SweepRow:
 
 @dataclass(frozen=True)
 class SweepResult:
+    """One row per d, and the excluded DAGs counted by exception class name, e.g. ``{"AllEffectsZero": 3}``."""
+
     rows: tuple[SweepRow, ...]
-    n_failed: int
+    failures: dict[str, int]
+
+    @property
+    def n_failed(self) -> int:
+        return sum(self.failures.values())
 
 
 def _class1_count(scm: Scm, bias: float, effects: np.ndarray, i: int, c: float, n_post: int, seed) -> int:
@@ -86,8 +93,8 @@ def _class1_count(scm: Scm, bias: float, effects: np.ndarray, i: int, c: float, 
     noise = _draw_noise(scm, rng, n_post)
     noise[i - 1] = c
     s = bias + effects @ noise
-    ones = int((s > 0).sum())
-    ties = int((s == 0).sum())
+    ones = np.count_nonzero(s > 0)
+    ties = np.count_nonzero(s == 0)
     if ties:
         ones += int(rng.integers(2, size=ties).sum())
     return ones
@@ -137,33 +144,36 @@ def run_sweep(config: SweepConfig) -> SweepResult:
     """Pool class-1 fractions over all DAGs for each desired value d.
 
     DAGs on which no finite intervention can move the prediction (zero
-    causal effect, or a zero naive coefficient) are counted in ``n_failed``
-    and excluded; individual failures never abort the sweep.
+    causal effect, or a zero naive coefficient) are counted in ``failures``
+    by exception class and excluded; individual failures never abort the
+    sweep.
     """
     config.check()
     dag_seeds = np.random.SeedSequence(config.seed).spawn(config.n_dags)
     n_d = len(config.d_values)
     opt_total = np.zeros(n_d, dtype=int)
     naive_total = np.zeros(n_d, dtype=int)
-    n_failed = 0
+    failures = collections.Counter()
     n_ok = 0
     for seed in dag_seeds:
         try:
             opt_counts, naive_counts = _run_one_dag(config, seed)
-        except (ZeroCausalEffect, AllEffectsZero, ZeroCoefficient):
-            n_failed += 1
+        except (ZeroCausalEffect, AllEffectsZero, ZeroCoefficient) as exc:
+            failures[type(exc).__name__] += 1
             continue
         opt_total += opt_counts
         naive_total += naive_counts
         n_ok += 1
+    failures = dict(sorted(failures.items()))
     if n_ok == 0:
-        raise CausalSteerError(f"all {config.n_dags} DAGs failed; nothing to report")
+        breakdown = ", ".join(f"{name}: {count}" for name, count in failures.items())
+        raise CausalSteerError(f"all {config.n_dags} DAGs failed ({breakdown}); nothing to report")
     denom = n_ok * config.n_post
     rows = tuple(
         SweepRow(float(d), opt_total[k] / denom, naive_total[k] / denom)
         for k, d in enumerate(config.d_values)
     )
-    return SweepResult(rows, n_failed)
+    return SweepResult(rows, failures)
 
 
 def sweep_result_to_csv(result: SweepResult) -> str:
@@ -182,4 +192,5 @@ def run_manifest(config: SweepConfig, result: SweepResult) -> dict:
         "config": fileio.fields_to_dict(config),
         "n_dags": config.n_dags,
         "n_failed": result.n_failed,
+        "failures": result.failures,
     }

@@ -110,6 +110,21 @@ def grid_refine_intervention_value(
     return float(0.5 * (lo + hi))
 
 
+def draw_noise_per_variable(scm: Scm, rng: np.random.Generator, m: int) -> np.ndarray:
+    """The n x m noise of ``scm._draw_noise`` drawn one variable at a time,
+    in index order, through numpy's own ``normal`` and ``uniform``.
+    """
+    noise = np.empty((scm.n, m))
+    for k, spec in enumerate(scm.noises):
+        if spec.family == "gaussian":
+            noise[k] = rng.normal(spec.params[0], spec.params[1], size=m)
+        elif spec.family == "uniform":
+            noise[k] = rng.uniform(spec.params[0], spec.params[1], size=m)
+        else:
+            noise[k] = spec.params[0]
+    return noise
+
+
 def class1_count_by_sampling(scm: Scm, model: PredictionModel, i: int, c: float, n_post: int, seed) -> int:
     """The sweep's class-1 count the long way: sample n_post rows under
     do(X_i = c), score every row, and flip a fair coin for each exact zero.

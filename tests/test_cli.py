@@ -105,6 +105,26 @@ def test_unknown_noise_key_is_reported(tmp_path, capsys):
     assert err.startswith(f"error: {scm}: ") and "'mean'" in err
 
 
+@pytest.mark.parametrize(
+    "noise, message",
+    [
+        ({"family": "uniform", "lo": -1e308, "hi": 1e308},
+         "uniform noise needs a finite range hi - lo, got (-1e+308, 1e+308)"),
+        ({"family": "uniform", "lo": 0.0, "hi": -0.0},
+         "uniform noise needs (lo, hi) with lo <= hi, got (0.0, -0.0)"),
+        ({"family": "gaussian", "mean": 0.0, "stddev": -0.0},
+         "gaussian noise needs (mean, stddev) with stddev >= 0, got (0.0, -0.0)"),
+    ],
+    ids=["uniform-overflow", "uniform-negative-zero", "gaussian-negative-zero"],
+)
+def test_undrawable_noise_is_reported(tmp_path, capsys, noise, message):
+    # numpy refuses to draw each of these; the SCM file is refused when read.
+    scm = tmp_path / "scm.json"
+    scm.write_text(json.dumps({"n": 2, "edges": [], "noises": [noise] * 2}))
+    assert main(["sample", "--scm", str(scm)]) == 2
+    assert capsys.readouterr().err == f"error: {scm}: {message}\n"
+
+
 # The generator settings that are datagen constants, each with its value there.
 FIXED_GENERATOR_SETTINGS = {
     "parent_prob": 0.05,
@@ -513,7 +533,26 @@ def test_one_variable_sweep_counts_every_dag_as_failed(tmp_path, capsys):
     datagen = {"n_roots": 1, "n_descendants": 0}
     config.write_text(json.dumps({"n_dags": 2, "n_train": 50, "n_post": 50, "datagen": datagen}))
     assert main(["sweep", "--config", str(config)]) == 2
-    assert capsys.readouterr().err == "error: all 2 DAGs failed; nothing to report\n"
+    assert capsys.readouterr().err == "error: all 2 DAGs failed (AllEffectsZero: 2); nothing to report\n"
+
+
+@pytest.mark.parametrize("command", ["analyze", "intervene"])
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        ({"coeffs": [1.0], "predictor_indices": [99]}, "predictor index 99 out of range 1..70"),
+        ({"target_index": 99}, "target index 99 out of range 1..70"),
+    ],
+    ids=["predictor", "target"],
+)
+def test_model_index_beyond_the_scm_names_both_files(tmp_path, capsys, command, change, message):
+    scm_path, model_path = tmp_path / "scm.json", tmp_path / "model.json"
+    assert main(["gen-scm", "--seed", "1", "--out", str(scm_path)]) == 0
+    model_path.write_text(json.dumps({"kind": "logistic", "bias": 0.0, "coeffs": [1.0], "predictor_indices": [2],
+                                      "target_index": 1, **change}))
+    argv = [command, "--scm", str(scm_path), "--model", str(model_path)]
+    assert main(argv + (["--desired", "1"] if command == "intervene" else [])) == 2
+    assert capsys.readouterr().err == f"error: {model_path}: {message}, the variables of {scm_path}\n"
 
 
 @pytest.mark.parametrize("desired, warned", [("0", False), ("40", True)])

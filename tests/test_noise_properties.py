@@ -1,0 +1,48 @@
+"""``scm._draw_noise`` fills each run of equal specs in one numpy call; it
+must equal ``tests/oracles.py::draw_noise_per_variable``, one ``normal`` or
+``uniform`` call per variable, bit for bit and in stream position.
+
+The specs come from small pools, so neighbours are often equal and runs of
+every length and interleaving occur; zero-sd gaussians, zero-width uniforms
+and signed zeros are included because they can differ in the sign of a
+zero draw.
+"""
+
+import math
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from causalsteer import Dag, NoiseSpec, Scm
+from causalsteer.scm import _draw_noise
+
+from .oracles import draw_noise_per_variable
+
+VALUES = st.sampled_from([0.0, -0.0, 0.5, -1.25])
+
+SPECS = st.one_of(
+    st.builds(NoiseSpec.gaussian, VALUES, st.sampled_from([0.0, 1.5])),
+    st.tuples(VALUES, VALUES)
+    .filter(lambda ends: math.copysign(1.0, ends[1] - ends[0]) > 0)
+    .map(lambda ends: NoiseSpec.uniform(*ends)),
+    st.builds(NoiseSpec.constant, VALUES),
+)
+
+
+@st.composite
+def noise_sequences(draw):
+    """A list of specs built from (spec, repeat) pairs: runs of length 1 to 3, in any interleaving."""
+    runs = draw(st.lists(st.tuples(SPECS, st.integers(1, 3)), min_size=1, max_size=6))
+    return [spec for spec, repeat in runs for _ in range(repeat)]
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(noise_sequences(), st.integers(1, 40), st.integers(0, 2**32 - 1))
+def test_run_fills_equal_per_variable_draws(noises, m, seed):
+    scm = Scm(Dag(np.zeros((len(noises), len(noises)))), tuple(noises))
+    rng, reference_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    drawn = _draw_noise(scm, rng, m)
+    assert drawn.tobytes() == draw_noise_per_variable(scm, reference_rng, m).tobytes()
+    # The generator has taken exactly the draws the reference took.
+    assert rng.random() == reference_rng.random()

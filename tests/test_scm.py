@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -30,15 +32,25 @@ class TestNoiseSpec:
             NoiseSpec.uniform(2.0, 1.0)
         with pytest.raises(ValueError):
             NoiseSpec("pareto", (1.0,))
+        # numpy cannot draw from a range that overflows, nor with a scale or range of -0.0.
+        with pytest.raises(ValueError, match="finite range"):
+            NoiseSpec.uniform(-1e308, 1e308)
+        with pytest.raises(ValueError, match="stddev >= 0"):
+            NoiseSpec.gaussian(0.0, -0.0)
+        with pytest.raises(ValueError, match="lo <= hi"):
+            NoiseSpec.uniform(0.0, -0.0)
 
     def test_draw_matches_family(self):
         rng = np.random.default_rng(0)
-        draws = NoiseSpec.uniform(3.0, 4.0).draw(rng, 1000)
+        draws, constants = np.empty(1000), np.empty(5)
+        NoiseSpec.uniform(3.0, 4.0).fill(rng, draws)
         assert draws.min() >= 3.0 and draws.max() <= 4.0
-        assert (NoiseSpec.constant(-2.0).draw(rng, 5) == -2.0).all()
+        NoiseSpec.constant(-2.0).fill(rng, constants)
+        assert (constants == -2.0).all()
 
     def test_gaussian_draw(self):
-        draws = NoiseSpec.gaussian(2.0, 0.5).draw(np.random.default_rng(1), 20_000)
+        draws = np.empty(20_000)
+        NoiseSpec.gaussian(2.0, 0.5).fill(np.random.default_rng(1), draws)
         assert (draws == np.random.default_rng(1).normal(2.0, 0.5, 20_000)).all()
         assert draws.mean() == pytest.approx(2.0, abs=0.02)
         assert draws.std() == pytest.approx(0.5, abs=0.02)
@@ -73,6 +85,45 @@ class TestSample:
     def test_rejects_zero_rows(self):
         with pytest.raises(ValueError):
             sample(uniform_scm(Dag(np.zeros((1, 1)))), 0, seed=0)
+
+
+def _mixed_noise_scm() -> Scm:
+    """Six variables whose noises run gaussian, gaussian, uniform, constant, zero-sd gaussian, zero-width uniform."""
+    edges = [(1, 2, 0.5), (1, 3, -1.25), (2, 4, 2.0), (3, 4, 0.75), (4, 5, -0.5), (2, 6, 1.5), (5, 6, 0.25)]
+    dag = Dag.from_edges(6, edges)
+    noises = (
+        NoiseSpec.gaussian(0.5, 1.5),
+        NoiseSpec.gaussian(0.5, 1.5),
+        NoiseSpec.uniform(-1.0, 2.0),
+        NoiseSpec.constant(0.25),
+        NoiseSpec.gaussian(-1.0, 0.0),
+        NoiseSpec.uniform(3.0, 3.0),
+    )
+    return Scm(dag, noises)
+
+
+# SHA-256 of the sample rows, as drawn with one numpy call per variable.
+@pytest.mark.parametrize(
+    "do, digest",
+    [
+        (None, "6970ee86b5f49ac218f8bb422ad4ecd5d455dc81f5b7b0adedf07c4ae593ed72"),
+        ((2, 1.5), "b42a81541373a9cf519d2af4cc1adabb393dd3bc622f0ae4e54111a5140d5ca3"),
+    ],
+    ids=["observational", "do"],
+)
+def test_mixed_family_sample_is_pinned(do, digest):
+    rows = sample(_mixed_noise_scm(), 3000, 7, do=do).rows
+    assert hashlib.sha256(rows.tobytes()).hexdigest() == digest
+
+
+def test_noise_runs():
+    scm = _mixed_noise_scm()
+    assert [(start, end) for start, end, _ in scm.noise_runs] == [(0, 2), (2, 3), (3, 4), (4, 5), (5, 6)]
+    assert [spec for _, _, spec in scm.noise_runs] == [scm.noises[k] for k in (0, 2, 3, 4, 5)]
+    assert len(generate_random_scm(DagGenConfig(seed=1)).noise_runs) == 1
+    # Equal floats, different bits: constant(-0.0) draws -0.0.
+    zeros = Scm(Dag(np.zeros((2, 2))), (NoiseSpec.constant(0.0), NoiseSpec.constant(-0.0)))
+    assert [(start, end) for start, end, _ in zeros.noise_runs] == [(0, 1), (1, 2)]
 
 
 class TestSampleInterventional:

@@ -87,6 +87,7 @@ def test_cli_sweep_writes_csv_and_manifest(tmp_path):
     manifest = json.loads((tmp_path / "sweep.manifest.json").read_text())
     assert manifest["n_dags"] == 8
     assert manifest["n_failed"] == 0
+    assert manifest["failures"] == {}
     assert fileio.fields_from_dict(SweepConfig, manifest["config"]) == GOLDEN_CONFIG
     # Every field is written, in declaration order.
     assert list(manifest["config"]) == [f.name for f in dataclasses.fields(SweepConfig)]
@@ -150,6 +151,7 @@ def test_degenerate_dag_is_counted_and_excluded(monkeypatch):
     _degenerate_dags(monkeypatch, 1)
     result = run_sweep(SMALL_CONFIG)
     assert result.n_failed == 1
+    assert result.failures == {"AllEffectsZero": 1}
     denom = 2 * SMALL_CONFIG.n_post
     assert [row.accuracy_optimal for row in result.rows] == (kept[0] / denom).tolist()
     assert [row.accuracy_naive for row in result.rows] == (kept[1] / denom).tolist()
@@ -158,5 +160,5 @@ def test_degenerate_dag_is_counted_and_excluded(monkeypatch):
 
 def test_all_dags_degenerate_is_an_error(monkeypatch):
     _degenerate_dags(monkeypatch, SMALL_CONFIG.n_dags)
-    with pytest.raises(CausalSteerError, match="all 3 DAGs failed"):
+    with pytest.raises(CausalSteerError, match=r"all 3 DAGs failed \(AllEffectsZero: 3\)"):
         run_sweep(SMALL_CONFIG)
