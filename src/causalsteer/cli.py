@@ -9,7 +9,7 @@ import contextlib
 import dataclasses
 import json
 import sys
-from functools import partial
+from functools import cache, partial
 from pathlib import Path
 
 import numpy as np
@@ -213,7 +213,13 @@ def _cmd_demo_autompg(args) -> int:
     return 0
 
 
+@cache
 def build_parser() -> _Parser:
+    """The command-line parser, built on the first call and shared by every later ``main``.
+
+    Parsing reads the parser and writes only the fresh namespace it returns,
+    so no call leaves state for the next; no default is mutable.
+    """
     parser = _Parser(prog="causalsteer", description=__doc__)
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -273,7 +279,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("demo-autompg", help="suggested MPG interventions on the Auto-MPG data")
     p.add_argument("--structure", help="causal-structure JSON (default: bundled illustrative file)")
-    p.add_argument("--desired", type=_finite_float, nargs="+", default=[15.0, 21.0, 30.0])
+    p.add_argument("--desired", type=_finite_float, nargs="+", default=(15.0, 21.0, 30.0))
     p.add_argument("--cache-dir")
     p.add_argument("--data-file", help="local raw file, skipping download/cache")
     common(p)

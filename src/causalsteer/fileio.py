@@ -95,7 +95,8 @@ def noise_to_dict(spec: NoiseSpec) -> dict:
 
 
 def noise_from_dict(doc: dict) -> NoiseSpec:
-    family = doc["family"]
+    _json_object(doc, "noise")
+    family = _json_scalar(doc["family"], str, "family")
     if family not in _NOISE_FIELDS:
         raise ValueError(f"unknown noise family {family!r}")
     _reject_unknown_keys(doc, ("family", *_NOISE_FIELDS[family]), f"{family} noise")
@@ -135,10 +136,18 @@ def model_from_dict(doc: dict) -> PredictionModel:
     )
 
 
+def _json_object(doc, what: str) -> None:
+    """TypeError unless ``doc`` is a JSON object: the keys of an array or a string are no keys."""
+    if not isinstance(doc, dict):
+        raise TypeError(f"{what} must be a JSON object, got {doc!r}")
+
+
 def _reject_unknown_keys(doc: dict, known, what: str) -> None:
-    unknown = sorted(set(doc) - set(known))
+    """TypeError unless ``doc`` is a JSON object, InvalidConfig if it has a key outside ``known``."""
+    _json_object(doc, what)
+    unknown = doc.keys() - known
     if unknown:
-        raise InvalidConfig(f"unknown {what} key(s): {', '.join(map(repr, unknown))}")
+        raise InvalidConfig(f"unknown {what} key(s): {', '.join(map(repr, sorted(unknown)))}")
 
 
 def fields_from_dict(cls, doc):
@@ -148,8 +157,6 @@ def fields_from_dict(cls, doc):
     not a field, and TypeError when ``doc`` is not an object or a value is
     not JSON of its field's type.
     """
-    if not isinstance(doc, dict):
-        raise TypeError(f"{cls.__name__} must be a JSON object, got {doc!r}")
     types = {f.name: f.type for f in dataclasses.fields(cls)}
     _reject_unknown_keys(doc, types, cls.__name__)
     kwargs = {}

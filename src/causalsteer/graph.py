@@ -21,10 +21,11 @@ class Dag:
     The constructor raises NonFiniteWeight, NonzeroDiagonal, or
     CycleDetected (with one witness cycle) unless the weights describe a
     finite, zero-diagonal DAG. It then stores the evaluation schedule once:
-    ``(vertex, parent indices)`` pairs, 0-based, in the deterministic
-    topological order of ``graphlib.TopologicalSorter``. ``solve`` sets each
-    vertex from its parents' final values only, so any topological order
-    gives the same results.
+    ``(vertex, parent indices)`` pairs, 0-based, the parents a read-only
+    array, in the deterministic topological order of
+    ``graphlib.TopologicalSorter``. ``solve`` sets each vertex from its
+    parents' final values only, so any topological order gives the same
+    results.
     """
 
     weights: np.ndarray
@@ -49,8 +50,13 @@ class Dag:
         diag = np.flatnonzero(np.diagonal(w))
         if diag.size:
             raise NonzeroDiagonal(int(diag[0]) + 1)
-        parents = {v: np.flatnonzero(w[v]) for v in range(w.shape[0])}
-        sorter = graphlib.TopologicalSorter({v: pa.tolist() for v, pa in parents.items()})
+        # One nonzero pass lists the edges row by row, each row's columns ascending;
+        # bounds[v]:bounds[v + 1] is vertex v's run of parents.
+        rows, cols = np.nonzero(w)
+        cols.flags.writeable = False
+        bounds = np.searchsorted(rows, np.arange(w.shape[0] + 1)).tolist()
+        parents = [cols[a:b] for a, b in zip(bounds, bounds[1:])]
+        sorter = graphlib.TopologicalSorter({v: pa.tolist() for v, pa in enumerate(parents)})
         try:
             order = tuple(sorter.static_order())
         except graphlib.CycleError as exc:

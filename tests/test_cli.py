@@ -14,7 +14,7 @@ from causalsteer import (
     observation_specific_plan,
     select_intervention_target,
 )
-from causalsteer.cli import main
+from causalsteer.cli import build_parser, main
 
 AUTOMPG = Path(__file__).parent / "data" / "autompg_synthetic.data"
 
@@ -318,55 +318,60 @@ def test_intervene_takes_the_target_from_the_model(files, capsys):
 
 
 @pytest.mark.parametrize(
-    "document, change",
+    "document, change, message",
     [
-        ("scm", {"edges": [1, 2]}),
-        ("scm", {"noises": 5}),
-        ("scm", {"n": None}),
-        ("model", {"predictor_indices": 5}),
-        ("model", {"bias": 10**400}),
-        ("sweep", {"n_dags": "3"}),
-        ("sweep", {"d_values": 5}),
-        ("sweep", {"datagen": {"n_roots": "x"}}),
-        ("sweep", {"datagen": 7}),
+        ("scm", {"edges": [1, 2]}, "edge must be a JSON object, got 1"),
+        ("scm", {"noises": 5}, None),
+        ("scm", {"n": None}, None),
+        ("model", {"predictor_indices": 5}, None),
+        ("model", {"bias": 10**400}, None),
+        ("sweep", {"n_dags": "3"}, None),
+        ("sweep", {"d_values": 5}, None),
+        ("sweep", {"datagen": {"n_roots": "x"}}, None),
+        ("sweep", {"datagen": 7}, None),
         # int() would truncate each of these floats, and read true as 1.
-        ("scm", {"n": 9.9}),
-        ("scm", {"edges": [{"from": 1.7, "to": 2, "weight": 1.0}]}),
-        ("scm", {"edges": [{"from": 1, "to": 2.0, "weight": 1.0}]}),
-        ("model", {"predictor_indices": [1.7, 2.2], "coeffs": [1.0, 1.0]}),
-        ("model", {"predictor_indices": [True, 2], "coeffs": [1.0, 1.0]}),
-        ("model", {"target_index": 9.0}),
-        ("model", {"coeffs": [[1.0] * 8]}),
-        ("model", {"coeffs": [True] + [1.0] * 7}),
+        ("scm", {"n": 9.9}, None),
+        ("scm", {"edges": [{"from": 1.7, "to": 2, "weight": 1.0}]}, None),
+        ("scm", {"edges": [{"from": 1, "to": 2.0, "weight": 1.0}]}, None),
+        ("model", {"predictor_indices": [1.7, 2.2], "coeffs": [1.0, 1.0]}, None),
+        ("model", {"predictor_indices": [True, 2], "coeffs": [1.0, 1.0]}, None),
+        ("model", {"target_index": 9.0}, None),
+        ("model", {"coeffs": [[1.0] * 8]}, None),
+        ("model", {"coeffs": [True] + [1.0] * 7}, None),
         # float() would read each of these as a number.
-        ("model", {"bias": "0.5"}),
-        ("scm", {"edges": [{"from": 1, "to": 2, "weight": True}]}),
-        ("scm", {"noises": [{"family": "gaussian", "mean": "0.5", "stddev": 1.0}] * 9}),
-        ("sweep", {"d_values": ["0.5", True]}),
+        ("model", {"bias": "0.5"}, None),
+        ("scm", {"edges": [{"from": 1, "to": 2, "weight": True}]}, None),
+        ("scm", {"noises": [{"family": "gaussian", "mean": "0.5", "stddev": 1.0}] * 9}, None),
+        ("sweep", {"d_values": ["0.5", True]}, None),
         # float() of each character would read this as 1, 2.
-        ("sweep", {"d_values": "12"}),
+        ("sweep", {"d_values": "12"}, None),
         # default_rng would raise TypeError on each of these seeds.
-        ("gen-scm", {"seed": 1.5}),
-        ("gen-scm", {"seed": "abc"}),
-        ("gen-scm", {"seed": {"a": 1}}),
+        ("gen-scm", {"seed": 1.5}, None),
+        ("gen-scm", {"seed": "abc"}, None),
+        ("gen-scm", {"seed": {"a": 1}}, None),
         # str() of each entry would read these as nine names.
-        ("scm", {"names": "abcdefghi"}),
-        ("scm", {"names": [[1], 2, 3, 4, 5, 6, 7, 8, 9]}),
-        ("scm", DEEP),
-        ("model", DEEP),
-        ("sweep", DEEP),
-        ("gen-scm", DEEP),
-        ("scm", RawJson('{"n": 9,')),
-        ("scm", {"noises": [{"family": "uniform", "lo": 0.0, "hi": 1.0, "mean": 5.0}] * 9}),
+        ("scm", {"names": "abcdefghi"}, None),
+        ("scm", {"names": [[1], 2, 3, 4, 5, 6, 7, 8, 9]}, None),
+        ("scm", DEEP, None),
+        ("model", DEEP, None),
+        ("sweep", DEEP, None),
+        ("gen-scm", DEEP, None),
+        ("scm", RawJson('{"n": 9,'), None),
+        ("scm", {"noises": [{"family": "uniform", "lo": 0.0, "hi": 1.0, "mean": 5.0}] * 9}, None),
         # Unknown keys, which would otherwise be ignored.
-        ("scm", {"nmes": list("abcdefghi")}),
-        ("scm", {"edges": [{"from": 1, "to": 2, "weight": 1.0, "sign": -1}]}),
-        ("model", {"note": "fitted"}),
+        ("scm", {"nmes": list("abcdefghi")}, None),
+        ("scm", {"edges": [{"from": 1, "to": 2, "weight": 1.0, "sign": -1}]}, None),
+        ("model", {"note": "fitted"}, None),
         # Values the graph or the noise refuses.
-        ("scm", {"noises": [{"family": "laplace", "scale": 1.0}] * 9}),
-        ("scm", {"edges": [{"from": 1, "to": 2, "weight": 1.0}] * 2}),
-        ("scm", {"edges": [{"from": 99, "to": 2, "weight": 1.0}]}),
-        ("scm", {"edges": [{"from": 1, "to": 2, "weight": 1.0}, {"from": 2, "to": 1, "weight": 1.0}]}),
+        ("scm", {"noises": [{"family": "laplace", "scale": 1.0}] * 9}, None),
+        ("scm", {"edges": [{"from": 1, "to": 2, "weight": 1.0}] * 2}, None),
+        ("scm", {"edges": [{"from": 99, "to": 2, "weight": 1.0}]}, None),
+        ("scm", {"edges": [{"from": 1, "to": 2, "weight": 1.0}, {"from": 2, "to": 1, "weight": 1.0}]}, None),
+        # Entries that are not JSON objects, whose items a key check would read as keys.
+        ("scm", {"edges": [[1, 2, 1.0]]}, "edge must be a JSON object, got [1, 2, 1.0]"),
+        ("scm", {"edges": ["ab"]}, "edge must be a JSON object, got 'ab'"),
+        ("scm", {"noises": [["gaussian", 0, 1]] * 9}, "noise must be a JSON object, got ['gaussian', 0, 1]"),
+        ("scm", {"noises": [{"family": ["x"]}] * 9}, "family must be a string, got ['x']"),
     ],
     ids=[
         "edges", "noises", "n", "predictors", "bias", "n_dags", "d_values", "n_roots", "datagen",
@@ -376,9 +381,10 @@ def test_intervene_takes_the_target_from_the_model(files, capsys):
         "names-string", "names-nested", "scm-deep", "model-deep", "sweep-deep", "gen-scm-deep",
         "scm-not-json", "noise-unknown-key", "scm-unknown-key", "edge-unknown-key", "model-unknown-key",
         "noise-family", "duplicate-edge", "endpoint-out-of-range", "cycle",
+        "edge-array", "edge-string", "noise-array", "family-array",
     ],
 )
-def test_malformed_document_is_reported(files, tmp_path, capsys, document, change):
+def test_malformed_document_is_reported(files, tmp_path, capsys, document, change, message):
     scm_path, _, model_path = files
     paths = {"scm": scm_path, "model": model_path}
     bad = tmp_path / "bad.json"
@@ -391,7 +397,43 @@ def test_malformed_document_is_reported(files, tmp_path, capsys, document, chang
         argv = [document, "--config", str(bad)]
     bad.write_text(change if isinstance(change, RawJson) else json.dumps({**base, **change}))
     assert main(argv) == 2
-    assert capsys.readouterr().err.startswith(f"error: {bad}: ")
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bad}: ")
+    if message is not None:
+        assert err == f"error: {bad}: {message}\n"
+
+
+def test_main_keeps_no_state_between_calls(files, tmp_path, capsys):
+    """Every call of main shares one parser, and no call changes what the next one does."""
+    scm_path, _, model_path = files
+    analyze = ["analyze", "--scm", str(scm_path), "--model", str(model_path)]
+    demo = ["demo-autompg", "--data-file", str(AUTOMPG)]
+    build_parser.cache_clear()
+    assert main(analyze) == 0
+    first_analyze = capsys.readouterr().out
+    assert main(demo) == 0
+    first_demo = capsys.readouterr().out
+    # --out on one call does not redirect the next.
+    ranking = tmp_path / "ranking.csv"
+    assert main(analyze + ["--out", str(ranking)]) == 0
+    assert capsys.readouterr().out == ""
+    assert ranking.read_text() == first_analyze
+    assert main(analyze) == 0
+    assert capsys.readouterr().out == first_analyze
+    # A usage error leaves nothing behind for the next call.
+    with pytest.raises(SystemExit) as exc:
+        main(["intervene", "--scm", str(scm_path), "--model", str(model_path), "--desired", "nan"])
+    assert exc.value.code == 1
+    capsys.readouterr()
+    assert main(analyze) == 0
+    assert capsys.readouterr().out == first_analyze
+    # Values given on one call do not become the defaults of the next.
+    assert main(demo + ["--desired", "12", "40"]) == 0
+    assert capsys.readouterr().out != first_demo
+    assert main(demo) == 0
+    assert capsys.readouterr().out == first_demo
+    assert build_parser.cache_info().misses == 1
+    assert build_parser.cache_info().hits == 7
 
 
 def test_sweep_refuses_a_datagen_seed(tmp_path, capsys):

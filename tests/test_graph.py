@@ -140,6 +140,17 @@ class TestTopologicalOrder:
             for p in pa:
                 assert pos[p] < pos[v]
 
+    @given(st.integers(0, 10_000), st.integers(1, 40), st.sampled_from([0.0, 0.05, 0.4, 1.0]))
+    @settings(max_examples=100, deadline=None)
+    def test_schedule_is_graphlib_order_of_per_row_parents(self, seed, n, p):
+        # The schedule of one TopologicalSorter fed each row's nonzero columns, element for element.
+        dag = random_dag(np.random.default_rng(seed), n, p)
+        parents = {v: np.flatnonzero(dag.weights[v]) for v in range(n)}
+        expected = graphlib.TopologicalSorter({v: pa.tolist() for v, pa in parents.items()}).static_order()
+        assert [(v, pa.tolist(), pa.dtype) for v, pa in dag.schedule] == [
+            (v, parents[v].tolist(), parents[v].dtype) for v in expected
+        ]
+
 
 class TestSolve:
     def test_chain_by_hand(self, chain3):
@@ -198,6 +209,11 @@ class TestDagType:
     def test_weights_are_immutable(self, chain3):
         with pytest.raises(ValueError):
             chain3.weights[0, 0] = 1.0
+
+    def test_schedule_parents_are_immutable(self, chain3):
+        _, parents = chain3.schedule[1]
+        with pytest.raises(ValueError):
+            parents[0] = 2
 
     def test_from_edges_duplicate_rejected(self):
         with pytest.raises(ValueError, match="duplicate"):
