@@ -74,6 +74,16 @@ def _finite_float(text: str) -> float:
     return value
 
 
+def _seed(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return value
+
+
 def _cmd_sample(args) -> int:
     scm = fileio.load_document(args.scm, fileio.scm_from_dict)
     _write(fileio.dataset_to_csv(sample(scm, args.rows, args.seed, args.do)), args.out)
@@ -228,7 +238,7 @@ def build_parser() -> _Parser:
         p.add_argument("--out", default=None, help="output file (default: stdout)")
 
     def seeded(p):
-        p.add_argument("--seed", type=int, default=None, help="run seed (reproducible output)")
+        p.add_argument("--seed", type=_seed, default=None, help="run seed (reproducible output)")
         common(p)
 
     p = sub.add_parser("gen-scm", help="generate a random linear SCM")

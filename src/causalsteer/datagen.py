@@ -40,6 +40,9 @@ class DagGenConfig:
             raise InvalidConfig(f"n_roots must be >= 1, got {self.n_roots}")
         if self.n_descendants < 0:
             raise InvalidConfig(f"n_descendants must be >= 0, got {self.n_descendants}")
+        # numpy refuses a negative seed without naming it; a SeedSequence needs no check.
+        if isinstance(self.seed, int) and self.seed < 0:
+            raise InvalidConfig(f"seed must be >= 0, got {self.seed}")
 
 
 def generate_random_scm(config: DagGenConfig) -> Scm:

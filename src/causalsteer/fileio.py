@@ -17,7 +17,7 @@ from .datagen import Seed
 from .errors import CausalSteerError, InvalidConfig
 from .graph import Dag
 from .models import PredictionModel
-from .scm import Dataset, NoiseSpec, Scm
+from .scm import NOISE_FAMILIES, Dataset, NoiseSpec, Scm
 
 
 # The JSON values a field of each scalar type accepts, and their name; true is not an int.
@@ -49,11 +49,16 @@ def _json_float(value, name: str) -> float:
     return float(_json_scalar(value, float, name))
 
 
-def _json_array(value, ftype, name: str) -> list:
-    """``value`` if it is a JSON array of ``ftype`` scalars, else TypeError: tuple() would split "abc"."""
+def _json_list(value, name: str) -> list:
+    """``value`` if it is a JSON array, else TypeError: iterating would split "abc" or read an object's keys."""
     if not isinstance(value, list):
         raise TypeError(f"{name} must be an array, got {value!r}")
-    return [_json_scalar(v, ftype, name) for v in value]
+    return value
+
+
+def _json_array(value, ftype, name: str) -> list:
+    """``value`` if it is a JSON array of ``ftype`` scalars, else TypeError."""
+    return [_json_scalar(v, ftype, name) for v in _json_list(value, name)]
 
 
 def dag_to_dict(dag: Dag) -> dict:
@@ -80,27 +85,24 @@ def dag_from_dict(doc: dict) -> Dag:
     _reject_unknown_keys(doc, _DAG_KEYS, "DAG")
     return Dag.from_edges(
         _json_int(doc["n"], "n"),
-        map(_edge, doc["edges"]),
+        map(_edge, _json_list(doc["edges"], "edges")),
         _json_array(doc["names"], str, "names") if "names" in doc else None,
     )
 
 
-_NOISE_FIELDS = {"gaussian": ("mean", "stddev"), "uniform": ("lo", "hi"), "constant": ("value",)}
-
-
 def noise_to_dict(spec: NoiseSpec) -> dict:
     doc = {"family": spec.family}
-    doc.update(zip(_NOISE_FIELDS[spec.family], spec.params))
+    doc.update(zip(NOISE_FAMILIES[spec.family], spec.params))
     return doc
 
 
 def noise_from_dict(doc: dict) -> NoiseSpec:
     _json_object(doc, "noise")
     family = _json_scalar(doc["family"], str, "family")
-    if family not in _NOISE_FIELDS:
+    if family not in NOISE_FAMILIES:
         raise ValueError(f"unknown noise family {family!r}")
-    _reject_unknown_keys(doc, ("family", *_NOISE_FIELDS[family]), f"{family} noise")
-    return NoiseSpec(family, tuple(_json_float(doc[k], k) for k in _NOISE_FIELDS[family]))
+    _reject_unknown_keys(doc, ("family", *NOISE_FAMILIES[family]), f"{family} noise")
+    return NoiseSpec(family, tuple(_json_float(doc[k], k) for k in NOISE_FAMILIES[family]))
 
 
 def scm_to_dict(scm: Scm) -> dict:
@@ -112,7 +114,7 @@ def scm_to_dict(scm: Scm) -> dict:
 def scm_from_dict(doc: dict) -> Scm:
     _reject_unknown_keys(doc, (*_DAG_KEYS, "noises"), "SCM")
     dag = dag_from_dict({k: v for k, v in doc.items() if k != "noises"})
-    return Scm(dag, tuple(noise_from_dict(d) for d in doc["noises"]))
+    return Scm(dag, tuple(noise_from_dict(d) for d in _json_list(doc["noises"], "noises")))
 
 
 def model_to_dict(model: PredictionModel) -> dict:

@@ -29,7 +29,8 @@ from . import graph
 from .errors import check_index
 from .graph import Dag
 
-_FAMILIES = ("gaussian", "uniform", "constant")
+#: Each noise family and the names of its parameters, in the order of ``NoiseSpec.params``.
+NOISE_FAMILIES = {"gaussian": ("mean", "stddev"), "uniform": ("lo", "hi"), "constant": ("value",)}
 
 
 @dataclass(frozen=True)
@@ -40,7 +41,7 @@ class NoiseSpec:
     params: tuple[float, ...]
 
     def __post_init__(self):
-        if self.family not in _FAMILIES:
+        if self.family not in NOISE_FAMILIES:
             raise ValueError(f"unknown noise family {self.family!r}")
         params = tuple(float(p) for p in self.params)
         if not all(map(math.isfinite, params)):

@@ -56,6 +56,8 @@ class SweepConfig:
         for name, least in (("n_dags", 1), ("n_train", 2), ("n_post", 1)):
             if getattr(self, name) < least:
                 raise InvalidConfig(f"{name} must be >= {least}, got {getattr(self, name)}")
+        if self.seed < 0:
+            raise InvalidConfig(f"seed must be >= 0, got {self.seed}")
         if self.datagen.seed is not None:
             # _run_one_dag draws each DAG from a seed spawned from ``seed``.
             raise InvalidConfig(f"datagen.seed must be null in a sweep, got {self.datagen.seed!r}; set seed instead")

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import shutil
 from pathlib import Path
@@ -253,14 +254,30 @@ def test_sweep_rejects_non_finite_d(tmp_path, capsys):
         ("sweep", {"n_post": 0}, "n_post must be >= 1, got 0"),
         ("sweep", {"d_values": []}, "d_values must be nonempty"),
         ("sweep", {"datagen": {"n_roots": 0}}, "n_roots must be >= 1, got 0"),
+        ("gen-scm", {"seed": -1}, "seed must be >= 0, got -1"),
+        ("sweep", {"seed": -1}, "seed must be >= 0, got -1"),
     ],
-    ids=["n_roots", "n_descendants", "n_dags", "n_post", "d_values", "datagen"],
+    ids=["n_roots", "n_descendants", "n_dags", "n_post", "d_values", "datagen", "gen-scm-seed", "sweep-seed"],
 )
 def test_config_range_error_names_the_file(tmp_path, capsys, command, doc, message):
     config = tmp_path / "config.json"
     config.write_text(json.dumps(doc))
     assert main([command, "--config", str(config)]) == 2
     assert capsys.readouterr().err == f"error: {config}: {message}\n"
+
+
+@pytest.mark.parametrize("value", ["-1", "abc"])
+@pytest.mark.parametrize("command", ["gen-scm", "sample", "sweep"])
+def test_seed_option_must_be_a_non_negative_integer(tmp_path, capsys, command, value):
+    scm, config = tmp_path / "scm.json", tmp_path / "sweep.json"
+    scm.write_text(json.dumps(STEER_SCM))
+    config.write_text(json.dumps({"n_dags": 1, "n_train": 50, "n_post": 50}))
+    argv = {"gen-scm": ["gen-scm"], "sample": ["sample", "--scm", str(scm)], "sweep": ["sweep", "--config", str(config)]}
+    with pytest.raises(SystemExit) as exc:
+        main(argv[command] + ["--seed", value])
+    assert exc.value.code == 1
+    reason = "expected a non-negative integer, got '-1'" if value == "-1" else "invalid int value: 'abc'"
+    assert capsys.readouterr().err.endswith(f"error: argument --seed: {reason}\n")
 
 
 def test_sweep_rejects_single_training_row(tmp_path, capsys):
@@ -321,7 +338,7 @@ def test_intervene_takes_the_target_from_the_model(files, capsys):
     "document, change, message",
     [
         ("scm", {"edges": [1, 2]}, "edge must be a JSON object, got 1"),
-        ("scm", {"noises": 5}, None),
+        ("scm", {"noises": 5}, "noises must be an array, got 5"),
         ("scm", {"n": None}, None),
         ("model", {"predictor_indices": 5}, None),
         ("model", {"bias": 10**400}, None),
@@ -366,12 +383,18 @@ def test_intervene_takes_the_target_from_the_model(files, capsys):
         ("scm", {"noises": [{"family": "laplace", "scale": 1.0}] * 9}, None),
         ("scm", {"edges": [{"from": 1, "to": 2, "weight": 1.0}] * 2}, None),
         ("scm", {"edges": [{"from": 99, "to": 2, "weight": 1.0}]}, None),
-        ("scm", {"edges": [{"from": 1, "to": 2, "weight": 1.0}, {"from": 2, "to": 1, "weight": 1.0}]}, None),
+        ("scm", {"edges": [{"from": 1, "to": 2, "weight": 1.0}, {"from": 2, "to": 1, "weight": 1.0}]},
+         "cycle detected: 1 -> 2 -> 1"),
         # Entries that are not JSON objects, whose items a key check would read as keys.
         ("scm", {"edges": [[1, 2, 1.0]]}, "edge must be a JSON object, got [1, 2, 1.0]"),
         ("scm", {"edges": ["ab"]}, "edge must be a JSON object, got 'ab'"),
         ("scm", {"noises": [["gaussian", 0, 1]] * 9}, "noise must be a JSON object, got ['gaussian', 0, 1]"),
         ("scm", {"noises": [{"family": ["x"]}] * 9}, "family must be a string, got ['x']"),
+        # Values where an array belongs, which iterating would split into characters or read as keys.
+        ("scm", {"edges": 5}, "edges must be an array, got 5"),
+        ("scm", {"edges": {"from": 1}}, "edges must be an array, got {'from': 1}"),
+        ("scm", {"edges": "ab"}, "edges must be an array, got 'ab'"),
+        ("scm", {"noises": "ab"}, "noises must be an array, got 'ab'"),
     ],
     ids=[
         "edges", "noises", "n", "predictors", "bias", "n_dags", "d_values", "n_roots", "datagen",
@@ -382,6 +405,7 @@ def test_intervene_takes_the_target_from_the_model(files, capsys):
         "scm-not-json", "noise-unknown-key", "scm-unknown-key", "edge-unknown-key", "model-unknown-key",
         "noise-family", "duplicate-edge", "endpoint-out-of-range", "cycle",
         "edge-array", "edge-string", "noise-array", "family-array",
+        "edges-number", "edges-object", "edges-string", "noises-string",
     ],
 )
 def test_malformed_document_is_reported(files, tmp_path, capsys, document, change, message):
@@ -525,6 +549,29 @@ def test_plan_file_bytes_are_pinned(tmp_path, capsys, option, content, plan, pri
     assert main(argv + ["--out", str(out)]) == 0
     assert out.read_text() == plan
     assert capsys.readouterr().out == printed
+
+
+# SHA-256 of seeded outputs: a generated SCM, a sample of it under do(X3 = 1.5), and a
+# sample with gaussian, uniform and constant noises. Any change to generation, drawing or
+# the number formats shows here.
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        (["gen-scm", "--seed", "1"], "ad5b6172f0c874941a9b7c5fee7d2d1a24a58e68050e781a2db0637004f8127f"),
+        (["sample", "--scm", "{generated}", "--rows", "20", "--do", "3=1.5", "--seed", "2"],
+         "0f23248ca7e6d84f1ede01705b7b007c10bae2a0c0e7e344de74bf14046869c2"),
+        (["sample", "--scm", "{steer}", "--rows", "50", "--seed", "4"],
+         "97310eba17e04590f6b330a394db2819bbca43b723cc74027fe638c5165f18d6"),
+    ],
+    ids=["gen-scm", "sample-do", "sample-families"],
+)
+def test_seeded_output_bytes_are_pinned(tmp_path, argv, digest):
+    scm_paths = {"generated": tmp_path / "generated.json", "steer": tmp_path / "steer.json"}
+    assert main(["gen-scm", "--seed", "1", "--out", str(scm_paths["generated"])]) == 0
+    scm_paths["steer"].write_text(json.dumps(STEER_SCM))
+    out = tmp_path / "out"
+    assert main([a.format(**scm_paths) for a in argv] + ["--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
 @pytest.fixture
