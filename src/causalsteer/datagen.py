@@ -23,6 +23,8 @@ Seed = int | np.random.SeedSequence | None
 PARENT_PROB = 0.05
 #: Edge magnitudes are uniform in this range, each sign an independent coin flip.
 WEIGHT_RANGE = (0.5, 1.5)
+#: The two signs, indexed by the coin flip.
+SIGNS = np.array([-1.0, 1.0])
 #: The exogenous noise of every generated variable.
 NOISE = NoiseSpec.uniform(-1.0, 1.0)
 
@@ -59,9 +61,9 @@ def generate_random_scm(config: DagGenConfig) -> Scm:
     for k in range(config.n_roots, n):
         attach = np.flatnonzero(rng.random(k) < PARENT_PROB)
         if attach.size == 0:
-            attach = rng.choice(k, size=1, replace=False)
+            attach = rng.integers(0, k, size=1)
         magnitude = rng.uniform(*WEIGHT_RANGE, attach.size)
-        magnitude *= rng.choice([-1.0, 1.0], attach.size)
+        magnitude *= SIGNS[rng.integers(0, 2, attach.size)]
         weights[k, attach] = magnitude
     return Scm(Dag(weights), (NOISE,) * n)
 

@@ -114,7 +114,15 @@ def scm_to_dict(scm: Scm) -> dict:
 def scm_from_dict(doc: dict) -> Scm:
     _reject_unknown_keys(doc, (*_DAG_KEYS, "noises"), "SCM")
     dag = dag_from_dict({k: v for k, v in doc.items() if k != "noises"})
-    return Scm(dag, tuple(noise_from_dict(d) for d in _json_list(doc["noises"], "noises")))
+    noises = _json_list(doc["noises"], "noises")
+    # Each distinct noise object is decoded once, in order, so the first faulty one is
+    # named. repr keeps 1, 1.0 and true apart, and 0.0 and -0.0.
+    keys = [repr(d) for d in noises]
+    specs = {}
+    for key, d in zip(keys, noises):
+        if key not in specs:
+            specs[key] = noise_from_dict(d)
+    return Scm(dag, tuple(map(specs.__getitem__, keys)))
 
 
 def model_to_dict(model: PredictionModel) -> dict:

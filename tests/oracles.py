@@ -58,6 +58,26 @@ def expanded_coeffs(n: int, model: PredictionModel) -> np.ndarray:
     return w
 
 
+def solve_by_rows(dag: Dag, rhs, fixed: int | None = None) -> np.ndarray:
+    """``graph.solve`` as one loop over the weight rows, in an order of its own.
+
+    Each pass sets every vertex whose parents are all set, with the same
+    product as ``graph.solve``: the parents' values along the last axis of
+    ``x`` times the vertex's weight row restricted to them.
+    """
+    x = np.array(rhs, dtype=float)
+    w = dag.weights
+    done: set[int] = set()
+    while len(done) < dag.n:
+        for v in sorted(set(range(dag.n)) - done):
+            pa = np.flatnonzero(w[v])
+            if done.issuperset(pa.tolist()):
+                if pa.size and v + 1 != fixed:
+                    x[..., v] = x[..., pa] @ w[v, pa] + x[..., v]
+                done.add(v)
+    return x
+
+
 def interventional_means_solve(dag: Dag, base_terms, i: int, c: float) -> np.ndarray:
     """E[X | do(X_i = c)] by a dense linear solve.
 

@@ -44,6 +44,13 @@ class TestGraphDocuments:
         with pytest.raises(InvalidConfig, match=repr(key)):
             fileio.dag_from_dict(doc)
 
+    def test_edge_types_are_checked_before_endpoints(self):
+        # Every edge is decoded before any endpoint is checked, so a later type fault wins.
+        doc = {"n": 2, "edges": [{"from": 1, "to": 3, "weight": 1.0},
+                                 {"from": 1.5, "to": 2, "weight": 1.0}]}
+        with pytest.raises(TypeError, match="from must be an integer, got 1.5"):
+            fileio.dag_from_dict(doc)
+
     def test_one_based_orientation(self):
         # edge 1 -> 2 must land in weights[1, 0] (strength of 1 into 2)
         dag = fileio.dag_from_dict({"n": 2, "edges": [{"from": 1, "to": 2, "weight": 3.0}]})
@@ -77,6 +84,50 @@ class TestScmDocuments:
     def test_unknown_family_rejected(self):
         with pytest.raises(ValueError):
             fileio.noise_from_dict({"family": "cauchy", "scale": 1.0})
+
+
+def decode_each_noise(doc: dict):
+    """``scm_from_dict(doc)`` with every noise object decoded on its own."""
+    dag = fileio.dag_from_dict({k: v for k, v in doc.items() if k != "noises"})
+    return Scm(dag, tuple(fileio.noise_from_dict(d) for d in doc["noises"]))
+
+
+def decoded_or_error(decode, doc: dict) -> str:
+    """The repr of the decoded noises and runs (which keeps -0.0 apart from 0.0), or the error."""
+    try:
+        scm = decode(doc)
+    except (TypeError, ValueError) as exc:
+        return f"{type(exc).__name__}: {exc}"
+    return repr((scm.noises, scm.noise_runs))
+
+
+def gaussian(mean, stddev) -> dict:
+    return {"family": "gaussian", "mean": mean, "stddev": stddev}
+
+
+class TestNoiseDecodedOncePerObject:
+    """scm_from_dict decodes each distinct noise object once; the result is the per-object decode."""
+
+    @pytest.mark.parametrize(
+        "noises, expected",
+        [
+            ([{"family": "constant", "value": 1}] * 2 + [{"family": "constant", "value": True}],
+             "TypeError: value must be a number, got True"),
+            ([gaussian(0.0, 0.0), gaussian(0.0, -0.0)],
+             "ValueError: gaussian noise needs (mean, stddev) with stddev >= 0, got (0.0, -0.0)"),
+            ([gaussian(0.0, 1.0)] * 2 + [gaussian(-0.0, 1.0), gaussian(0.0, 1.0)], 3),
+            ([{"family": "uniform", "lo": -1, "hi": 1}, {"hi": 1, "lo": -1, "family": "uniform"}] * 2, 1),
+        ],
+        ids=["true-after-1", "negative-zero-stddev", "negative-zero-mean-splits-run", "permuted-keys"],
+    )
+    def test_memo_equals_per_object_decode(self, noises, expected):
+        doc = {"n": len(noises), "edges": [], "noises": noises}
+        got = decoded_or_error(fileio.scm_from_dict, doc)
+        assert got == decoded_or_error(decode_each_noise, doc)
+        if isinstance(expected, str):
+            assert got == expected
+        else:
+            assert len(fileio.scm_from_dict(doc).noise_runs) == expected
 
 
 class TestModelDocuments:

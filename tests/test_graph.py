@@ -5,9 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from causalsteer import Dag
-from causalsteer.graph import root_mask, solve
+from causalsteer import Dag, graph
+from causalsteer.graph import _static_order as static_order, root_mask, solve
 from causalsteer.errors import CycleDetected, IndexOutOfRange, NonFiniteWeight, NonzeroDiagonal
+
+from .oracles import solve_by_rows
 
 
 def random_dag(rng: np.random.Generator, n: int, p: float = 0.4) -> Dag:
@@ -68,12 +70,11 @@ class TestValidate:
     def test_schedule_is_computed_once(self, monkeypatch, seven_vertex_dag):
         calls = []
 
-        class CountingSorter(graphlib.TopologicalSorter):
-            def __init__(self, *args):
-                calls.append(1)
-                super().__init__(*args)
+        def counting_order(*args):
+            calls.append(1)
+            return static_order(*args)
 
-        monkeypatch.setattr(graphlib, "TopologicalSorter", CountingSorter)
+        monkeypatch.setattr(graph, "_static_order", counting_order)
         dag = Dag(seven_vertex_dag.weights)
         assert len(calls) == 1
         for fixed in (None, 1, 4):
@@ -108,6 +109,23 @@ class TestValidate:
             for a, b in zip(cycle, cycle[1:] + cycle[:1]):
                 assert w[b - 1, a - 1] != 0, f"missing edge {a}->{b} in witness {cycle}"
 
+
+    @given(st.integers(0, 10_000), st.integers(2, 12), st.sampled_from([0.0, 0.1, 0.3, 0.6]))
+    @settings(max_examples=100, deadline=None)
+    def test_cyclic_graph_witness(self, seed, n, p):
+        # Random edges in both directions, plus a cycle through a random subset of vertices.
+        rng = np.random.default_rng(seed)
+        w = (rng.random((n, n)) < p) * rng.uniform(0.5, 2.0, (n, n))
+        ring = rng.permutation(n)[: int(rng.integers(2, n + 1))]
+        w[np.roll(ring, -1), ring] = 1.0
+        np.fill_diagonal(w, 0.0)
+        with pytest.raises(CycleDetected) as exc:
+            Dag(w)
+        cycle = exc.value.cycle
+        assert cycle[0] == min(cycle)
+        assert len(set(cycle)) == len(cycle) >= 2, f"vertex repeated in witness {cycle}"
+        for a, b in zip(cycle, cycle[1:] + cycle[:1]):
+            assert w[b - 1, a - 1] != 0, f"missing edge {a}->{b} in witness {cycle}"
 
 class TestTopologicalOrder:
     def test_chain(self, chain3):
@@ -166,6 +184,15 @@ class TestSolve:
         for idx in np.ndindex(2, 2):
             assert out[idx].tolist() == solve(chain3, rhs[idx]).tolist()
 
+    @given(st.integers(0, 10_000), st.integers(1, 12), st.sampled_from([(), (3,), (2, 3)]), st.booleans())
+    @settings(max_examples=100, deadline=None)
+    def test_equals_row_loop_bit_for_bit(self, seed, n, lead, with_fixed):
+        rng = np.random.default_rng(seed)
+        dag = random_dag(rng, n)
+        rhs = rng.normal(size=(*lead, n))
+        fixed = int(rng.integers(1, n + 1)) if with_fixed else None
+        assert solve(dag, rhs, fixed).tobytes() == solve_by_rows(dag, rhs, fixed).tobytes()
+
     def test_rhs_not_modified(self, chain3):
         rhs = np.ones(3)
         solve(chain3, rhs)
@@ -214,6 +241,22 @@ class TestDagType:
         _, parents = chain3.schedule[1]
         with pytest.raises(ValueError):
             parents[0] = 2
+
+    def test_parent_weights_follow_the_schedule(self, seven_vertex_dag):
+        w = seven_vertex_dag.weights
+        assert len(seven_vertex_dag.parent_weights) == len(seven_vertex_dag.schedule)
+        for (v, pa), wv in zip(seven_vertex_dag.schedule, seven_vertex_dag.parent_weights):
+            assert wv.tolist() == w[v, pa].tolist()
+            with pytest.raises(ValueError):
+                wv[...] = 0.0
+
+    def test_from_edges_duplicate_named_before_a_later_bad_endpoint(self):
+        with pytest.raises(ValueError, match="duplicate edge 1 -> 2"):
+            Dag.from_edges(2, [(1, 2, 1.0), (1, 2, 0.5), (1, 3, 1.0)])
+
+    def test_from_edges_bad_endpoint_named_before_a_later_duplicate(self):
+        with pytest.raises(IndexOutOfRange, match="edge endpoint 0"):
+            Dag.from_edges(2, [(1, 2, 1.0), (0, 2, 1.0), (1, 2, 0.5)])
 
     def test_from_edges_duplicate_rejected(self):
         with pytest.raises(ValueError, match="duplicate"):
