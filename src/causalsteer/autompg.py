@@ -132,7 +132,7 @@ def demo_autompg(structure: Dag, data: Dataset, desired_values) -> str:
     column = data.column(intervene_on)
     lo, hi = float(column.min()), float(column.max())
 
-    # The sample means are planned as one observation, their noise terms recovered parent by parent.
+    # The plans start from the sample means, taken as one observation.
     mu = data.rows.mean(axis=0)
     d = np.array(desired_values, dtype=float)
     optimal = observation_specific_plan(mu, structure, model, intervene_on, d).value

@@ -1,17 +1,23 @@
 """Causal effects on the prediction and optimal intervention values.
 
-Under do(X_i = c) every variable's mean is mu_j + alpha_j * c, where alpha
-is column i of the total-effect matrix (I - W)^-1: the sum over directed
-paths i -> j of the products of their edge weights. From it follow the
-causal effect of any variable on the prediction node, the ranking that
-picks the intervention target, and the closed-form intervention value that
-makes the expected prediction hit a desired value.
+Under do(X_i = c) every variable moves from the point x (the population
+means, or one observation) by alpha_j * (c - x_i), where alpha is column i
+of the total-effect matrix (I - W)^-1: the sum over directed paths i -> j
+of the products of their edge weights. So the model's score s moves by
+g_i * (c - x_i), with g_i = w . alpha the total effect of X_i on the
+prediction (path analysis: Wright 1921; Pearl, *Causality*, 2009, section
+5). It ranks the intervention targets, and the value that steers the
+expected prediction to d is the naive one with g_i in place of the direct
+coefficient w_i:
 
-Each is one call of ``graph.solve``, the package's one forward
-substitution: the plan solves two right-hand sides for (mu, alpha), the
-identity gives every variable's effect at once. Unlike a dense solve it
-keeps structural zeros exact, so a variable with no path to the prediction
-has effect 0.0.
+    optimal  c = x_i + (d - s(x)) / g_i
+    naive    c = x_i + (d - s(x)) / w_i
+
+Effects come from ``graph.solve``, the package's one forward substitution:
+the plan solves e_i for alpha, the identity gives every effect at once.
+Unlike a dense solve it keeps structural zeros exact, so a variable with no
+path to the prediction has effect 0.0, and g_i == w_i exactly when no other
+predictor descends from X_i.
 """
 
 from dataclasses import dataclass
@@ -28,7 +34,7 @@ from .errors import (
 )
 from .graph import Dag
 from .models import AugmentedGraph, PredictionModel, augment_graph, scores
-from .scm import Scm, analytic_means, estimate_noise_means
+from .scm import Scm, analytic_means
 
 #: Below this sensitivity the desired prediction is unreachable at finite c.
 EFFECT_THRESHOLD = 1e-12
@@ -88,6 +94,11 @@ def select_intervention_target(augmented: AugmentedGraph, candidates) -> int:
     return cands[int(np.argmax(effects))]
 
 
+def _steer(x: np.ndarray, s, i: int, d, slope: float):
+    """The value of X_i at which the line s + slope * (c - x_i) reaches d: x_i + (d - s) / slope."""
+    return x[i - 1] + (d - s) / slope
+
+
 def optimal_intervention_value(
     mu,
     dag: Dag,
@@ -98,49 +109,42 @@ def optimal_intervention_value(
 ) -> InterventionPlan:
     """The intervention value c making E[prediction | do(X_i = c)] equal d.
 
-    ``mu`` holds pre-intervention expectations (only root entries are
-    consumed), ``noise`` the noise expectations (only non-root entries are
-    consumed; pass the output of ``estimate_noise_means``). One solve with X_i's
-    own equation cut gives every variable's mean under do(X_i = 0), mu_i (from
-    the base terms with entry i zeroed), and its slope in c, alpha (from the
-    unit vector e_i). The closed form is exact for linear structure:
-
-        c = (d - w . mu_i - bias) / (w . alpha)
-
-    with w the model coefficients scattered over all n variables (zero at
-    the target). An array d reuses the one solve; each entry equals its
-    scalar plan bit for bit. Raises ZeroCausalEffect when the denominator
-    vanishes and InterveneOnTarget when i is the model's target variable.
+    ``mu`` is the point the plan starts from, the population means or one
+    observation. The closed form, exact for linear structure (see the module
+    docstring), is c = mu_i + (d - s(mu)) / g_i with g_i = w . alpha: w the
+    model coefficients scattered over all n variables, alpha one solve of
+    e_i. ``noise`` is not read, as the point alone fixes the plan; it stays
+    for callers that pass it positionally, and the program passes None.
+    An array d gives one plan per entry, each its scalar plan bit for bit.
+    Raises ZeroCausalEffect when g_i vanishes and InterveneOnTarget when i
+    is the model's target variable.
     """
     if i == model.target_index:
         raise InterveneOnTarget(i)
     mu = np.asarray(mu, dtype=float)
-    noise = np.asarray(noise, dtype=float)
-    if mu.shape != (dag.n,) or noise.shape != (dag.n,):
-        raise ValueError(f"mu and noise must be length-{dag.n} vectors")
+    if mu.shape != (dag.n,):
+        raise ValueError(f"mu must be a length-{dag.n} vector")
     d = np.asarray(d, dtype=float)[()]
     w = augment_graph(dag, model).coeffs
+    # Before the formula reads mu[i - 1], where 0 would address the last entry.
     check_index(i, dag.n)
-    rhs = np.zeros((2, dag.n))
-    rhs[0] = np.where(graph.root_mask(dag), mu, noise)
-    rhs[:, i - 1] = (0.0, 1.0)
-    mu_i, alpha = graph.solve(dag, rhs, fixed=i)
-    sensitivity = float(w @ alpha)
-    if abs(sensitivity) < EFFECT_THRESHOLD:
-        raise ZeroCausalEffect(i, sensitivity)
-    c = (d - float(w @ mu_i) - model.bias) / sensitivity
-    # Row-wise, as BLAS sums a matrix-vector product in another order than a dot.
-    achieved = ((mu_i + np.multiply.outer(c, alpha)) * w).sum(axis=-1) + model.bias
-    return InterventionPlan(i, c, d, achieved, alpha)
+    alpha = graph.solve(dag, np.arange(dag.n) == i - 1, fixed=i)  # from e_i
+    g = float(w @ alpha)
+    if abs(g) < EFFECT_THRESHOLD:
+        raise ZeroCausalEffect(i, g)
+    s = scores(model, mu)
+    c = _steer(mu, s, i, d, g)
+    return InterventionPlan(i, c, d, s + g * (c - mu[i - 1]), alpha)
 
 
 def naive_intervention_value(model: PredictionModel, x, i: int, d):
     """Solve the prediction equation for x_i at a fixed observation.
 
     Ignores all causal propagation: the remaining predictors are held at
-    their observed values, so the realized post-intervention prediction
-    generally misses d whenever i has descendants among the predictors.
-    An array d gives one value per entry.
+    their observed values: the optimal plan's line with the direct
+    coefficient w_i as its slope in place of the total effect g_i. So the
+    realized prediction misses d whenever g_i != w_i, which needs a
+    descendant of i among the predictors. An array d gives one value per entry.
     """
     if i not in model.predictor_indices:
         # A non-predictor has coefficient zero in the expanded vector.
@@ -149,7 +153,7 @@ def naive_intervention_value(model: PredictionModel, x, i: int, d):
     wi = model.coeffs[model.predictor_indices.index(i)]
     if wi == 0.0:
         raise ZeroCoefficient(i)
-    return x[i - 1] + (np.asarray(d, dtype=float)[()] - scores(model, x)) / wi
+    return _steer(x, scores(model, x), i, np.asarray(d, dtype=float)[()], wi)
 
 
 def observation_specific_plan(
@@ -159,18 +163,10 @@ def observation_specific_plan(
     i: int,
     d,
 ) -> InterventionPlan:
-    """Optimal intervention tailored to one fully-observed sample.
-
-    The observation replaces the population expectations, and the noise
-    values are recovered from it parent-by-parent, so the plan answers
-    "what value would steer this individual's prediction to d" (one per d).
-    """
-    observation = np.asarray(observation, dtype=float)
-    noise = estimate_noise_means(dag, observation)
-    return optimal_intervention_value(observation, dag, noise, model, i, d)
+    """Optimal intervention tailored to one fully-observed sample: the plan from that point (one per d)."""
+    return optimal_intervention_value(observation, dag, None, model, i, d)
 
 
 def plan_for_scm(scm: Scm, model: PredictionModel, i: int, d) -> InterventionPlan:
-    """Population-level plan with expectations taken from the Scm itself; ``d`` may be an array."""
-    mu = analytic_means(scm)
-    return optimal_intervention_value(mu, scm.dag, estimate_noise_means(scm.dag, mu), model, i, d)
+    """Population-level plan from the Scm's analytic means; ``d`` may be an array."""
+    return optimal_intervention_value(analytic_means(scm), scm.dag, None, model, i, d)

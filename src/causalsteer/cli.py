@@ -25,7 +25,7 @@ from .causal import (
 from .datagen import DagGenConfig, generate_random_scm, median_split_labels
 from .errors import CausalSteerError, ParseError, ZeroCoefficient
 from .models import augment_graph, fit_linear, fit_logistic
-from .scm import analytic_means, estimate_noise_means, sample
+from .scm import analytic_means, sample
 from .sweep import SweepConfig, run_manifest, run_sweep, sweep_result_to_csv
 
 
@@ -155,15 +155,11 @@ def _cmd_intervene(args) -> int:
         i = select_intervention_target(augmented, model.predictor_indices)
 
     if args.observation_file:
-        observation = _load_observation(args.observation_file, scm.n)
-        plan = observation_specific_plan(observation, scm.dag, model, i, args.desired)
-        naive_x = observation
+        x = _load_observation(args.observation_file, scm.n)
+        plan = observation_specific_plan(x, scm.dag, model, i, args.desired)
     else:
-        mu = analytic_means(scm)
-        plan = optimal_intervention_value(
-            mu, scm.dag, estimate_noise_means(scm.dag, mu), model, i, args.desired
-        )
-        naive_x = mu
+        x = analytic_means(scm)
+        plan = optimal_intervention_value(x, scm.dag, None, model, i, args.desired)
 
     warnings = []
     if args.data:
@@ -180,7 +176,7 @@ def _cmd_intervene(args) -> int:
 
     print(f"do(X{i} = {plan.value:.12g}) steers the expected prediction to {plan.desired_prediction:g}")
     with contextlib.suppress(ZeroCoefficient):
-        print(f"naive per-equation value: {naive_intervention_value(model, naive_x, i, args.desired):.12g}")
+        print(f"naive per-equation value: {naive_intervention_value(model, x, i, args.desired):.12g}")
     for w in warnings:
         print(f"warning: {w}")
     if args.out:

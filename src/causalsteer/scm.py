@@ -224,12 +224,11 @@ def analytic_means(scm: Scm) -> np.ndarray:
 def estimate_noise_means(dag: Dag, mu: np.ndarray) -> np.ndarray:
     """Recover noise expectations from per-variable expectations.
 
-    Entry k is mu_k minus the weighted sum of its parents' entries. Root
-    entries are reported as 0: the intervention algorithm never consumes
-    them (root means travel through the mu vector instead).
-
-    ``mu`` may be analytic means, empirical column means, or one observation
-    (which yields the observation-specific noise values).
+    Entry k is mu_k minus the weighted sum of its parents' entries; root
+    entries are reported as 0. ``mu`` may be analytic means, empirical
+    column means, or one observation (giving its own noise values). No plan
+    needs it, as a plan reads only its starting point; the benchmark in
+    ``perfbench/`` still calls it.
     """
     mu = np.asarray(mu, dtype=float)
     if mu.shape != (dag.n,):

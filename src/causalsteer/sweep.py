@@ -35,7 +35,7 @@ from .causal import (
 from .datagen import DagGenConfig, generate_random_scm, median_split_labels, pick_random_target
 from .errors import AllEffectsZero, CausalSteerError, InvalidConfig, ZeroCausalEffect, ZeroCoefficient
 from .models import PredictionModel, augment_graph, fit_logistic
-from .scm import Scm, _draw_noise, analytic_means, estimate_noise_means, sample
+from .scm import Scm, _draw_noise, analytic_means, sample
 
 
 @dataclass(frozen=True)
@@ -125,10 +125,9 @@ def _run_one_dag(config: SweepConfig, seed: np.random.SeedSequence):
     intervene_on = select_intervention_target(augmented, model.predictor_indices)
 
     mu = analytic_means(scm)
-    noise = estimate_noise_means(scm.dag, mu)
     # Planned before any evaluation, so a degenerate DAG adds to no row.
     d = np.array(config.d_values)
-    c_opt = optimal_intervention_value(mu, scm.dag, noise, model, intervene_on, d).value
+    c_opt = optimal_intervention_value(mu, scm.dag, None, model, intervene_on, d).value
     c_naive = naive_intervention_value(model, mu, intervene_on, d)
 
     effects = effects_on_prediction(augmented, fixed=intervene_on)

@@ -76,10 +76,11 @@ class TestPropagate:
         assert plan.value == 1.5
 
     def test_leaf_intervention_keeps_other_means(self, chain3):
-        # base terms: root mean 1.0, noise means 0.5 and 0.25; under do(X3 = c), X2 keeps its mean 2.5
-        mu, noise = np.array([1.0, 0.0, 0.0]), np.array([0.0, 0.5, 0.25])
+        # base terms: root mean 1.0, noise means 0.5 and 0.25, so the means are (1, 2.5, 1.5);
+        # under do(X3 = c), X2 keeps its mean 2.5
+        mu = np.array([1.0, 2.5, 1.5])
         model = PredictionModel("linear", 0.0, np.array([1.0, 1.0]), (2, 3), 1)
-        plan = optimal_intervention_value(mu, chain3, noise, model, 3, 4.5)
+        plan = optimal_intervention_value(mu, chain3, None, model, 3, 4.5)
         assert plan.effects.tolist() == [0.0, 0.0, 1.0]
         assert plan.value == pytest.approx(2.0)
         assert plan.predicted_expectation == pytest.approx(4.5)
@@ -412,13 +413,13 @@ class TestObservationSpecificPlan:
         mu = analytic_means(scm)
         population = plan_for_scm(scm, model, i, 2.5)
         individual = observation_specific_plan(mu, scm.dag, model, i, 2.5)
-        assert individual.value == pytest.approx(population.value, rel=1e-12)
+        assert individual.value == population.value
 
     def test_hand_worked_chain_observation(self, chain3):
-        # observation (1, 4, .): recovered noise of X2 is 2; c = (9 - 2) / 3
+        # observation (1, 4, .): score 5, g_1 = 3, so c = 1 + (9 - 5) / 3
         plan = observation_specific_plan(np.array([1.0, 4.0, 0.0]), chain3, chain_model(), 1, 9.0)
         assert plan.value == pytest.approx(7.0 / 3.0)
-        # forward check with the noise frozen at the recovered value
+        # forward check with the noise frozen at the observation's own: X2's is 4 - 2 * 1 = 2
         scm = Scm(chain3, (NoiseSpec.constant(0.0), NoiseSpec.constant(2.0), NoiseSpec.constant(0.0)))
         row = sample(scm, 1, seed=0, do=(1, plan.value)).rows[0]
         assert row[0] + row[1] == pytest.approx(9.0)
@@ -453,5 +454,6 @@ class TestReductionToNaive:
                     naive = naive_intervention_value(model, mu, i, d)
                 except (ZeroCausalEffect, ZeroCoefficient):
                     continue
-                assert opt == pytest.approx(naive, rel=1e-9, abs=1e-9)
+                # Structural zeros make g_i == w_i exactly, so the two lines coincide.
+                assert opt == naive
                 checked += 1

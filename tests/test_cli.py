@@ -611,9 +611,13 @@ def test_non_predictor_index_prints_no_naive_value(tmp_path, capsys):
     ],
     ids=["target", "beyond-n", "zero"],
 )
-def test_unplannable_index_exits_2(steer_files, capsys, index, message):
-    assert main(steer_files + ["--intervene-index", index]) == 2
-    assert capsys.readouterr().err == f"error: {message}\n"
+def test_unplannable_index_exits_2(steer_files, tmp_path, capsys, index, message):
+    # The population path, then the observation path: each refuses the index before reading x_i.
+    observation = tmp_path / "obs.json"
+    observation.write_text("[1.0, 4.0, 2.0]")
+    for extra in ([], ["--observation-file", str(observation)]):
+        assert main(steer_files + ["--intervene-index", index] + extra) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_one_variable_sweep_counts_every_dag_as_failed(tmp_path, capsys):

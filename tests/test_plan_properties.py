@@ -2,7 +2,8 @@
 
 Plans for an array of desired values must equal the plans for each value
 alone, bit for bit, and every plan must hit its desired value by the dense
-solve in ``tests/oracles.py``.
+solve in ``tests/oracles.py``. The optimal and the naive plan are one
+steering line from the same point with different slopes.
 """
 
 import numpy as np
@@ -11,12 +12,17 @@ from hypothesis import strategies as st
 
 from causalsteer import (
     Dag,
+    NoiseSpec,
     PredictionModel,
+    Scm,
+    analytic_means,
     augment_graph,
     effects_on_prediction,
     naive_intervention_value,
     observation_specific_plan,
     optimal_intervention_value,
+    plan_for_scm,
+    scores,
 )
 
 from .oracles import expanded_coeffs, interventional_means_solve
@@ -72,13 +78,15 @@ def population_base(dag, mu, noise):
 @given(instances())
 def test_array_plan_is_the_scalar_plans(instance):
     dag, model, i, mu, noise, d = instance
-    plan = optimal_intervention_value(mu, dag, noise, model, i, d)
-    singles = [optimal_intervention_value(mu, dag, noise, model, i, float(dk)) for dk in d]
+    # The means the base terms describe: the point the plan starts from.
+    base = population_base(dag, mu, noise)
+    point = np.linalg.solve(np.eye(dag.n) - dag.weights, base)
+    plan = optimal_intervention_value(point, dag, None, model, i, d)
+    singles = [optimal_intervention_value(point, dag, None, model, i, float(dk)) for dk in d]
     assert plan.value.shape == plan.predicted_expectation.shape == d.shape
     assert bits(plan.value) == bits([p.value for p in singles])
     assert bits(plan.predicted_expectation) == bits([p.predicted_expectation for p in singles])
     assert bits(plan.desired_prediction) == bits(d)
-    base = population_base(dag, mu, noise)
     for c, dk in zip(plan.value, d):
         assert_hits(dag, base, model, i, c, dk)
 
@@ -112,3 +120,27 @@ def test_array_naive_value_is_the_scalar_values(instance, data):
         terms = expanded_coeffs(dag.n, model) * moved
         scale = max(1.0, abs(dk), abs(model.bias), float(np.abs(terms).max()))
         assert abs(terms.sum() + model.bias - dk) <= RTOL * scale
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(instances(), st.booleans())
+def test_the_plans_differ_only_in_their_slope(instance, population):
+    """From the point x, (c - x_i) * slope = d - s(x): slope g_i for the optimal plan, w_i for the naive."""
+    dag, model, i, observation, noise, d = instance
+    if population:
+        # An SCM whose noise means are the base terms, planned from its analytic means.
+        scm = Scm(dag, tuple(NoiseSpec.constant(b) for b in population_base(dag, observation, noise)))
+        x = analytic_means(scm)
+        c_opt = plan_for_scm(scm, model, i, d).value
+    else:
+        x = observation
+        c_opt = observation_specific_plan(x, dag, model, i, d).value
+    w = expanded_coeffs(dag.n, model)
+    slopes = [(c_opt, effects_on_prediction(augment_graph(dag, model))[i - 1])]
+    if i in model.predictor_indices:
+        slopes.append((naive_intervention_value(model, x, i, d), w[i - 1]))
+    gap = d - scores(model, x)
+    largest = max(1.0, abs(model.bias), float(np.abs(w * x).max()))
+    for c, slope in slopes:
+        step = (c - x[i - 1]) * slope
+        assert (np.abs(step - gap) <= RTOL * np.maximum(largest, np.maximum(np.abs(d), np.abs(step)))).all()
