@@ -38,11 +38,13 @@ _RAW_TOKENS = 8
 _MISSING = "?"
 
 
-def default_cache_dir() -> Path:
-    env = os.environ.get(CACHE_ENV)
-    if env:
-        return Path(env)
-    return Path.home() / ".cache" / "causalsteer"
+def resolve_cache_dir(cache_dir=None) -> Path:
+    """The cache directory: ``cache_dir``, else $CAUSALSTEER_CACHE, else ~/.cache/causalsteer.
+
+    An empty string counts as unset, for the argument and the variable alike.
+    """
+    cache = cache_dir or os.environ.get(CACHE_ENV)
+    return Path(cache) if cache else Path.home() / ".cache" / "causalsteer"
 
 
 def parse_autompg(text: str) -> Dataset:
@@ -76,7 +78,7 @@ def fetch_autompg(cache_dir=None) -> Dataset:
     A cached copy is reused without touching the network; its SHA-256 is
     checked against the sidecar written when the file is first read.
     """
-    cache = Path(cache_dir) if cache_dir is not None else default_cache_dir()
+    cache = resolve_cache_dir(cache_dir)
     raw_path = cache / "auto-mpg.data"
     digest_path = cache / "auto-mpg.sha256"
     if not raw_path.exists():

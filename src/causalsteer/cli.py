@@ -44,7 +44,7 @@ def _write(text: str, out: str | None) -> None:
         Path(out).write_text(text)
 
 
-def _cmd_gen_scm(args) -> int:
+def _cmd_gen_scm(args) -> None:
     if args.config:
         config = fileio.load_document(args.config, partial(fileio.fields_from_dict, DagGenConfig))
     else:
@@ -53,15 +53,14 @@ def _cmd_gen_scm(args) -> int:
         config = dataclasses.replace(config, seed=args.seed)
     scm = generate_random_scm(config)
     _write(json.dumps(fileio.scm_to_dict(scm), indent=2) + "\n", args.out)
-    return 0
 
 
 def _parse_do(spec: str) -> tuple[int, float]:
     idx, _, value = spec.partition("=")
     try:
-        return int(idx), float(value)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected I=C, e.g. 3=1.5, got {spec!r}") from None
+        return int(idx), _finite_float(value)
+    except (ValueError, argparse.ArgumentTypeError):
+        raise argparse.ArgumentTypeError(f"expected I=C with a finite C, e.g. 3=1.5, got {spec!r}") from None
 
 
 def _finite_float(text: str) -> float:
@@ -84,10 +83,9 @@ def _seed(text: str) -> int:
     return value
 
 
-def _cmd_sample(args) -> int:
+def _cmd_sample(args) -> None:
     scm = fileio.load_document(args.scm, fileio.scm_from_dict)
     _write(fileio.dataset_to_csv(sample(scm, args.rows, args.seed, args.do)), args.out)
-    return 0
 
 
 def _parse_indices(text: str) -> tuple[int, ...]:
@@ -100,7 +98,7 @@ def _parse_indices(text: str) -> tuple[int, ...]:
     return indices
 
 
-def _cmd_fit(args) -> int:
+def _cmd_fit(args) -> None:
     data = fileio.load_dataset(args.data)
     if args.kind == "linear":
         model = fit_linear(data, args.target_index, args.predictors)
@@ -108,7 +106,6 @@ def _cmd_fit(args) -> int:
         labels = median_split_labels(data, args.target_index)
         model = fit_logistic(data, labels, args.predictors, target_index=args.target_index)
     _write(json.dumps(fileio.model_to_dict(model), indent=2) + "\n", args.out)
-    return 0
 
 
 def _load_scm_and_model(args):
@@ -124,7 +121,7 @@ def _load_scm_and_model(args):
     return scm, model
 
 
-def _cmd_analyze(args) -> int:
+def _cmd_analyze(args) -> None:
     scm, model = _load_scm_and_model(args)
     augmented = augment_graph(scm.dag, model)
     all_effects = effects_on_prediction(augmented)
@@ -134,7 +131,6 @@ def _cmd_analyze(args) -> int:
     for i, effect in effects:
         lines.append(f"{i},{scm.dag.name_of(i)},{effect:.6g}")
     _write("\n".join(lines) + "\n", args.out)
-    return 0
 
 
 def _load_observation(path, n: int) -> np.ndarray:
@@ -147,7 +143,7 @@ def _load_observation(path, n: int) -> np.ndarray:
     return np.asarray(doc, dtype=float)
 
 
-def _cmd_intervene(args) -> int:
+def _cmd_intervene(args) -> None:
     scm, model = _load_scm_and_model(args)
     augmented = augment_graph(scm.dag, model)
     i = args.intervene_index
@@ -181,10 +177,9 @@ def _cmd_intervene(args) -> int:
         print(f"warning: {w}")
     if args.out:
         fileio.save_json({**fileio.fields_to_dict(plan), "warnings": warnings}, args.out)
-    return 0
 
 
-def _cmd_sweep(args) -> int:
+def _cmd_sweep(args) -> None:
     config = fileio.load_document(args.config, partial(fileio.fields_from_dict, SweepConfig))
     if args.seed is not None:
         config = dataclasses.replace(config, seed=args.seed)
@@ -193,19 +188,16 @@ def _cmd_sweep(args) -> int:
     _write(csv_text, args.out)
     if args.out:
         fileio.save_json(run_manifest(config, result), Path(args.out).with_suffix(".manifest.json"))
-    return 0
 
 
-def _cmd_fetch_autompg(args) -> int:
+def _cmd_fetch_autompg(args) -> None:
     data = autompg.fetch_autompg(args.cache_dir)
-    cache = Path(args.cache_dir) if args.cache_dir else autompg.default_cache_dir()
-    print(f"{cache / 'auto-mpg.data'}: {data.m} rows x {data.n} columns")
+    print(f"{autompg.resolve_cache_dir(args.cache_dir) / 'auto-mpg.data'}: {data.m} rows x {data.n} columns")
     if args.out:
         fileio.save_dataset(data, args.out)
-    return 0
 
 
-def _cmd_demo_autompg(args) -> int:
+def _cmd_demo_autompg(args) -> None:
     structure_path = args.structure or autompg.bundled_structure_path()
     structure = fileio.load_document(structure_path, fileio.dag_from_dict)
     if args.data_file:
@@ -216,7 +208,6 @@ def _cmd_demo_autompg(args) -> int:
     else:
         data = autompg.fetch_autompg(args.cache_dir)
     _write(autompg.demo_autompg(structure, data, args.desired) + "\n", args.out)
-    return 0
 
 
 @cache
@@ -298,10 +289,11 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        args.func(args)
     except (CausalSteerError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    return 0
 
 
 if __name__ == "__main__":

@@ -20,19 +20,16 @@ class Dag:
     The constructor raises NonFiniteWeight, NonzeroDiagonal, or
     CycleDetected (with one witness cycle) unless the weights describe a
     finite, zero-diagonal DAG. It then stores the evaluation schedule once:
-    ``(vertex, parent indices)`` pairs, 0-based, the parents a read-only
-    array, in the static order ``graphlib.TopologicalSorter`` gives for
-    each vertex's parents (computed by ``_static_order``; graphlib is not
-    used), and ``parent_weights``, each scheduled vertex's weights on those
-    parents, read-only and in the same order. ``solve`` sets each vertex
-    from its parents' final values only, so any topological order gives the
-    same results.
+    ``(vertex, parents, weights)`` triples, 0-based, in Kahn order (see
+    ``_static_order``); ``parents`` are the vertex's parent indices
+    ascending and ``weights`` its weights on them, both read-only arrays.
+    ``solve`` sets each vertex from its parents' final values only, so any
+    topological order gives the same results.
     """
 
     weights: np.ndarray
     names: tuple[str, ...] | None = None
-    schedule: tuple[tuple[int, np.ndarray], ...] = field(init=False, repr=False, compare=False)
-    parent_weights: tuple[np.ndarray, ...] = field(init=False, repr=False, compare=False)
+    schedule: tuple[tuple[int, np.ndarray, np.ndarray], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         w = np.array(self.weights, dtype=float)
@@ -60,8 +57,7 @@ class Dag:
         bounds = np.searchsorted(rows, np.arange(w.shape[0] + 1)).tolist()
         runs = [slice(a, b) for a, b in zip(bounds, bounds[1:])]
         order = _static_order(rows, cols, bounds)
-        object.__setattr__(self, "schedule", tuple((v, cols[runs[v]]) for v in order))
-        object.__setattr__(self, "parent_weights", tuple(gathered[runs[v]] for v in order))
+        object.__setattr__(self, "schedule", tuple((v, cols[runs[v]], gathered[runs[v]]) for v in order))
 
     @property
     def n(self) -> int:
@@ -102,27 +98,21 @@ def _first_faulty_edge(n: int, edges) -> None:
 
 
 def _static_order(rows: np.ndarray, cols: np.ndarray, bounds: list[int]) -> list[int]:
-    """The 0-based vertices in ``graphlib.TopologicalSorter.static_order`` order for the graph
-    {v: parents of v} built from the edges ``(cols[e] -> rows[e])`` listed row by row.
+    """The 0-based vertices in a topological order of the edges ``(cols[e] -> rows[e])``,
+    listed row by row.
 
-    Kahn's algorithm (Kahn, "Topological sorting of large networks", 1962)
-    with graphlib's tie rule: the parentless vertices in the order graphlib
-    first meets them (each vertex, then its parents), then each vertex as
-    its last parent is done, first in, first out. On a cycle, raises
-    CycleDetected with the cycle met by walking from the smallest unordered
-    vertex to an unordered parent until a vertex repeats.
+    Kahn's algorithm (Kahn, "Topological sorting of large networks", 1962):
+    the parentless vertices in index order, then each vertex as its last
+    parent is done, first in, first out. On a cycle, raises CycleDetected
+    with the cycle met by walking from the smallest unordered vertex to an
+    unordered parent until a vertex repeats.
     """
     n = len(bounds) - 1
     waiting = np.diff(bounds).tolist()
     children = [[] for _ in range(n)]
     for v, p in zip(rows.tolist(), cols.tolist()):
         children[p].append(v)
-
-    def met(u):  # where graphlib first meets u: at its own key, or as a parent of its first child
-        c = children[u][0] if children[u] else u
-        return min(c, u), c < u, u
-
-    order = sorted((u for u in range(n) if not waiting[u]), key=met)
+    order = [u for u in range(n) if not waiting[u]]
     for p in order:
         for v in children[p]:
             waiting[v] -= 1
@@ -160,7 +150,7 @@ def solve(dag: Dag, rhs, fixed: int | None = None) -> np.ndarray:
     # for bit: the BLAS kernel, and with it the rounding, depends on the strides.
     xt = np.moveaxis(x, -1, 0)
     last = (*range(1, x.ndim), 0)
-    for (v, pa), wv in zip(dag.schedule, dag.parent_weights):
+    for v, pa, wv in dag.schedule:
         if pa.size and v + 1 != fixed:
             xt[v] = xt[pa].transpose(last) @ wv + xt[v]
     return x

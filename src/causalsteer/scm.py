@@ -14,9 +14,12 @@ variable in index order: numpy computes each gaussian or uniform draw as
 fill of a contiguous block takes those draws in the same C order, then
 applies the same two operations.
 
-Samples and analytic means both come from ``graph.solve``, the package's
-one forward substitution; unlike a dense solve it keeps the columns an
-intervention cannot reach bitwise equal to the observational sample.
+Under do(X_i = c), ``_draw_noise`` draws every noise as usual, then
+overwrites variable i's draws with c; ``sample`` and the sweep's scoring
+both draw through it. Samples and analytic means both come from
+``graph.solve``, the package's one forward substitution; unlike a dense
+solve it keeps the columns an intervention cannot reach bitwise equal to
+the observational sample.
 """
 
 import itertools
@@ -175,32 +178,34 @@ def noise_means(scm: Scm) -> np.ndarray:
     return np.array([spec.mean() for spec in scm.noises])
 
 
-def _draw_noise(scm: Scm, rng: np.random.Generator, m: int) -> np.ndarray:
-    """An n x m array whose row k-1 holds m draws of N_k.
+def _draw_noise(scm: Scm, rng: np.random.Generator, m: int, do: tuple[int, float] | None = None) -> np.ndarray:
+    """An n x m array whose row k-1 holds m draws of N_k, and row i-1 holds c under do(X_i = c).
 
     One fill per run of equal specs, the same stream as one draw per
-    variable in index order (see the module docstring). The order does not
-    depend on the evaluation order, so an intervention leaves every other
-    variable's draws untouched.
+    variable in index order (see the module docstring). The intervened
+    variable's noise is drawn too, then overwritten, so an intervention
+    leaves every other variable's draws untouched.
     """
+    if do is not None:
+        i, c = do
+        # Before the write, where 0 would address the last row.
+        check_index(i, scm.n)
+        if not math.isfinite(c):
+            raise ValueError(f"intervention value must be finite, got {c}")
     if m < 1:
         raise ValueError(f"sample count must be >= 1, got {m}")
     noise = np.empty((scm.n, m))
     for start, end, spec in scm.noise_runs:
         spec.fill(rng, noise[start:end])
+    if do is not None:
+        noise[i - 1] = c
     return noise
 
 
 def _simulate(scm: Scm, m: int, seed, do: tuple[int, float] | None) -> np.ndarray:
-    if do is not None:
-        # Before the noise write, where 0 would address the last row.
-        check_index(do[0], scm.n)
-    noise = _draw_noise(scm, np.random.default_rng(seed), m)
-    if do is not None:
-        noise[do[0] - 1] = do[1]
-    # One sample per row for solve. Rebinding frees the drawn array before
-    # solve copies, and the copy is freed before Dataset copies the result.
-    noise = np.ascontiguousarray(noise.T)
+    # One sample per row for solve. The drawn array is freed once transposed,
+    # before solve copies, and the copy is freed before Dataset copies the result.
+    noise = np.ascontiguousarray(_draw_noise(scm, np.random.default_rng(seed), m, do).T)
     return graph.solve(scm.dag, noise, fixed=None if do is None else do[0])
 
 

@@ -10,8 +10,9 @@ post-intervention samples the classifier assigns to class 1.
 The samples are scored in score space. Under do(X_i = c) a sample's score
 is bias + e . noise, with the noise draws' entry i set to c and e =
 ``effects_on_prediction(augmented, fixed=i)``, computed once per DAG; no
-sample is solved for. The noise and the tie coin are drawn as ``sample``
-would draw them, so every class-1 count equals that of sampling under
+sample is solved for. The noise is drawn by ``sample``'s own routine,
+``scm._draw_noise`` with ``do=(i, c)``, and the tie coin after it from the
+same generator, so every class-1 count equals that of sampling under
 do(X_i = c) and scoring each row (the oracle in ``tests/oracles.py``).
 
 Each DAG's randomness derives from an independently spawned seed, so the
@@ -89,12 +90,8 @@ def _class1_count(scm: Scm, bias: float, effects: np.ndarray, i: int, c: float, 
     ``effects`` is ``effects_on_prediction(augmented, fixed=i)``. Exact zero
     scores (measure zero for continuous data) get a fair coin each.
     """
-    if not np.isfinite(c):
-        raise ValueError(f"intervention value must be finite, got {c}")
     rng = np.random.default_rng(seed)
-    noise = _draw_noise(scm, rng, n_post)
-    noise[i - 1] = c
-    s = bias + effects @ noise
+    s = bias + effects @ _draw_noise(scm, rng, n_post, (i, c))
     ones = np.count_nonzero(s > 0)
     ties = np.count_nonzero(s == 0)
     if ties:

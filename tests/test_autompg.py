@@ -97,11 +97,22 @@ def test_fetch_rejects_a_file_changed_after_its_checksum(tmp_path, offline):
         fetch_autompg(tmp_path)
 
 
-def test_fetch_takes_the_cache_from_the_environment(tmp_path, monkeypatch, offline):
-    monkeypatch.setenv("CAUSALSTEER_CACHE", str(tmp_path))
-    shutil.copy(DATA, tmp_path / "auto-mpg.data")
-    assert fetch_autompg().m == parse_autompg(DATA.read_text()).m
-    assert (tmp_path / "auto-mpg.sha256").exists()
+@pytest.mark.parametrize("cache_dir", [None, ""], ids=["unset", "empty"])
+def test_fetch_takes_the_cache_from_the_environment(tmp_path, monkeypatch, capsys, offline, cache_dir):
+    # An empty --cache-dir is unset too: the file is read from, and named at, $CAUSALSTEER_CACHE.
+    cache, work = tmp_path / "cache", tmp_path / "work"
+    cache.mkdir()
+    work.mkdir()
+    monkeypatch.setenv("CAUSALSTEER_CACHE", str(cache))
+    monkeypatch.chdir(work)
+    shutil.copy(DATA, cache / "auto-mpg.data")
+    m = parse_autompg(DATA.read_text()).m
+    assert fetch_autompg(cache_dir).m == m
+    assert (cache / "auto-mpg.sha256").exists()
+    argv = ["fetch-autompg"] + ([] if cache_dir is None else ["--cache-dir", cache_dir])
+    assert main(argv) == 0
+    assert capsys.readouterr().out == f"{cache / 'auto-mpg.data'}: {m} rows x 6 columns\n"
+    assert list(work.iterdir()) == []
 
 
 def test_fetch_without_a_cached_file_names_where_to_put_it(tmp_path, offline):

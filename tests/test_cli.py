@@ -50,7 +50,7 @@ def test_sample_do_fixes_the_column(files, tmp_path, capsys):
     assert capsys.readouterr().err == "error: variable index 0 out of range 1..9\n"
 
 
-@pytest.mark.parametrize("spec", ["3", "x=1", "3=y", "="])
+@pytest.mark.parametrize("spec", ["3", "x=1", "3=y", "=", "3=inf", "3=nan", "3=1e400"])
 def test_malformed_do_is_a_usage_error(files, capsys, spec):
     scm_path, _, _ = files
     with pytest.raises(SystemExit) as exc:

@@ -25,9 +25,9 @@ class TestGenerateRandomScm:
         assert scm.n == 70
         assert (np.triu(scm.dag.weights) == 0.0).all()
         # solve needs every vertex once, each after its parents
-        pos = {v: k for k, (v, _) in enumerate(scm.dag.schedule)}
+        pos = {v: k for k, (v, _, _) in enumerate(scm.dag.schedule)}
         assert sorted(pos) == list(range(70)) and len(scm.dag.schedule) == 70
-        assert all(pos[p] < pos[v] for v, pa in scm.dag.schedule for p in pa)
+        assert all(pos[p] < pos[v] for v, pa, _ in scm.dag.schedule for p in pa)
         assert root_mask(scm.dag).tolist() == [True] * 20 + [False] * 50
         # every descendant has at least one parent
         n_parents = (scm.dag.weights != 0).sum(axis=1)

@@ -1,5 +1,3 @@
-import graphlib
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -25,15 +23,15 @@ def random_dag(rng: np.random.Generator, n: int, p: float = 0.4) -> Dag:
 
 def order(dag: Dag) -> list[int]:
     """The 1-based variables in the order of the Dag's stored schedule."""
-    return [v + 1 for v, _ in dag.schedule]
+    return [v + 1 for v, _, _ in dag.schedule]
 
 
 class TestValidate:
     """A Dag is validated once, by its constructor."""
 
     def test_chain_is_valid(self, chain3):
-        schedule = [(v, pa.tolist()) for v, pa in chain3.schedule]
-        assert schedule == [(0, []), (1, [0]), (2, [1])]
+        schedule = [(v, pa.tolist(), wv.tolist()) for v, pa, wv in chain3.schedule]
+        assert schedule == [(0, [], []), (1, [0], [2.0]), (2, [1], [0.5])]
 
     def test_two_cycle(self):
         with pytest.raises(CycleDetected) as exc:
@@ -146,28 +144,21 @@ class TestTopologicalOrder:
         with pytest.raises(CycleDetected):
             Dag(np.array([[0.0, 1.0], [1.0, 0.0]]))
 
-    @given(st.integers(0, 10_000))
-    @settings(max_examples=60, deadline=None)
-    def test_parents_precede_children(self, seed):
-        rng = np.random.default_rng(seed)
-        dag = random_dag(rng, int(rng.integers(1, 10)))
-        pos = {v: k for k, (v, _) in enumerate(dag.schedule)}
-        assert sorted(pos) == list(range(dag.n))
-        for v, pa in dag.schedule:
-            assert pa.tolist() == np.flatnonzero(dag.weights[v]).tolist()
-            for p in pa:
-                assert pos[p] < pos[v]
-
     @given(st.integers(0, 10_000), st.integers(1, 40), st.sampled_from([0.0, 0.05, 0.4, 1.0]))
     @settings(max_examples=100, deadline=None)
-    def test_schedule_is_graphlib_order_of_per_row_parents(self, seed, n, p):
-        # The schedule of one TopologicalSorter fed each row's nonzero columns, element for element.
+    def test_parents_precede_children(self, seed, n, p):
         dag = random_dag(np.random.default_rng(seed), n, p)
-        parents = {v: np.flatnonzero(dag.weights[v]) for v in range(n)}
-        expected = graphlib.TopologicalSorter({v: pa.tolist() for v, pa in parents.items()}).static_order()
-        assert [(v, pa.tolist(), pa.dtype) for v, pa in dag.schedule] == [
-            (v, parents[v].tolist(), parents[v].dtype) for v in expected
-        ]
+        pos = {v: k for k, (v, _, _) in enumerate(dag.schedule)}
+        assert sorted(pos) == list(range(dag.n))
+        for v, pa, _ in dag.schedule:
+            parents = np.flatnonzero(dag.weights[v])
+            assert (pa.tolist(), pa.dtype) == (parents.tolist(), parents.dtype)
+            for u in pa:
+                assert pos[u] < pos[v]
+
+    def test_roots_first_in_index_order_then_first_in_first_out(self):
+        # 4 -> 1 -> 3 and 2 -> 3: the roots 2 and 4, then 1 (freed by 4), then 3.
+        assert order(Dag.from_edges(4, [(4, 1, 1.0), (1, 3, 1.0), (2, 3, 1.0)])) == [2, 4, 1, 3]
 
 
 class TestSolve:
@@ -183,6 +174,25 @@ class TestSolve:
         out = solve(chain3, rhs)
         for idx in np.ndindex(2, 2):
             assert out[idx].tolist() == solve(chain3, rhs[idx]).tolist()
+
+    @given(st.integers(0, 10_000), st.integers(1, 12), st.sampled_from([(), (3,), (2, 3)]), st.booleans())
+    @settings(max_examples=100, deadline=None)
+    def test_any_topological_order_gives_the_same_bits(self, seed, n, lead, with_fixed):
+        # The schedule in a random topological order of the test's own: each step
+        # takes a random vertex whose parents are all placed.
+        rng = np.random.default_rng(seed)
+        dag = random_dag(rng, n)
+        entries, placed, reordered = {e[0]: e for e in dag.schedule}, set(), []
+        while entries:
+            ready = sorted(v for v, pa, _ in entries.values() if placed.issuperset(pa.tolist()))
+            v = ready[rng.integers(len(ready))]
+            reordered.append(entries.pop(v))
+            placed.add(v)
+        shuffled = Dag(dag.weights)
+        object.__setattr__(shuffled, "schedule", tuple(reordered))
+        rhs = rng.normal(size=(*lead, n))
+        fixed = int(rng.integers(1, n + 1)) if with_fixed else None
+        assert solve(shuffled, rhs, fixed).tobytes() == solve(dag, rhs, fixed).tobytes()
 
     @given(st.integers(0, 10_000), st.integers(1, 12), st.sampled_from([(), (3,), (2, 3)]), st.booleans())
     @settings(max_examples=100, deadline=None)
@@ -217,13 +227,13 @@ class TestNeighborhoods:
     """The schedule lists each vertex's parents (0-based); root_mask marks the parentless."""
 
     def test_seven_vertex_parents(self, seven_vertex_dag):
-        assert dict(seven_vertex_dag.schedule)[3].tolist() == [1, 2]
+        assert {v: pa for v, pa, _ in seven_vertex_dag.schedule}[3].tolist() == [1, 2]
 
     def test_edgeless_roots(self):
         assert root_mask(Dag(np.zeros((4, 4)))).tolist() == [True] * 4
 
     def test_chain_children(self, chain3):
-        assert [v for v, pa in chain3.schedule if 1 in pa] == [2]
+        assert [v for v, pa, _ in chain3.schedule if 1 in pa] == [2]
 
     def test_index_out_of_range(self, chain3):
         with pytest.raises(IndexOutOfRange):
@@ -238,14 +248,13 @@ class TestDagType:
             chain3.weights[0, 0] = 1.0
 
     def test_schedule_parents_are_immutable(self, chain3):
-        _, parents = chain3.schedule[1]
+        _, parents, _ = chain3.schedule[1]
         with pytest.raises(ValueError):
             parents[0] = 2
 
-    def test_parent_weights_follow_the_schedule(self, seven_vertex_dag):
+    def test_schedule_weights_are_the_parents_weights(self, seven_vertex_dag):
         w = seven_vertex_dag.weights
-        assert len(seven_vertex_dag.parent_weights) == len(seven_vertex_dag.schedule)
-        for (v, pa), wv in zip(seven_vertex_dag.schedule, seven_vertex_dag.parent_weights):
+        for v, pa, wv in seven_vertex_dag.schedule:
             assert wv.tolist() == w[v, pa].tolist()
             with pytest.raises(ValueError):
                 wv[...] = 0.0

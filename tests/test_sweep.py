@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from causalsteer import DagGenConfig, PredictionModel, SweepConfig, fileio, generate_random_scm, run_sweep, sweep
+from causalsteer import DagGenConfig, PredictionModel, SweepConfig, fileio, generate_random_scm, run_sweep, sample, sweep
 from causalsteer.cli import main
 from causalsteer.errors import AllEffectsZero, CausalSteerError, InvalidConfig
 from causalsteer.sweep import _run_one_dag, sweep_result_to_csv
@@ -100,6 +100,8 @@ def test_evaluate_intervention_rejects_non_finite_value(c):
     model = PredictionModel("logistic", 0.0, np.array([1.0]), (4,), 1)
     with pytest.raises(ValueError, match="finite"):
         sweep.evaluate_intervention(scm, model, 2, c, 10, 0)
+    with pytest.raises(ValueError, match="intervention value must be finite"):
+        sample(scm, 10, 0, do=(2, c))
 
 
 @pytest.mark.parametrize("field", ["n_dags", "n_post"])
