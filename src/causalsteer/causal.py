@@ -13,11 +13,12 @@ coefficient w_i:
     optimal  c = x_i + (d - s(x)) / g_i
     naive    c = x_i + (d - s(x)) / w_i
 
-Effects come from ``graph.solve``, the package's one forward substitution:
-the plan solves e_i for alpha, the identity gives every effect at once.
-Unlike a dense solve it keeps structural zeros exact, so a variable with no
-path to the prediction has effect 0.0, and g_i == w_i exactly when no other
-predictor descends from X_i.
+Both come from the total-effect matrix without forming it: the plan's
+alpha is one forward ``graph.solve`` of e_i, and the row of every effect,
+g = w (I - W)^-1, is one reverse pass, ``graph.solve_transposed`` of w.
+Unlike a dense solve these keep structural zeros exact, so a variable with
+no path to the prediction has effect 0.0, and g_i == w_i exactly when no
+other predictor descends from X_i.
 """
 
 from dataclasses import dataclass
@@ -31,6 +32,7 @@ from .errors import (
     ZeroCausalEffect,
     ZeroCoefficient,
     check_index,
+    check_indices,
 )
 from .graph import Dag
 from .models import AugmentedGraph, PredictionModel, augment_graph, scores
@@ -60,16 +62,16 @@ class InterventionPlan:
 def effects_on_prediction(augmented: AugmentedGraph, fixed: int | None = None) -> np.ndarray:
     """d/dc of the expected prediction under do(X_k = c), for every k at once.
 
-    Entry k-1 is w . (column k of (I - W)^-1); solving on the identity
-    yields all columns in one pass. Exactly 0.0 for a variable with no
-    directed path into a predictor.
+    Entry k-1 is w . (column k of (I - W)^-1), so the vector is the row
+    w (I - W)^-1: one reverse pass from the coefficients to their ancestors,
+    ``graph.solve_transposed``, which never builds the n columns. Exactly 0.0
+    for a variable with no directed path into a predictor.
 
     With ``fixed = i`` the equation of X_i is cut, as under do(X_i = c), and
     entry k-1 is the weight of N_k in the post-intervention score: with the
     noise vector's entry i set to c, the score is bias + effects . noise.
     """
-    n = augmented.base.n
-    return graph.solve(augmented.base, np.eye(n), fixed=fixed) @ augmented.coeffs
+    return graph.solve_transposed(augmented.base, augmented.coeffs, fixed)
 
 
 def causal_effect_on_prediction(augmented: AugmentedGraph, i: int) -> float:
@@ -85,8 +87,7 @@ def select_intervention_target(augmented: AugmentedGraph, candidates) -> int:
     candidate moves the prediction at all, and so when there is none.
     """
     cands = sorted(set(int(i) for i in candidates))
-    for cand in cands:
-        check_index(cand, augmented.base.n)
+    check_indices(cands, augmented.base.n)
     effects = np.abs(effects_on_prediction(augmented)[[k - 1 for k in cands]])
     if not cands or effects.max() < EFFECT_THRESHOLD:
         raise AllEffectsZero("no candidate has a causal effect on the prediction")

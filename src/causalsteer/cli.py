@@ -73,14 +73,23 @@ def _finite_float(text: str) -> float:
     return value
 
 
-def _seed(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
-    return value
+def _int_at_least(low: int, what: str):
+    """An argparse type: the integer ``text`` if it is >= ``low``, else a usage error expecting ``what``."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"expected {what}, got {text!r}")
+        return value
+
+    return parse
+
+
+_seed = _int_at_least(0, "a non-negative integer")
+_rows = _int_at_least(1, "a positive integer")
 
 
 def _cmd_sample(args) -> None:
@@ -235,7 +244,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("sample", help="draw observations from an SCM file")
     p.add_argument("--scm", required=True)
-    p.add_argument("--rows", type=int, default=1000)
+    p.add_argument("--rows", type=_rows, default=1000)
     p.add_argument("--do", type=_parse_do, help="intervention I=C, e.g. --do 3=1.5")
     seeded(p)
     p.set_defaults(func=_cmd_sample)

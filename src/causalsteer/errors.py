@@ -37,10 +37,16 @@ class IndexOutOfRange(CausalSteerError):
         super().__init__(f"{what} {index} out of range 1..{n}")
 
 
+def check_indices(indices, n: int, what: str = "variable index") -> None:
+    """Raise IndexOutOfRange, naming the first, unless all ``indices`` are 1-based indices 1..n."""
+    for i in indices:
+        if not 1 <= i <= n:
+            raise IndexOutOfRange(i, n, what)
+
+
 def check_index(i, n: int, what: str = "variable index") -> None:
     """Raise IndexOutOfRange unless i is one of the 1-based indices 1..n."""
-    if not 1 <= i <= n:
-        raise IndexOutOfRange(i, n, what)
+    check_indices((i,), n, what)
 
 
 class RankDeficient(CausalSteerError):

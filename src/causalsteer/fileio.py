@@ -57,8 +57,10 @@ def _json_list(value, name: str) -> list:
 
 
 def _json_array(value, ftype, name: str) -> list:
-    """``value`` if it is a JSON array of ``ftype`` scalars, else TypeError."""
-    return [_json_scalar(v, ftype, name) for v in _json_list(value, name)]
+    """``value`` if it is a JSON array of ``ftype`` scalars, else TypeError naming the first that is not."""
+    if set(map(type, _json_list(value, name))) <= set(_JSON_SCALARS[ftype][0]):
+        return value
+    return [_json_scalar(v, ftype, name) for v in value]
 
 
 def dag_to_dict(dag: Dag) -> dict:
@@ -74,20 +76,38 @@ def dag_to_dict(dag: Dag) -> dict:
 
 
 _DAG_KEYS = ("n", "edges", "names")
+_EDGE_KEYS = ("from", "to", "weight")
 
 
 def _edge(doc) -> tuple[int, int, float]:
-    _reject_unknown_keys(doc, ("from", "to", "weight"), "edge")
+    _reject_unknown_keys(doc, _EDGE_KEYS, "edge")
     return _json_int(doc["from"], "from"), _json_int(doc["to"], "to"), _json_float(doc["weight"], "weight")
+
+
+def _edges(docs: list) -> list[tuple[int, int, float]]:
+    """The ``(from, to, weight)`` triples of a JSON array of edge objects.
+
+    Checked in bulk: every edge a dict with exactly the three keys, integer
+    endpoints and a number weight. Only when that fails is each edge decoded
+    by ``_edge`` in order, so the error names the first faulty one.
+    """
+    if set(map(type, docs)) <= {dict} and set(map(len, docs)) <= {3}:
+        try:
+            frm, to, weight = ([d[k] for d in docs] for k in _EDGE_KEYS)
+        except KeyError:
+            pass
+        else:
+            if set(map(type, frm + to)) <= {int} and set(map(type, weight)) <= {int, float}:
+                return list(zip(frm, to, map(float, weight)))
+    return list(map(_edge, docs))
 
 
 def dag_from_dict(doc: dict) -> Dag:
     _reject_unknown_keys(doc, _DAG_KEYS, "DAG")
-    return Dag.from_edges(
-        _json_int(doc["n"], "n"),
-        map(_edge, _json_list(doc["edges"], "edges")),
-        _json_array(doc["names"], str, "names") if "names" in doc else None,
-    )
+    n = _json_int(doc["n"], "n")
+    edges = _json_list(doc["edges"], "edges")
+    names = _json_array(doc["names"], str, "names") if "names" in doc else None
+    return Dag.from_edges(n, _edges(edges), names)
 
 
 def noise_to_dict(spec: NoiseSpec) -> dict:

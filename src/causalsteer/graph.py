@@ -4,13 +4,19 @@ Variables are numbered 1..n in every public signature, file format, and
 printed output. Internally weights are stored as a dense n x n numpy array
 where ``weights[i-1, j-1]`` is the connection strength of variable j into
 variable i; an entry of exactly zero means "no edge".
+
+The SCM is evaluated in two passes over the Dag's stored schedule, both
+against the total-effect matrix (I - W)^-1 and neither forming it:
+``solve`` substitutes forward, x = (I - W)^-1 rhs, for samples, means and
+single columns; ``solve_transposed`` accumulates in reverse, y = rhs (I -
+W)^-1, for one row, such as the total effect of every variable on a score.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import CycleDetected, NonFiniteWeight, NonzeroDiagonal, check_index
+from .errors import CycleDetected, NonFiniteWeight, NonzeroDiagonal, check_index, check_indices
 
 
 @dataclass(frozen=True)
@@ -90,8 +96,7 @@ def _first_faulty_edge(n: int, edges) -> None:
     """Raise for the first edge with an endpoint outside 1..n or a repeated (from, to) pair."""
     seen = set()
     for frm, to, _ in edges:
-        for idx in (frm, to):
-            check_index(idx, n, "edge endpoint")
+        check_indices((frm, to), n, "edge endpoint")
         if (frm, to) in seen:
             raise ValueError(f"duplicate edge {frm} -> {to}")
         seen.add((frm, to))
@@ -133,9 +138,10 @@ def _static_order(rows: np.ndarray, cols: np.ndarray, bounds: list[int]) -> list
 def solve(dag: Dag, rhs, fixed: int | None = None) -> np.ndarray:
     """Solve x = W~ x + rhs along the last axis of ``rhs``; W~ is W with row ``fixed`` zeroed.
 
-    The package's one evaluation of the linear SCM: rows of noise draws give
-    samples, noise means give means, and the unit vector e_i gives column i
-    of the total-effect matrix (I - W)^-1. For do(X_fixed = c), put c in rhs.
+    The package's one forward evaluation of the linear SCM: rows of noise
+    draws give samples, noise means give means, and the unit vector e_i
+    gives column i of the total-effect matrix (I - W)^-1. For
+    do(X_fixed = c), put c in rhs.
     Forward substitution over parents, not a dense solve, so a variable no
     path reaches stays exactly 0.0 and the values of non-descendants of
     ``fixed`` stay bitwise equal to the unintervened ones.
@@ -154,6 +160,31 @@ def solve(dag: Dag, rhs, fixed: int | None = None) -> np.ndarray:
         if pa.size and v + 1 != fixed:
             xt[v] = xt[pa].transpose(last) @ wv + xt[v]
     return x
+
+
+def solve_transposed(dag: Dag, rhs, fixed: int | None = None) -> np.ndarray:
+    """The row vector y = rhs (I - W~)^-1 for a length-n ``rhs``; W~ is W with row ``fixed`` zeroed.
+
+    The adjoint of ``solve``: u . solve(dag, v) == solve_transposed(dag, u) . v.
+    One pass over the schedule in reverse, in which each vertex other than
+    ``fixed`` adds its weight times its final value into each parent, so it
+    costs O(edges) where solving the identity costs O(n edges). Python floats
+    keep structural zeros exact: a vertex with no path to a nonzero entry of
+    ``rhs`` stays exactly 0.0, and y[k] == rhs[k] when none of k's
+    descendants carries a nonzero entry.
+    """
+    y = np.asarray(rhs, dtype=float)
+    if y.shape != (dag.n,):
+        raise ValueError(f"expected a vector of length {dag.n}, got shape {y.shape}")
+    if fixed is not None:
+        check_index(fixed, dag.n)
+    y = y.tolist()
+    for v, pa, wv in reversed(dag.schedule):
+        yv = y[v]
+        if yv and v + 1 != fixed:
+            for p, w in zip(pa.tolist(), wv.tolist()):
+                y[p] += w * yv
+    return np.array(y)
 
 
 def root_mask(dag: Dag) -> np.ndarray:

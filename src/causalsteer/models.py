@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DidNotConvergeWarning, InsufficientRows, RankDeficient, SingleClass, check_index
+from .errors import DidNotConvergeWarning, InsufficientRows, RankDeficient, SingleClass, check_index, check_indices
 from .graph import Dag
 from .scm import Dataset
 
@@ -178,8 +178,7 @@ def _resolve_predictors(n: int, target_index: int, predictor_indices) -> tuple[i
     if predictor_indices is None:
         return tuple(i for i in range(1, n + 1) if i != target_index)
     preds = tuple(int(i) for i in predictor_indices)
-    for i in preds:
-        check_index(i, n, "predictor index")
+    check_indices(preds, n, "predictor index")
     if target_index in preds:
         raise ValueError(f"target variable {target_index} cannot be a predictor")
     return preds
@@ -216,8 +215,7 @@ def augment_graph(dag: Dag, model: PredictionModel) -> AugmentedGraph:
     Its parents are the model predictors with the coefficients as incoming
     weights; the base graph is not modified.
     """
-    for i in model.predictor_indices + (model.target_index,):
-        check_index(i, dag.n)
+    check_indices(model.predictor_indices + (model.target_index,), dag.n)
     coeffs = np.zeros(dag.n)
     coeffs[[p - 1 for p in model.predictor_indices]] = model.coeffs
     coeffs.flags.writeable = False

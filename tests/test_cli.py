@@ -280,6 +280,19 @@ def test_seed_option_must_be_a_non_negative_integer(tmp_path, capsys, command, v
     assert capsys.readouterr().err.endswith(f"error: argument --seed: {reason}\n")
 
 
+@pytest.mark.parametrize("value", ["0", "-3"])
+def test_rows_option_must_be_a_positive_integer(tmp_path, capsys, value):
+    scm = tmp_path / "scm.json"
+    scm.write_text(json.dumps(STEER_SCM))
+    with pytest.raises(SystemExit) as exc:
+        main(["sample", "--scm", str(scm), "--rows", value])
+    assert exc.value.code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage: causalsteer sample")
+    assert err.endswith(f"error: argument --rows: expected a positive integer, got '{value}'\n")
+    assert "Traceback" not in err
+
+
 def test_sweep_rejects_single_training_row(tmp_path, capsys):
     config = tmp_path / "sweep.json"
     config.write_text(json.dumps({"n_dags": 1, "n_train": 1}))

@@ -51,6 +51,51 @@ class TestGraphDocuments:
         with pytest.raises(TypeError, match="from must be an integer, got 1.5"):
             fileio.dag_from_dict(doc)
 
+    @pytest.mark.parametrize(
+        "edge, error, message",
+        [
+            ({"from": 1, "to": 2, "weight": True}, TypeError, "weight must be a number, got True"),
+            ({"from": 1, "to": 2.0, "weight": 1.0}, TypeError, "to must be an integer, got 2.0"),
+            ({"from": 1, "to": 2, "weight": "0.5"}, TypeError, "weight must be a number, got '0.5'"),
+            ({"from": 1, "to": 2}, KeyError, "'weight'"),
+            ({"from": 1, "to": 2, "wieght": 1.0}, InvalidConfig, "unknown edge key(s): 'wieght'"),
+            ({"from": 1, "to": 2, "weight": 1.0, "sign": -1}, InvalidConfig, "unknown edge key(s): 'sign'"),
+            ([1, 2, 1.0], TypeError, "edge must be a JSON object, got [1, 2, 1.0]"),
+            ({"from": 1, "to": 2, "weight": 10**400}, OverflowError, "int too large to convert to float"),
+        ],
+        ids=["bool-weight", "float-endpoint", "string-weight", "missing-key", "misspelled-key", "extra-key",
+             "non-object", "huge-weight"],
+    )
+    @pytest.mark.parametrize("later", [[], [{"from": 9, "to": "x"}]], ids=["alone", "before-another-fault"])
+    def test_bulk_edge_check_names_the_first_faulty_edge(self, edge, error, message, later):
+        # Valid edges before the faulty one; a later fault, if any, must not be named.
+        edges = [{"from": 1, "to": 2, "weight": 1.0}, {"from": 2, "to": 3, "weight": 2}, edge, *later]
+        with pytest.raises(error) as exc:
+            fileio.dag_from_dict({"n": 3, "edges": edges})
+        assert str(exc.value) == message
+
+    def test_bulk_edge_decode_equals_the_per_edge_decode(self):
+        edges = [{"from": 1, "to": 2, "weight": 3}, {"weight": -0.5, "to": 3, "from": 2}]
+        decoded = fileio._edges(edges)
+        assert decoded == [fileio._edge(e) for e in edges] == [(1, 2, 3.0), (2, 3, -0.5)]
+        assert [type(w) for _, _, w in decoded] == [float, float]
+        assert fileio.dag_from_dict({"n": 3, "edges": edges}).weights[1, 0] == 3.0
+
+    @pytest.mark.parametrize(
+        "value, ftype, message",
+        [
+            ([1.0, 2, True, "x"], float, "coeffs must be a number, got True"),
+            ([1, 2.0, "x"], int, "coeffs must be an integer, got 2.0"),
+            (["a", 1, None], str, "coeffs must be a string, got 1"),
+        ],
+        ids=["float", "int", "str"],
+    )
+    def test_json_array_names_its_first_wrong_entry(self, value, ftype, message):
+        with pytest.raises(TypeError) as exc:
+            fileio._json_array(value, ftype, "coeffs")
+        assert str(exc.value) == message
+        assert fileio._json_array(value[:1], ftype, "coeffs") == value[:1]
+
     def test_one_based_orientation(self):
         # edge 1 -> 2 must land in weights[1, 0] (strength of 1 into 2)
         dag = fileio.dag_from_dict({"n": 2, "edges": [{"from": 1, "to": 2, "weight": 3.0}]})

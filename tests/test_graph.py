@@ -3,8 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from causalsteer import Dag, graph
-from causalsteer.graph import _static_order as static_order, root_mask, solve
+from causalsteer import Dag, PredictionModel, augment_graph, effects_on_prediction, graph
+from causalsteer.graph import _static_order as static_order, root_mask, solve, solve_transposed
 from causalsteer.errors import CycleDetected, IndexOutOfRange, NonFiniteWeight, NonzeroDiagonal
 
 from .oracles import solve_by_rows
@@ -221,6 +221,84 @@ class TestSolve:
             solve(chain3, np.zeros(2))
         with pytest.raises(IndexOutOfRange):
             solve(chain3, np.zeros(3), fixed=4)
+
+
+def cut_weights(dag: Dag, fixed: int | None) -> np.ndarray:
+    """W~: the weights with row ``fixed`` zeroed, the equation do(X_fixed = c) removes."""
+    w = dag.weights.copy()
+    if fixed is not None:
+        w[fixed - 1] = 0.0
+    return w
+
+
+def path_sums(w: np.ndarray) -> np.ndarray:
+    """Entry [j, k]: the sum over directed paths k -> ... -> j (and k == j) of their absolute weight products.
+
+    Bounds entry [j, k] of (I - W)^-1 in magnitude, and is positive exactly
+    where such a path exists: no rounding noise where that entry is zero.
+    """
+    a = np.abs(w)
+    total = term = np.eye(len(w))
+    for _ in range(len(w)):
+        term = a @ term
+        total = total + term
+    return total
+
+
+def assert_close(actual, expected, scale) -> None:
+    """Equal to 1e-12 relative to ``scale``, the same sum taken over absolute values."""
+    assert (np.abs(actual - expected) <= 1e-12 * scale).all()
+
+
+class TestSolveTransposed:
+    """y = rhs (I - W~)^-1 in one reverse pass: the adjoint of solve."""
+
+    def test_chain_by_hand(self, chain3):
+        # y3 = 1, y2 = 1 + 0.5 * 1, y1 = 1 + 2 * 1.5
+        assert solve_transposed(chain3, [1.0, 1.0, 1.0]).tolist() == [4.0, 1.5, 1.0]
+
+    def test_fixed_vertex_passes_nothing_to_its_parents(self, chain3):
+        assert solve_transposed(chain3, [1.0, 1.0, 1.0], fixed=2).tolist() == [1.0, 1.5, 1.0]
+
+    def test_shape_and_index_checked(self, chain3):
+        with pytest.raises(ValueError):
+            solve_transposed(chain3, np.zeros(2))
+        with pytest.raises(ValueError):
+            solve_transposed(chain3, np.zeros((2, 3)))
+        with pytest.raises(IndexOutOfRange):
+            solve_transposed(chain3, np.zeros(3), fixed=0)
+
+    @given(st.integers(0, 10_000), st.integers(1, 12), st.booleans())
+    @settings(max_examples=100, deadline=None)
+    def test_is_the_adjoint_of_solve(self, seed, n, with_fixed):
+        rng = np.random.default_rng(seed)
+        dag = random_dag(rng, n)
+        fixed = int(rng.integers(1, n + 1)) if with_fixed else None
+        u, v = rng.normal(size=n), rng.normal(size=n)
+        scale = np.abs(u) @ path_sums(cut_weights(dag, fixed)) @ np.abs(v)
+        assert_close(solve_transposed(dag, u, fixed) @ v, u @ solve(dag, v, fixed), scale)
+
+    @given(st.integers(0, 10_000), st.integers(2, 12), st.sampled_from([0.1, 0.4, 0.8]), st.booleans())
+    @settings(max_examples=100, deadline=None)
+    def test_effects_match_the_dense_oracle_and_vanish_off_the_predictors_ancestors(self, seed, n, p, with_fixed):
+        rng = np.random.default_rng(seed)
+        dag = random_dag(rng, n, p)
+        target = int(rng.integers(1, n + 1))
+        others = [i for i in range(1, n + 1) if i != target]
+        preds = tuple(sorted(int(i) for i in rng.choice(others, size=int(rng.integers(1, n)), replace=False)))
+        coeffs = rng.uniform(0.5, 2.0, len(preds)) * rng.choice([-1.0, 1.0], len(preds))
+        model = PredictionModel("linear", 0.0, coeffs, preds, target)
+        fixed = int(rng.integers(1, n + 1)) if with_fixed else None
+        cut = cut_weights(dag, fixed)
+        augmented = augment_graph(dag, model)
+        w = augmented.coeffs
+        effects = effects_on_prediction(augmented, fixed)
+        scale = np.abs(w) @ path_sums(cut)
+        # Positive scale: a path in the cut graph from the variable into a predictor.
+        feeds = scale > 0
+        dense = w @ np.linalg.inv(np.eye(n) - cut)
+        assert_close(effects[feeds], dense[feeds], scale[feeds])
+        assert ((effects == 0.0) == ~feeds).all()
 
 
 class TestNeighborhoods:

@@ -225,3 +225,8 @@ class TestAugmentGraph:
         model = PredictionModel("linear", 0.0, np.array([1.0]), (9,), 3)
         with pytest.raises(IndexOutOfRange):
             augment_graph(chain3, model)
+
+    def test_first_out_of_range_index_is_named(self, chain3):
+        model = PredictionModel("linear", 0.0, np.array([1.0, 1.0, 1.0]), (1, 7, 5), 9)
+        with pytest.raises(IndexOutOfRange, match="^variable index 7 out of range 1..3$"):
+            augment_graph(chain3, model)
