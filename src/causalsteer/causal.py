@@ -70,6 +70,9 @@ def effects_on_prediction(augmented: AugmentedGraph, fixed: int | None = None) -
     With ``fixed = i`` the equation of X_i is cut, as under do(X_i = c), and
     entry k-1 is the weight of N_k in the post-intervention score: with the
     noise vector's entry i set to c, the score is bias + effects . noise.
+    The sweep scores it with each noise N_k = loc_k + scale_k * u_k folded
+    in: bias + effects . loc (loc_i := c) plus (effects * scale, entry i
+    zeroed) . u, on the standard draws u.
     """
     return graph.solve_transposed(augmented.base, augmented.coeffs, fixed)
 

@@ -97,7 +97,12 @@ def fit_logistic(data: Dataset, labels, predictor_indices=None, *, target_index:
 
     Newton updates with step-halving keep the penalized log-likelihood
     non-decreasing; the L2 penalty ``IRLS_L2`` on the coefficients (never
-    the bias) guarantees a finite optimum under complete separation.
+    the bias) guarantees a finite optimum under complete separation. The
+    Hessian X^T diag(w) X is formed as z^T z with z = diag(sqrt(w)) X, one
+    symmetric product, and each step starts from the score ``X @ beta`` that
+    its accepted candidate already computed. The plain form, a general
+    product and a fresh score per step, is ``irls_logistic`` in
+    ``tests/oracles.py``; the two agree to rounding, not bit for bit.
     Converged when the largest absolute coefficient update drops below
     ``IRLS_TOL``. On hitting ``IRLS_MAX_ITER`` a DidNotConvergeWarning is
     issued and the model is returned with ``converged=False``.
@@ -116,21 +121,30 @@ def fit_logistic(data: Dataset, labels, predictor_indices=None, *, target_index:
 
     preds = _resolve_predictors(data.n, target_index, predictor_indices)
 
-    x = np.column_stack([np.ones(data.m), data.rows[:, [p - 1 for p in preds]]])
+    # The design transposed, one row per coefficient (the bias first): each
+    # step scales its rows by sqrt(w) into the one buffer zt, and zt @ zt.T
+    # is a single symmetric BLAS product (syrk), half the flops of a general
+    # one. No array of the design's size is allocated inside the loop.
+    xt = np.empty((len(preds) + 1, data.m))
+    xt[0] = 1.0
+    xt[1:] = data.rows[:, [p - 1 for p in preds]].T
     y = labels.astype(float)
-    penalty = np.full(x.shape[1], IRLS_L2)
+    penalty = np.full(xt.shape[0], IRLS_L2)
     penalty[0] = 0.0
+    diag = np.diag_indices(xt.shape[0])
 
-    beta = np.zeros(x.shape[1])
-    trace = [_penalized_loglik(x, y, beta, penalty)]
+    zt = np.empty_like(xt)
+    beta = np.zeros(xt.shape[0])
+    score = np.zeros(data.m)
+    trace = [_penalized_loglik(score, y, beta, penalty)]
     converged = False
     it = 0
     for it in range(1, IRLS_MAX_ITER + 1):
-        score = x @ beta
         prob = _sigmoid(score)
-        grad = x.T @ (y - prob) - penalty * beta
-        w = prob * (1.0 - prob)
-        hess = (x.T * w) @ x + np.diag(penalty)
+        grad = xt @ (y - prob) - penalty * beta
+        np.multiply(xt, np.sqrt(prob * (1.0 - prob)), out=zt)
+        hess = zt @ zt.T
+        hess[diag] += penalty
         try:
             step = np.linalg.solve(hess, grad)
         except np.linalg.LinAlgError:
@@ -141,7 +155,8 @@ def fit_logistic(data: Dataset, labels, predictor_indices=None, *, target_index:
         improved = False
         for _ in range(30):
             candidate = beta + scale * step
-            ll = _penalized_loglik(x, y, candidate, penalty)
+            candidate_score = candidate @ xt
+            ll = _penalized_loglik(candidate_score, y, candidate, penalty)
             if ll >= current:
                 improved = True
                 break
@@ -151,7 +166,7 @@ def fit_logistic(data: Dataset, labels, predictor_indices=None, *, target_index:
             # resolved to machine precision.
             converged = True
             break
-        beta = candidate
+        beta, score = candidate, candidate_score
         trace.append(ll)
         if np.max(np.abs(scale * step)) < IRLS_TOL:
             converged = True
@@ -185,16 +200,13 @@ def _resolve_predictors(n: int, target_index: int, predictor_indices) -> tuple[i
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    # exp(-|z|) never overflows; 1/(1+t) for z >= 0 and t/(1+t) below it.
+    t = np.exp(-np.abs(z))
+    return np.where(z >= 0, 1.0 / (1.0 + t), t / (1.0 + t))
 
 
-def _penalized_loglik(x, y, beta, penalty) -> float:
-    score = x @ beta
+def _penalized_loglik(score, y, beta, penalty) -> float:
+    """The penalized log-likelihood at ``beta``, given its linear score ``x @ beta``."""
     return float((y * score - np.logaddexp(0.0, score)).sum() - 0.5 * penalty @ beta**2)
 
 

@@ -15,11 +15,14 @@ fill of a contiguous block takes those draws in the same C order, then
 applies the same two operations.
 
 Under do(X_i = c), ``_draw_noise`` draws every noise as usual, then
-overwrites variable i's draws with c; ``sample`` and the sweep's scoring
-both draw through it. Samples and analytic means both come from
-``graph.solve``, the package's one forward substitution; unlike a dense
-solve it keeps the columns an intervention cannot reach bitwise equal to
-the observational sample.
+overwrites variable i's draws with c; ``sample`` draws through it. The
+sweep's scoring takes the same stream unscaled from ``_draw_standard``,
+with each variable's (loc, scale), and folds the scales and c into its
+effect vector; ``_check_do`` is the one rule on (i, c) for both.
+
+Samples and analytic means both come from ``graph.solve``, the package's
+one forward substitution; unlike a dense solve it keeps the columns an
+intervention cannot reach bitwise equal to the observational sample.
 """
 
 import itertools
@@ -38,7 +41,12 @@ NOISE_FAMILIES = {"gaussian": ("mean", "stddev"), "uniform": ("lo", "hi"), "cons
 
 @dataclass(frozen=True)
 class NoiseSpec:
-    """One noise distribution: gaussian(mean, stddev), uniform(lo, hi), or constant(value)."""
+    """One noise distribution: gaussian(mean, stddev), uniform(lo, hi), or constant(value).
+
+    A draw is ``loc + scale * u`` for a standard draw u (``loc_scale``):
+    ``fill`` writes the draws, ``fill_standard`` only the u, from the same
+    stream, so a caller can fold loc and scale into its own arithmetic.
+    """
 
     family: str
     params: tuple[float, ...]
@@ -82,21 +90,44 @@ class NoiseSpec:
             return 0.5 * (self.params[0] + self.params[1])
         return self.params[0]
 
+    def loc_scale(self) -> tuple[float, float]:
+        """(loc, scale) such that a draw is ``loc + scale * u`` for its standard draw u.
+
+        u is N(0, 1) for a gaussian and U[0, 1) for a uniform; a constant
+        is (value, 0.0).
+        """
+        if self.family == "uniform":
+            return self.params[0], self.params[1] - self.params[0]
+        if self.family == "gaussian":
+            return self.params
+        return self.params[0], 0.0
+
+    def fill_standard(self, rng: np.random.Generator, out: np.ndarray) -> None:
+        """Overwrite the C-contiguous float array ``out`` with standard draws u, in C order.
+
+        Takes the stream ``fill`` takes: ``rng.standard_normal`` or
+        ``rng.random`` into ``out``; a constant writes 0.0 and draws nothing.
+        """
+        if self.family == "gaussian":
+            rng.standard_normal(out=out)
+        elif self.family == "uniform":
+            rng.random(out=out)
+        else:
+            out.fill(0.0)
+
     def fill(self, rng: np.random.Generator, out: np.ndarray) -> None:
         """Overwrite the C-contiguous float array ``out`` with draws, in C order.
 
         The values and the stream position equal ``rng.normal(mean, stddev,
-        out.size)`` or ``rng.uniform(lo, hi, out.size)``; a constant draws nothing.
+        out.size)`` or ``rng.uniform(lo, hi, out.size)``: the standard draws
+        of ``fill_standard``, scaled and shifted in place. A constant writes
+        its value and draws nothing (0.0 + -0.0 would lose the sign of -0.0).
         """
         if self.family == "constant":
             out.fill(self.params[0])
             return
-        if self.family == "gaussian":
-            loc, scale = self.params
-            rng.standard_normal(out=out)
-        else:
-            loc, scale = self.params[0], self.params[1] - self.params[0]
-            rng.random(out=out)
+        self.fill_standard(rng, out)
+        loc, scale = self.loc_scale()
         out *= scale
         out += loc
 
@@ -178,6 +209,24 @@ def noise_means(scm: Scm) -> np.ndarray:
     return np.array([spec.mean() for spec in scm.noises])
 
 
+def _check_do(scm: Scm, do: tuple[int, float]) -> None:
+    """The rule for do(X_i = c): i names a variable of ``scm`` and c is finite."""
+    i, c = do
+    check_index(i, scm.n)
+    if not math.isfinite(c):
+        raise ValueError(f"intervention value must be finite, got {c}")
+
+
+def _fill_runs(scm: Scm, rng: np.random.Generator, m: int, fill) -> np.ndarray:
+    """An n x m array with ``fill(spec, rng, rows)`` applied to each run of equal specs, in index order."""
+    if m < 1:
+        raise ValueError(f"sample count must be >= 1, got {m}")
+    out = np.empty((scm.n, m))
+    for start, end, spec in scm.noise_runs:
+        fill(spec, rng, out[start:end])
+    return out
+
+
 def _draw_noise(scm: Scm, rng: np.random.Generator, m: int, do: tuple[int, float] | None = None) -> np.ndarray:
     """An n x m array whose row k-1 holds m draws of N_k, and row i-1 holds c under do(X_i = c).
 
@@ -187,19 +236,26 @@ def _draw_noise(scm: Scm, rng: np.random.Generator, m: int, do: tuple[int, float
     leaves every other variable's draws untouched.
     """
     if do is not None:
-        i, c = do
         # Before the write, where 0 would address the last row.
-        check_index(i, scm.n)
-        if not math.isfinite(c):
-            raise ValueError(f"intervention value must be finite, got {c}")
-    if m < 1:
-        raise ValueError(f"sample count must be >= 1, got {m}")
-    noise = np.empty((scm.n, m))
-    for start, end, spec in scm.noise_runs:
-        spec.fill(rng, noise[start:end])
+        _check_do(scm, do)
+    noise = _fill_runs(scm, rng, m, NoiseSpec.fill)
     if do is not None:
-        noise[i - 1] = c
+        noise[do[0] - 1] = do[1]
     return noise
+
+
+def _draw_standard(scm: Scm, rng: np.random.Generator, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``_draw_noise``'s draws before they are scaled: (u, loc, scale).
+
+    u is n x m and takes the same stream; loc and scale are length n, and
+    ``loc[k] + scale[k] * u[k]`` is row k of ``_draw_noise`` up to the sign
+    of a zero (exactly so for a gaussian or uniform row).
+    """
+    u = _fill_runs(scm, rng, m, NoiseSpec.fill_standard)
+    loc, scale = np.empty(scm.n), np.empty(scm.n)
+    for start, end, spec in scm.noise_runs:
+        loc[start:end], scale[start:end] = spec.loc_scale()
+    return u, loc, scale
 
 
 def _simulate(scm: Scm, m: int, seed, do: tuple[int, float] | None) -> np.ndarray:

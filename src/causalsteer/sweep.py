@@ -10,10 +10,14 @@ post-intervention samples the classifier assigns to class 1.
 The samples are scored in score space. Under do(X_i = c) a sample's score
 is bias + e . noise, with the noise draws' entry i set to c and e =
 ``effects_on_prediction(augmented, fixed=i)``, computed once per DAG; no
-sample is solved for. The noise is drawn by ``sample``'s own routine,
-``scm._draw_noise`` with ``do=(i, c)``, and the tie coin after it from the
-same generator, so every class-1 count equals that of sampling under
-do(X_i = c) and scoring each row (the oracle in ``tests/oracles.py``).
+sample is solved for. Each noise draw is loc_k + scale_k * u_k for a
+standard draw u_k, so the score is the constant bias + e . loc (loc_i := c)
+plus (e * scale, entry i zeroed) . u: the draws u come unscaled from
+``scm._draw_standard``, the same stream ``sample`` takes, and the tie coin
+after them from the same generator. The folded score equals the unfolded
+one up to rounding, so a class-1 count equals that of sampling under
+do(X_i = c) and scoring each row (the oracle in ``tests/oracles.py``)
+unless a score lies within rounding of 0.
 
 Each DAG's randomness derives from an independently spawned seed, so the
 result is invariant to execution order and bitwise reproducible.
@@ -36,7 +40,7 @@ from .causal import (
 from .datagen import DagGenConfig, generate_random_scm, median_split_labels, pick_random_target
 from .errors import AllEffectsZero, CausalSteerError, InvalidConfig, ZeroCausalEffect, ZeroCoefficient
 from .models import PredictionModel, augment_graph, fit_logistic
-from .scm import Scm, _draw_noise, analytic_means, sample
+from .scm import Scm, _check_do, _draw_standard, analytic_means, sample
 
 
 @dataclass(frozen=True)
@@ -60,7 +64,7 @@ class SweepConfig:
         if self.seed < 0:
             raise InvalidConfig(f"seed must be >= 0, got {self.seed}")
         if self.datagen.seed is not None:
-            # _run_one_dag draws each DAG from a seed spawned from ``seed``.
+            # _fit_one_dag draws each DAG from a seed spawned from ``seed``.
             raise InvalidConfig(f"datagen.seed must be null in a sweep, got {self.datagen.seed!r}; set seed instead")
         self.datagen.check()
 
@@ -74,14 +78,36 @@ class SweepRow:
 
 @dataclass(frozen=True)
 class SweepResult:
-    """One row per d, and the excluded DAGs counted by exception class name, e.g. ``{"AllEffectsZero": 3}``."""
+    """One row per d, and the excluded DAGs counted by exception class name, e.g. ``{"AllEffectsZero": 3}``.
+
+    ``irls_not_converged`` counts the DAGs whose logistic fit hit
+    ``IRLS_MAX_ITER`` and ``irls_iterations_mean`` is the mean number of
+    Newton steps per fit, both over every DAG of the sweep.
+    """
 
     rows: tuple[SweepRow, ...]
     failures: dict[str, int]
+    irls_not_converged: int
+    irls_iterations_mean: float
 
     @property
     def n_failed(self) -> int:
         return sum(self.failures.values())
+
+
+def _folded_scores(scm: Scm, bias: float, effects: np.ndarray, i: int, c: float, m: int, rng) -> np.ndarray:
+    """The m scores bias + effects . noise under do(X_i = c), with noise = loc + scale * u folded in.
+
+    Scored as (bias + effects . loc, with loc_i := c) + (effects * scale,
+    with entry i zeroed) . u, so the draws are never scaled or shifted.
+    Equal to scoring ``_draw_noise(scm, rng, m, do=(i, c))`` up to rounding.
+    """
+    _check_do(scm, (i, c))
+    u, loc, scale = _draw_standard(scm, rng, m)
+    loc[i - 1] = c
+    weights = effects * scale
+    weights[i - 1] = 0.0
+    return (bias + effects @ loc) + weights @ u
 
 
 def _class1_count(scm: Scm, bias: float, effects: np.ndarray, i: int, c: float, n_post: int, seed) -> int:
@@ -91,7 +117,7 @@ def _class1_count(scm: Scm, bias: float, effects: np.ndarray, i: int, c: float, 
     scores (measure zero for continuous data) get a fair coin each.
     """
     rng = np.random.default_rng(seed)
-    s = bias + effects @ _draw_noise(scm, rng, n_post, (i, c))
+    s = _folded_scores(scm, bias, effects, i, c, n_post, rng)
     ones = np.count_nonzero(s > 0)
     ties = np.count_nonzero(s == 0)
     if ties:
@@ -110,14 +136,18 @@ def evaluate_intervention(scm: Scm, model: PredictionModel, i: int, c: float, n_
     return _class1_count(scm, model.bias, effects, i, c, n_post, seed) / n_post
 
 
-def _run_one_dag(config: SweepConfig, seed: np.random.SeedSequence):
-    """Class-1 counts for one DAG: (counts_optimal, counts_naive), one count per d."""
+def _fit_one_dag(config: SweepConfig, seed: np.random.SeedSequence):
+    """One DAG and its classifier: (scm, model, the seed left for evaluation)."""
     s_scm, s_train, s_target, s_eval = seed.spawn(4)
     scm = generate_random_scm(dataclasses.replace(config.datagen, seed=s_scm))
     train = sample(scm, config.n_train, s_train)
     target = pick_random_target(scm.n, s_target)
     labels = median_split_labels(train, target)
-    model = fit_logistic(train, labels, target_index=target)
+    return scm, fit_logistic(train, labels, target_index=target), s_eval
+
+
+def _score_one_dag(config: SweepConfig, scm: Scm, model: PredictionModel, s_eval: np.random.SeedSequence):
+    """Class-1 counts for one fitted DAG: (counts_optimal, counts_naive), one count per d."""
     augmented = augment_graph(scm.dag, model)
     intervene_on = select_intervention_target(augmented, model.predictor_indices)
 
@@ -144,7 +174,7 @@ def run_sweep(config: SweepConfig) -> SweepResult:
     DAGs on which no finite intervention can move the prediction (zero
     causal effect, or a zero naive coefficient) are counted in ``failures``
     by exception class and excluded; individual failures never abort the
-    sweep.
+    sweep. The IRLS counts cover every DAG's fit, excluded DAGs included.
     """
     config.check()
     dag_seeds = np.random.SeedSequence(config.seed).spawn(config.n_dags)
@@ -152,10 +182,13 @@ def run_sweep(config: SweepConfig) -> SweepResult:
     opt_total = np.zeros(n_d, dtype=int)
     naive_total = np.zeros(n_d, dtype=int)
     failures = collections.Counter()
-    n_ok = 0
+    n_ok = n_iter = not_converged = 0
     for seed in dag_seeds:
+        scm, model, s_eval = _fit_one_dag(config, seed)
+        n_iter += model.n_iter
+        not_converged += not model.converged
         try:
-            opt_counts, naive_counts = _run_one_dag(config, seed)
+            opt_counts, naive_counts = _score_one_dag(config, scm, model, s_eval)
         except (ZeroCausalEffect, AllEffectsZero, ZeroCoefficient) as exc:
             failures[type(exc).__name__] += 1
             continue
@@ -171,7 +204,7 @@ def run_sweep(config: SweepConfig) -> SweepResult:
         SweepRow(float(d), opt_total[k] / denom, naive_total[k] / denom)
         for k, d in enumerate(config.d_values)
     )
-    return SweepResult(rows, failures)
+    return SweepResult(rows, failures, not_converged, n_iter / config.n_dags)
 
 
 def sweep_result_to_csv(result: SweepResult) -> str:
@@ -191,4 +224,6 @@ def run_manifest(config: SweepConfig, result: SweepResult) -> dict:
         "n_dags": config.n_dags,
         "n_failed": result.n_failed,
         "failures": result.failures,
+        "irls_not_converged": result.irls_not_converged,
+        "irls_iterations_mean": result.irls_iterations_mean,
     }

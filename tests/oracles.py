@@ -9,6 +9,7 @@ noise the sweep draws and so samples through ``causalsteer.sample``.
 import numpy as np
 
 from causalsteer import Dag, PredictionModel, Scm, sample, scores
+from causalsteer.models import IRLS_L2, IRLS_MAX_ITER, IRLS_TOL
 
 
 def enumerate_paths(dag: Dag, i: int, j: int):
@@ -156,3 +157,60 @@ def class1_count_by_sampling(scm: Scm, model: PredictionModel, i: int, c: float,
     if ties:
         ones += int(rng.integers(2, size=ties).sum())
     return ones
+
+
+def irls_logistic(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, int, bool]:
+    """Penalized logistic IRLS written the plain way: (beta, n_iter, converged).
+
+    ``x`` is the design matrix with its leading column of ones and ``y`` the
+    0/1 labels as floats. Same rules as ``fit_logistic``: Newton steps with
+    step-halving, the L2 penalty on all but the bias, the same tolerance and
+    iteration cap. Each step recomputes ``x @ beta``, the Hessian is the
+    full product ``(x.T * w) @ x`` and the sigmoid splits on the sign by
+    boolean masks.
+    """
+
+    def sigmoid(z):
+        out = np.empty_like(z)
+        pos = z >= 0
+        out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+        ez = np.exp(z[~pos])
+        out[~pos] = ez / (1.0 + ez)
+        return out
+
+    def penalized_loglik(beta):
+        score = x @ beta
+        return float((y * score - np.logaddexp(0.0, score)).sum() - 0.5 * penalty @ beta**2)
+
+    penalty = np.full(x.shape[1], IRLS_L2)
+    penalty[0] = 0.0
+    beta = np.zeros(x.shape[1])
+    current = penalized_loglik(beta)
+    converged = False
+    it = 0
+    for it in range(1, IRLS_MAX_ITER + 1):
+        prob = sigmoid(x @ beta)
+        grad = x.T @ (y - prob) - penalty * beta
+        w = prob * (1.0 - prob)
+        hess = (x.T * w) @ x + np.diag(penalty)
+        try:
+            step = np.linalg.solve(hess, grad)
+        except np.linalg.LinAlgError:
+            step = np.linalg.lstsq(hess, grad, rcond=None)[0]
+        scale = 1.0
+        improved = False
+        for _ in range(30):
+            candidate = beta + scale * step
+            ll = penalized_loglik(candidate)
+            if ll >= current:
+                improved = True
+                break
+            scale *= 0.5
+        if not improved:
+            converged = True
+            break
+        beta, current = candidate, ll
+        if np.max(np.abs(scale * step)) < IRLS_TOL:
+            converged = True
+            break
+    return beta, it, converged

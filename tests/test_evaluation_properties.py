@@ -6,6 +6,10 @@ the same noise through ``sample`` and scores every row. On random dense
 DAGs with mixed noise families and random models, the counts must be equal
 for every intervened variable, including when every score is exactly 0 and
 the tie coin decides.
+
+The folded scores themselves (``sweep._folded_scores``) must equal bias +
+e . noise on the noise ``scm._draw_noise`` draws, within the rounding of
+the two sums, on every family with signed-zero parameters too.
 """
 
 import numpy as np
@@ -13,7 +17,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from causalsteer import NoiseSpec, PredictionModel, Scm, augment_graph, effects_on_prediction, evaluate_intervention
-from causalsteer.sweep import _class1_count
+from causalsteer.scm import _draw_noise, _draw_standard
+from causalsteer.sweep import _class1_count, _folded_scores
 
 from .conftest import dense_random_scm
 from .oracles import class1_count_by_sampling
@@ -74,3 +79,41 @@ def test_score_space_count_equals_sampling(instance):
         if tie:
             # Every score is 0, so the coin decides each row: all 0 or all 1 has chance 2^-63.
             assert 0 < count < N_POST
+
+
+SIGNED = st.sampled_from([0.0, -0.0, 0.75, -1.5, 3.0])
+
+
+@st.composite
+def signed_zero_specs(draw):
+    """Gaussian, uniform or constant noise whose parameters may be 0.0 or -0.0."""
+    family = draw(st.sampled_from(["gaussian", "uniform", "constant"]))
+    a = draw(SIGNED)
+    if family == "gaussian":
+        return NoiseSpec.gaussian(a, draw(st.sampled_from([0.0, 0.5, 2.0])))
+    if family == "uniform":
+        return NoiseSpec.uniform(a, a + draw(st.sampled_from([0.0, 1.0])))
+    return NoiseSpec.constant(a)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(instances(), st.data())
+def test_folded_scores_equal_unfolded_within_rounding(instance, data):
+    scm, model, c, seed, _ = instance
+    noises = tuple(data.draw(st.one_of(st.just(spec), signed_zero_specs())) for spec in scm.noises)
+    scm = Scm(scm.dag, noises)
+    c = data.draw(st.one_of(st.just(c), SIGNED))
+    augmented = augment_graph(scm.dag, model)
+    eps = np.finfo(float).eps
+    for i in range(1, scm.n + 1):
+        effects = effects_on_prediction(augmented, fixed=i)
+        folded = _folded_scores(scm, model.bias, effects, i, c, N_POST, np.random.default_rng(seed))
+        noise = _draw_noise(scm, np.random.default_rng(seed), N_POST, do=(i, c))
+        unfolded = model.bias + effects @ noise
+        u, loc, scale = _draw_standard(scm, np.random.default_rng(seed), N_POST)
+        scale[i - 1] = 0.0
+        # Either side is within about (n + 3) eps of the exact sum, relative
+        # to the sum of its terms' magnitudes; allow twice that on each side.
+        terms = np.abs(noise) + np.abs(loc)[:, None] + np.abs(scale[:, None] * u)
+        magnitude = abs(model.bias) + abs(effects[i - 1] * c) + np.abs(effects) @ terms
+        assert (np.abs(folded - unfolded) <= 4 * (scm.n + 3) * eps * magnitude).all()

@@ -3,13 +3,18 @@ import pytest
 
 from causalsteer import (
     Dag,
+    DagGenConfig,
     Dataset,
     PredictionModel,
     augment_graph,
     evaluate_intervention,
     fit_linear,
     fit_logistic,
+    generate_random_scm,
+    median_split_labels,
     models,
+    pick_random_target,
+    sample,
     scores,
 )
 from causalsteer.errors import (
@@ -21,6 +26,7 @@ from causalsteer.errors import (
 )
 
 from .conftest import constant_scm
+from .oracles import irls_logistic
 
 
 def _sigmoid(z):
@@ -86,19 +92,15 @@ class TestFitLinear:
 
 class TestFitLogistic:
     def test_null_model(self):
-        rng = np.random.default_rng(4)
-        x = rng.normal(size=(10_000, 2))
-        labels = rng.integers(0, 2, size=10_000)
-        data = Dataset(np.column_stack([x, np.zeros(10_000)]))
-        model = fit_logistic(data, labels, target_index=3)
+        data, labels, target = _null_model_set()
+        model = fit_logistic(data, labels, target_index=target)
         assert (np.abs(model.coeffs) < 0.1).all()
         p_hat = labels.mean()
         assert model.bias == pytest.approx(np.log(p_hat / (1 - p_hat)), abs=0.1)
 
     def test_separated_data_stays_finite(self):
-        data = Dataset(np.column_stack([[-2.0, -1.0, 1.0, 2.0], np.zeros(4)]))
-        labels = np.array([0, 0, 1, 1])
-        model = fit_logistic(data, labels, target_index=2)
+        data, labels, target = _separated_set()
+        model = fit_logistic(data, labels, target_index=target)
         assert np.isfinite(model.coeffs).all() and np.isfinite(model.bias)
         boundary = -model.bias / model.coeffs[0]
         assert -1.0 < boundary < 1.0
@@ -137,6 +139,54 @@ class TestFitLogistic:
             model = fit_logistic(data, labels, target_index=3)
         assert not model.converged
         assert model.n_iter == 1
+
+
+def _paper_size_training_set(seed: int):
+    """The sweep's fitting problem on one default-size DAG: 1000 rows, 69 predictors."""
+    scm = generate_random_scm(DagGenConfig(seed=seed))
+    train = sample(scm, 1000, seed)
+    target = pick_random_target(scm.n, seed)
+    return train, median_split_labels(train, target), target
+
+
+def _separated_set():
+    """Four rows split at 0 with no overlap: only the L2 penalty keeps the fit finite."""
+    return Dataset(np.column_stack([[-2.0, -1.0, 1.0, 2.0], np.zeros(4)])), np.array([0, 0, 1, 1]), 2
+
+
+def _null_model_set():
+    """Labels drawn independently of two standard normal predictors."""
+    rng = np.random.default_rng(4)
+    x = rng.normal(size=(10_000, 2))
+    return Dataset(np.column_stack([x, np.zeros(10_000)])), rng.integers(0, 2, size=10_000), 3
+
+
+@pytest.mark.parametrize(
+    "make_set",
+    [pytest.param(lambda s=s: _paper_size_training_set(s), id=f"paper-{s}") for s in range(20)]
+    + [pytest.param(_separated_set, id="separated"), pytest.param(_null_model_set, id="null-model")],
+)
+def test_fit_logistic_matches_plain_irls(make_set):
+    """``fit_logistic`` lands on the plain IRLS of ``tests/oracles.py`` and at a stationary point.
+
+    The two differ only in rounding (the Hessian product, the carried
+    score), so the coefficients agree far below the fit's own tolerance
+    unless a last step straddles ``IRLS_TOL``, which costs one iteration.
+    """
+    data, labels, target = make_set()
+    model = fit_logistic(data, labels, target_index=target)
+    x = np.column_stack([np.ones(data.m), data.rows[:, [p - 1 for p in model.predictor_indices]]])
+    y = labels.astype(float)
+    want, want_iter, want_converged = irls_logistic(x, y)
+    beta = np.concatenate([[model.bias], model.coeffs])
+    assert model.converged and want_converged
+    assert np.abs(beta - want).max() <= 1e-6 * np.abs(want).max()
+    assert abs(model.n_iter - want_iter) <= 1
+    penalty = np.full(beta.size, models.IRLS_L2)
+    penalty[0] = 0.0
+    prob = np.exp(-np.logaddexp(0.0, -(x @ beta)))
+    grad = x.T @ (y - prob) - penalty * beta
+    assert (np.abs(grad) <= 1e-9 * (np.abs(x).sum(axis=0) + penalty * np.abs(beta))).all()
 
 
 class TestPredictAndDecision:

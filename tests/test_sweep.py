@@ -5,10 +5,20 @@ import json
 import numpy as np
 import pytest
 
-from causalsteer import DagGenConfig, PredictionModel, SweepConfig, fileio, generate_random_scm, run_sweep, sample, sweep
+from causalsteer import (
+    DagGenConfig,
+    PredictionModel,
+    SweepConfig,
+    fileio,
+    generate_random_scm,
+    models,
+    run_sweep,
+    sample,
+    sweep,
+)
 from causalsteer.cli import main
-from causalsteer.errors import AllEffectsZero, CausalSteerError, InvalidConfig
-from causalsteer.sweep import _run_one_dag, sweep_result_to_csv
+from causalsteer.errors import AllEffectsZero, CausalSteerError, DidNotConvergeWarning, InvalidConfig
+from causalsteer.sweep import _fit_one_dag, _score_one_dag, sweep_result_to_csv
 
 GOLDEN_CONFIG = SweepConfig(
     n_dags=8,
@@ -27,6 +37,11 @@ GOLDEN_CSV = (
     "2,0.890000,0.850625,0\n"
     "4,0.966875,0.873125,0\n"
 )
+
+
+def _dag_counts(config: SweepConfig, seed) -> tuple[list[int], list[int]]:
+    """One DAG of a sweep on its own: (counts_optimal, counts_naive)."""
+    return _score_one_dag(config, *_fit_one_dag(config, seed))
 
 
 def test_golden_csv():
@@ -64,13 +79,23 @@ def test_sweep_hash():
     assert digest.hexdigest() == "cc2174eeecbe2e47281a06693e230aeefa2bf25df18c8443d66ad4fb70363e6a"
 
 
+def test_paper_size_sweep_hash():
+    """SHA-256 of the CSV of 30 default DAGs fitted and scored on 1000 rows each, as in the paper.
+
+    The pins above train on at most 300 rows; this one holds the
+    69-predictor fit and the 1000-row scoring at the paper's size.
+    """
+    csv = sweep_result_to_csv(run_sweep(SweepConfig(n_dags=30, seed=5)))
+    assert hashlib.sha256(csv.encode()).hexdigest() == "e646c1a3439a9b35c0b76dea61c3cbccdb0d84deb31f7c9052dcc14be05ad58a"
+
+
 def test_dag_order_does_not_matter():
     result = run_sweep(GOLDEN_CONFIG)
     seeds = np.random.SeedSequence(GOLDEN_CONFIG.seed).spawn(GOLDEN_CONFIG.n_dags)
     n_d = len(GOLDEN_CONFIG.d_values)
     opt, naive = np.zeros(n_d, dtype=int), np.zeros(n_d, dtype=int)
     for seed in reversed(seeds):
-        opt_counts, naive_counts = _run_one_dag(GOLDEN_CONFIG, seed)
+        opt_counts, naive_counts = _dag_counts(GOLDEN_CONFIG, seed)
         opt += opt_counts
         naive += naive_counts
     denom = GOLDEN_CONFIG.n_dags * GOLDEN_CONFIG.n_post
@@ -88,6 +113,10 @@ def test_cli_sweep_writes_csv_and_manifest(tmp_path):
     assert manifest["n_dags"] == 8
     assert manifest["n_failed"] == 0
     assert manifest["failures"] == {}
+    seeds = np.random.SeedSequence(GOLDEN_CONFIG.seed).spawn(GOLDEN_CONFIG.n_dags)
+    fits = [_fit_one_dag(GOLDEN_CONFIG, seed)[1] for seed in seeds]
+    assert manifest["irls_not_converged"] == 0
+    assert manifest["irls_iterations_mean"] == pytest.approx(np.mean([model.n_iter for model in fits]))
     assert fileio.fields_from_dict(SweepConfig, manifest["config"]) == GOLDEN_CONFIG
     # Every field is written, in declaration order.
     assert list(manifest["config"]) == [f.name for f in dataclasses.fields(SweepConfig)]
@@ -149,7 +178,7 @@ def _degenerate_dags(monkeypatch, n_degenerate):
 
 def test_degenerate_dag_is_counted_and_excluded(monkeypatch):
     seeds = np.random.SeedSequence(SMALL_CONFIG.seed).spawn(SMALL_CONFIG.n_dags)
-    kept = np.array([_run_one_dag(SMALL_CONFIG, s) for s in seeds[1:]]).sum(axis=0)
+    kept = np.array([_dag_counts(SMALL_CONFIG, s) for s in seeds[1:]]).sum(axis=0)
     _degenerate_dags(monkeypatch, 1)
     result = run_sweep(SMALL_CONFIG)
     assert result.n_failed == 1
@@ -158,6 +187,16 @@ def test_degenerate_dag_is_counted_and_excluded(monkeypatch):
     assert [row.accuracy_optimal for row in result.rows] == (kept[0] / denom).tolist()
     assert [row.accuracy_naive for row in result.rows] == (kept[1] / denom).tolist()
     assert all(line.endswith(",1") for line in sweep_result_to_csv(result).splitlines()[1:])
+
+
+def test_irls_counts_cover_excluded_dags(monkeypatch):
+    _degenerate_dags(monkeypatch, 1)
+    monkeypatch.setattr(models, "IRLS_MAX_ITER", 1)
+    with pytest.warns(DidNotConvergeWarning):
+        result = run_sweep(SMALL_CONFIG)
+    assert result.n_failed == 1
+    assert result.irls_not_converged == SMALL_CONFIG.n_dags
+    assert result.irls_iterations_mean == 1.0
 
 
 def test_all_dags_degenerate_is_an_error(monkeypatch):
