@@ -29,6 +29,7 @@ from . import graph
 from .errors import (
     AllEffectsZero,
     InterveneOnTarget,
+    NonFiniteValue,
     ZeroCausalEffect,
     ZeroCoefficient,
     check_index,
@@ -99,8 +100,17 @@ def select_intervention_target(augmented: AugmentedGraph, candidates) -> int:
 
 
 def _steer(x: np.ndarray, s, i: int, d, slope: float):
-    """The value of X_i at which the line s + slope * (c - x_i) reaches d: x_i + (d - s) / slope."""
-    return x[i - 1] + (d - s) / slope
+    """The value of X_i at which the line s + slope * (c - x_i) reaches d: x_i + (d - s) / slope.
+
+    Raises NonFiniteValue, naming the first d whose value overflows.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        c = x[i - 1] + (d - s) / slope
+    overflow = ~np.isfinite(c)
+    if overflow.any():
+        bad = np.broadcast_to(d, overflow.shape)[overflow][0]
+        raise NonFiniteValue(f"the value of variable {i} that steers the prediction to {bad:g} is not finite")
+    return c
 
 
 def optimal_intervention_value(
@@ -120,8 +130,8 @@ def optimal_intervention_value(
     e_i. ``noise`` is not read, as the point alone fixes the plan; it stays
     for callers that pass it positionally, and the program passes None.
     An array d gives one plan per entry, each its scalar plan bit for bit.
-    Raises ZeroCausalEffect when g_i vanishes and InterveneOnTarget when i
-    is the model's target variable.
+    Raises ZeroCausalEffect when g_i vanishes, NonFiniteValue when c
+    overflows, and InterveneOnTarget when i is the model's target variable.
     """
     if i == model.target_index:
         raise InterveneOnTarget(i)

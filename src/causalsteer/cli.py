@@ -23,7 +23,7 @@ from .causal import (
     select_intervention_target,
 )
 from .datagen import DagGenConfig, generate_random_scm, median_split_labels
-from .errors import CausalSteerError, ParseError, ZeroCoefficient
+from .errors import CausalSteerError, NonFiniteValue, ParseError, ZeroCoefficient
 from .models import augment_graph, fit_linear, fit_logistic
 from .scm import analytic_means, sample
 from .sweep import SweepConfig, run_manifest, run_sweep, sweep_result_to_csv
@@ -180,7 +180,7 @@ def _cmd_intervene(args) -> None:
             )
 
     print(f"do(X{i} = {plan.value:.12g}) steers the expected prediction to {plan.desired_prediction:g}")
-    with contextlib.suppress(ZeroCoefficient):
+    with contextlib.suppress(ZeroCoefficient, NonFiniteValue):
         print(f"naive per-equation value: {naive_intervention_value(model, x, i, args.desired):.12g}")
     for w in warnings:
         print(f"warning: {w}")
@@ -299,7 +299,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         args.func(args)
-    except (CausalSteerError, OSError, ValueError) as exc:
+    except (CausalSteerError, OSError, ValueError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 0

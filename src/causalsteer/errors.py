@@ -81,6 +81,10 @@ class ZeroCausalEffect(CausalSteerError):
         )
 
 
+class NonFiniteValue(CausalSteerError):
+    """The value that steers the prediction to the desired value overflows the float range."""
+
+
 class InterveneOnTarget(CausalSteerError):
     def __init__(self, index: int):
         self.index = index

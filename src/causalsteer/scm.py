@@ -7,27 +7,31 @@ observational and interventional data; its ``seed`` is anything
 ``numpy.random.default_rng`` accepts (int, SeedSequence, or Generator), and
 identical seeds give bitwise-identical datasets.
 
-The noise is drawn with one in-place fill per run of consecutive equal
-specs (``Scm.noise_runs``), which takes the same stream as one draw per
-variable in index order: numpy computes each gaussian or uniform draw as
-``loc + scale * u`` per element from standard draws taken in order, and a
-fill of a contiguous block takes those draws in the same C order, then
-applies the same two operations.
+Every noise draw is ``loc + scale * u`` for a standard draw u, as numpy
+computes a gaussian or uniform draw per element. ``_draw_standard`` takes
+the u with one in-place fill per run of consecutive specs of one family
+(``Scm.noise_runs``): the standard stream does not depend on the
+parameters, and a fill of a contiguous block takes the draws in the same C
+order, so it is the stream of one draw per variable in index order.
+``_draw_noise`` then scales and shifts the u by ``Scm.loc_scale``, giving
+numpy's own bits; a constant draws nothing, and its u of -0.0 times its
+scale of 0.0 plus its value is that value, sign of a zero included.
 
 Under do(X_i = c), ``_draw_noise`` draws every noise as usual, then
 overwrites variable i's draws with c; ``sample`` draws through it. The
-sweep's scoring takes the same stream unscaled from ``_draw_standard``,
-with each variable's (loc, scale), and folds the scales and c into its
-effect vector; ``_check_do`` is the one rule on (i, c) for both.
+sweep's scoring takes the u alone and folds ``Scm.loc_scale`` and c into
+its effect vector; ``_check_do`` is the one rule on (i, c) for both.
 
 Samples and analytic means both come from ``graph.solve``, the package's
 one forward substitution; unlike a dense solve it keeps the columns an
 intervention cannot reach bitwise equal to the observational sample.
 """
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
+from operator import attrgetter
 
 import numpy as np
 
@@ -43,9 +47,8 @@ NOISE_FAMILIES = {"gaussian": ("mean", "stddev"), "uniform": ("lo", "hi"), "cons
 class NoiseSpec:
     """One noise distribution: gaussian(mean, stddev), uniform(lo, hi), or constant(value).
 
-    A draw is ``loc + scale * u`` for a standard draw u (``loc_scale``):
-    ``fill`` writes the draws, ``fill_standard`` only the u, from the same
-    stream, so a caller can fold loc and scale into its own arithmetic.
+    A draw is ``loc + scale * u`` for a standard draw u: ``loc_scale``
+    gives (loc, scale) and ``fill_standard`` the u.
     """
 
     family: str
@@ -105,35 +108,16 @@ class NoiseSpec:
     def fill_standard(self, rng: np.random.Generator, out: np.ndarray) -> None:
         """Overwrite the C-contiguous float array ``out`` with standard draws u, in C order.
 
-        Takes the stream ``fill`` takes: ``rng.standard_normal`` or
-        ``rng.random`` into ``out``; a constant writes 0.0 and draws nothing.
+        ``rng.standard_normal`` or ``rng.random`` into ``out``, the stream of
+        ``rng.normal`` or ``rng.uniform`` of ``out.size`` draws; a constant
+        writes -0.0 and draws nothing.
         """
         if self.family == "gaussian":
             rng.standard_normal(out=out)
         elif self.family == "uniform":
             rng.random(out=out)
         else:
-            out.fill(0.0)
-
-    def fill(self, rng: np.random.Generator, out: np.ndarray) -> None:
-        """Overwrite the C-contiguous float array ``out`` with draws, in C order.
-
-        The values and the stream position equal ``rng.normal(mean, stddev,
-        out.size)`` or ``rng.uniform(lo, hi, out.size)``: the standard draws
-        of ``fill_standard``, scaled and shifted in place. A constant writes
-        its value and draws nothing (0.0 + -0.0 would lose the sign of -0.0).
-        """
-        if self.family == "constant":
-            out.fill(self.params[0])
-            return
-        self.fill_standard(rng, out)
-        loc, scale = self.loc_scale()
-        out *= scale
-        out += loc
-
-
-def _run_key(spec: NoiseSpec):
-    return spec.family, spec.params, math.copysign(1.0, spec.params[0])
+            out.fill(-0.0)
 
 
 @dataclass(frozen=True)
@@ -141,12 +125,10 @@ class Scm:
     """A Dag plus one NoiseSpec per variable.
 
     The constructor stores ``noise_runs``: ``(start, end, spec)`` for each
-    maximal run of consecutive equal specs, 0-based and end-exclusive, in
-    index order. Equal specs draw the same bits except where a gaussian mean
-    or a constant is 0.0 in one and -0.0 in the other (0.0 + -0.0 is 0.0),
-    so the sign of the first parameter splits runs too. The other
-    parameters cannot differ that way: a stddev and a uniform ``hi - lo``
-    are never -0.0.
+    maximal run of consecutive specs of one family, 0-based and
+    end-exclusive, in index order, with the run's first spec; its
+    ``fill_standard`` serves the whole run. ``loc_scale`` is every spec's
+    ``loc_scale()`` as a read-only 2 x n array, built on first use.
     """
 
     dag: Dag
@@ -159,11 +141,18 @@ class Scm:
             raise ValueError(f"expected {self.dag.n} noise specs, got {len(noises)}")
         object.__setattr__(self, "noises", noises)
         runs, start = [], 0
-        for _, group in itertools.groupby(noises, key=_run_key):
+        for _, group in itertools.groupby(noises, key=attrgetter("family")):
             end = start + len(list(group))
             runs.append((start, end, noises[start]))
             start = end
         object.__setattr__(self, "noise_runs", tuple(runs))
+
+    @functools.cached_property
+    def loc_scale(self) -> np.ndarray:
+        pairs = [spec.loc_scale() for spec in self.noises]
+        table = np.array([[loc for loc, _ in pairs], [scale for _, scale in pairs]])
+        table.flags.writeable = False
+        return table
 
     @property
     def n(self) -> int:
@@ -217,45 +206,39 @@ def _check_do(scm: Scm, do: tuple[int, float]) -> None:
         raise ValueError(f"intervention value must be finite, got {c}")
 
 
-def _fill_runs(scm: Scm, rng: np.random.Generator, m: int, fill) -> np.ndarray:
-    """An n x m array with ``fill(spec, rng, rows)`` applied to each run of equal specs, in index order."""
+def _draw_standard(scm: Scm, rng: np.random.Generator, m: int) -> np.ndarray:
+    """The n x m standard draws u of ``_draw_noise``, one in-place fill per run, in index order."""
     if m < 1:
         raise ValueError(f"sample count must be >= 1, got {m}")
-    out = np.empty((scm.n, m))
+    u = np.empty((scm.n, m))
     for start, end, spec in scm.noise_runs:
-        fill(spec, rng, out[start:end])
-    return out
+        spec.fill_standard(rng, u[start:end])
+    return u
 
 
 def _draw_noise(scm: Scm, rng: np.random.Generator, m: int, do: tuple[int, float] | None = None) -> np.ndarray:
     """An n x m array whose row k-1 holds m draws of N_k, and row i-1 holds c under do(X_i = c).
 
-    One fill per run of equal specs, the same stream as one draw per
-    variable in index order (see the module docstring). The intervened
-    variable's noise is drawn too, then overwritten, so an intervention
-    leaves every other variable's draws untouched.
+    The standard draws scaled and shifted in place by ``scm.loc_scale``,
+    numpy's own draws bit for bit (see the module docstring). The
+    intervened variable's noise is drawn too, then overwritten, so an
+    intervention leaves every other variable's draws untouched.
     """
     if do is not None:
         # Before the write, where 0 would address the last row.
         _check_do(scm, do)
-    noise = _fill_runs(scm, rng, m, NoiseSpec.fill)
+    noise = _draw_standard(scm, rng, m)
+    table = scm.loc_scale
+    if (table.view(np.int64) == table[:, :1].view(np.int64)).all():
+        # One (loc, scale) bit for bit, as in a generated SCM: a (1, 1) operand
+        # folds the block in one numpy loop, about 3x faster than one per row.
+        table = table[:, :1]
+    loc, scale = table[:, :, None]
+    noise *= scale
+    noise += loc
     if do is not None:
         noise[do[0] - 1] = do[1]
     return noise
-
-
-def _draw_standard(scm: Scm, rng: np.random.Generator, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``_draw_noise``'s draws before they are scaled: (u, loc, scale).
-
-    u is n x m and takes the same stream; loc and scale are length n, and
-    ``loc[k] + scale[k] * u[k]`` is row k of ``_draw_noise`` up to the sign
-    of a zero (exactly so for a gaussian or uniform row).
-    """
-    u = _fill_runs(scm, rng, m, NoiseSpec.fill_standard)
-    loc, scale = np.empty(scm.n), np.empty(scm.n)
-    for start, end, spec in scm.noise_runs:
-        loc[start:end], scale[start:end] = spec.loc_scale()
-    return u, loc, scale
 
 
 def _simulate(scm: Scm, m: int, seed, do: tuple[int, float] | None) -> np.ndarray:

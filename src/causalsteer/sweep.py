@@ -12,12 +12,13 @@ is bias + e . noise, with the noise draws' entry i set to c and e =
 ``effects_on_prediction(augmented, fixed=i)``, computed once per DAG; no
 sample is solved for. Each noise draw is loc_k + scale_k * u_k for a
 standard draw u_k, so the score is the constant bias + e . loc (loc_i := c)
-plus (e * scale, entry i zeroed) . u: the draws u come unscaled from
-``scm._draw_standard``, the same stream ``sample`` takes, and the tie coin
-after them from the same generator. The folded score equals the unfolded
-one up to rounding, so a class-1 count equals that of sampling under
-do(X_i = c) and scoring each row (the oracle in ``tests/oracles.py``)
-unless a score lies within rounding of 0.
+plus (e * scale, entry i zeroed) . u, with (loc, scale) the SCM's own
+``Scm.loc_scale``: the draws u come from ``scm._draw_standard``, the
+stream ``sample`` scales, and the tie coin after them from the same
+generator. The folded score equals the unfolded one up to rounding, so a
+class-1 count equals that of sampling under do(X_i = c) and scoring each
+row (the oracle in ``tests/oracles.py``) unless a score lies within
+rounding of 0.
 
 Each DAG's randomness derives from an independently spawned seed, so the
 result is invariant to execution order and bitwise reproducible.
@@ -38,7 +39,7 @@ from .causal import (
     select_intervention_target,
 )
 from .datagen import DagGenConfig, generate_random_scm, median_split_labels, pick_random_target
-from .errors import AllEffectsZero, CausalSteerError, InvalidConfig, ZeroCausalEffect, ZeroCoefficient
+from .errors import AllEffectsZero, CausalSteerError, InvalidConfig, NonFiniteValue, ZeroCausalEffect, ZeroCoefficient
 from .models import PredictionModel, augment_graph, fit_logistic
 from .scm import Scm, _check_do, _draw_standard, analytic_means, sample
 
@@ -103,7 +104,8 @@ def _folded_scores(scm: Scm, bias: float, effects: np.ndarray, i: int, c: float,
     Equal to scoring ``_draw_noise(scm, rng, m, do=(i, c))`` up to rounding.
     """
     _check_do(scm, (i, c))
-    u, loc, scale = _draw_standard(scm, rng, m)
+    u = _draw_standard(scm, rng, m)
+    loc, scale = scm.loc_scale.copy()
     loc[i - 1] = c
     weights = effects * scale
     weights[i - 1] = 0.0
@@ -172,9 +174,9 @@ def run_sweep(config: SweepConfig) -> SweepResult:
     """Pool class-1 fractions over all DAGs for each desired value d.
 
     DAGs on which no finite intervention can move the prediction (zero
-    causal effect, or a zero naive coefficient) are counted in ``failures``
-    by exception class and excluded; individual failures never abort the
-    sweep. The IRLS counts cover every DAG's fit, excluded DAGs included.
+    causal effect, a zero naive coefficient, or a planned value that
+    overflows) are counted in ``failures`` by exception class and
+    excluded; individual failures never abort the sweep. The IRLS counts cover every DAG's fit, excluded DAGs included.
     """
     config.check()
     dag_seeds = np.random.SeedSequence(config.seed).spawn(config.n_dags)
@@ -189,7 +191,7 @@ def run_sweep(config: SweepConfig) -> SweepResult:
         not_converged += not model.converged
         try:
             opt_counts, naive_counts = _score_one_dag(config, scm, model, s_eval)
-        except (ZeroCausalEffect, AllEffectsZero, ZeroCoefficient) as exc:
+        except (ZeroCausalEffect, AllEffectsZero, ZeroCoefficient, NonFiniteValue) as exc:
             failures[type(exc).__name__] += 1
             continue
         opt_total += opt_counts

@@ -23,6 +23,7 @@ from causalsteer.errors import (
     AllEffectsZero,
     IndexOutOfRange,
     InterveneOnTarget,
+    NonFiniteValue,
     ZeroCausalEffect,
     ZeroCoefficient,
 )
@@ -341,6 +342,17 @@ class TestOptimalInterventionValue:
         model = PredictionModel("linear", 0.0, np.array([1.0]), (2,), 3)
         with pytest.raises(ZeroCausalEffect):
             optimal_intervention_value(np.zeros(3), dag, np.zeros(3), model, 1, 1.0)
+
+    def test_value_that_overflows_is_refused(self):
+        # Slope 0.5 on both lines: d = 1e308 needs c = 2e308, which overflows.
+        dag = Dag(np.zeros((3, 3)))
+        model = PredictionModel("linear", 0.0, np.array([0.5]), (1,), 3)
+        message = "the value of variable 1 that steers the prediction to 1e[+]308 is not finite"
+        with pytest.raises(NonFiniteValue, match=message):
+            optimal_intervention_value(np.zeros(3), dag, None, model, 1, [1.0, 1e308, -1e308])
+        with pytest.raises(NonFiniteValue, match=message):
+            naive_intervention_value(model, np.zeros(3), 1, 1e308)
+        assert optimal_intervention_value(np.zeros(3), dag, None, model, 1, [1.0, 5e307]).value.tolist() == [2.0, 1e308]
 
     @pytest.mark.parametrize("preds, target", [((4,), 3), ((2,), 4)])
     def test_index_beyond_n_is_out_of_range(self, chain3, preds, target):

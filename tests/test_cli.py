@@ -293,6 +293,14 @@ def test_rows_option_must_be_a_positive_integer(tmp_path, capsys, value):
     assert "Traceback" not in err
 
 
+def test_impossible_allocation_is_a_computation_error(tmp_path, capsys):
+    # 70 variables x 1e13 rows of float64 is 4.97 PiB, beyond any address space: refused at once.
+    scm = tmp_path / "scm.json"
+    assert main(["gen-scm", "--seed", "1", "--out", str(scm)]) == 0
+    assert main(["sample", "--scm", str(scm), "--rows", "10000000000000"]) == 2
+    assert capsys.readouterr().err.startswith("error: Unable to allocate 4.97 PiB")
+
+
 def test_sweep_rejects_single_training_row(tmp_path, capsys):
     config = tmp_path / "sweep.json"
     config.write_text(json.dumps({"n_dags": 1, "n_train": 1}))
@@ -631,6 +639,20 @@ def test_unplannable_index_exits_2(steer_files, tmp_path, capsys, index, message
     for extra in ([], ["--observation-file", str(observation)]):
         assert main(steer_files + ["--intervene-index", index] + extra) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_plan_that_overflows_exits_2(tmp_path, capsys):
+    # With coefficients (0.5, 0.5) the total effects are 1.5 on X1 and 0.5 on X2, and s(mu) = 1.5.
+    scm_path, model_path, out = tmp_path / "scm.json", tmp_path / "model.json", tmp_path / "plan.json"
+    scm_path.write_text(json.dumps(STEER_SCM))
+    model_path.write_text(json.dumps({**STEER_MODEL, "coeffs": [0.5, 0.5]}))
+    argv = ["intervene", "--scm", str(scm_path), "--model", str(model_path), "--desired", "1.7e308", "--out", str(out)]
+    assert main(argv + ["--intervene-index", "2"]) == 2
+    assert capsys.readouterr() == ("", "error: the value of variable 2 that steers the prediction to 1.7e+308 is not finite\n")
+    assert not out.exists()
+    # X1's plan is finite; its naive value, (d - s) / 0.5 from mu_1, is not, so that line is left out.
+    assert main(argv + ["--intervene-index", "1"]) == 0
+    assert capsys.readouterr() == ("do(X1 = 1.13333333333e+308) steers the expected prediction to 1.7e+308\n", "")
 
 
 def test_one_variable_sweep_counts_every_dag_as_failed(tmp_path, capsys):

@@ -110,7 +110,8 @@ def test_folded_scores_equal_unfolded_within_rounding(instance, data):
         folded = _folded_scores(scm, model.bias, effects, i, c, N_POST, np.random.default_rng(seed))
         noise = _draw_noise(scm, np.random.default_rng(seed), N_POST, do=(i, c))
         unfolded = model.bias + effects @ noise
-        u, loc, scale = _draw_standard(scm, np.random.default_rng(seed), N_POST)
+        u = _draw_standard(scm, np.random.default_rng(seed), N_POST)
+        loc, scale = scm.loc_scale.copy()
         scale[i - 1] = 0.0
         # Either side is within about (n + 3) eps of the exact sum, relative
         # to the sum of its terms' magnitudes; allow twice that on each side.

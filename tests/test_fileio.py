@@ -160,10 +160,10 @@ class TestNoiseDecodedOncePerObject:
              "TypeError: value must be a number, got True"),
             ([gaussian(0.0, 0.0), gaussian(0.0, -0.0)],
              "ValueError: gaussian noise needs (mean, stddev) with stddev >= 0, got (0.0, -0.0)"),
-            ([gaussian(0.0, 1.0)] * 2 + [gaussian(-0.0, 1.0), gaussian(0.0, 1.0)], 3),
+            ([gaussian(0.0, 1.0)] * 2 + [gaussian(-0.0, 1.0), gaussian(0.0, 1.0)], 1),
             ([{"family": "uniform", "lo": -1, "hi": 1}, {"hi": 1, "lo": -1, "family": "uniform"}] * 2, 1),
         ],
-        ids=["true-after-1", "negative-zero-stddev", "negative-zero-mean-splits-run", "permuted-keys"],
+        ids=["true-after-1", "negative-zero-stddev", "negative-zero-mean-one-run", "permuted-keys"],
     )
     def test_memo_equals_per_object_decode(self, noises, expected):
         doc = {"n": len(noises), "edges": [], "noises": noises}

@@ -1,12 +1,12 @@
-"""``scm._draw_noise`` fills each run of equal specs in one numpy call; it
+"""``scm._draw_noise`` fills each run of one noise family in one numpy call; it
 must equal ``tests/oracles.py::draw_noise_per_variable``, one ``normal`` or
 ``uniform`` call per variable, bit for bit and in stream position.
 
-The specs come from small pools, so neighbours are often equal and runs of
-every length and interleaving occur; zero-sd gaussians, zero-width uniforms
-and signed zeros are included because they can differ in the sign of a
-zero draw. ``scm._draw_standard`` must take the same stream unscaled, and
-its (loc, scale) must rebuild every gaussian and uniform row bit for bit.
+The specs come from small pools, so neighbours often share a family and
+runs of every length and interleaving occur; zero-sd gaussians, zero-width
+uniforms and signed zeros are included because they can differ in the sign
+of a zero draw. ``scm._draw_standard`` must take the same stream, and the
+SCM's (loc, scale) must rebuild every row from it bit for bit.
 """
 
 import math
@@ -52,16 +52,12 @@ def test_run_fills_equal_per_variable_draws(noises, m, seed):
 @settings(derandomize=True, max_examples=300, deadline=None)
 @given(noise_sequences(), st.integers(1, 40), st.integers(0, 2**32 - 1))
 def test_standard_draws_rebuild_the_noise(noises, m, seed):
-    """``_draw_standard`` takes ``_draw_noise``'s stream; loc + scale * u gives its bits back."""
+    """``_draw_standard`` takes ``_draw_noise``'s stream; loc + scale * u gives its bits back, signed zeros included."""
     scm = Scm(Dag(np.zeros((len(noises), len(noises)))), tuple(noises))
     rng, reference_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-    u, loc, scale = _draw_standard(scm, rng, m)
+    u = _draw_standard(scm, rng, m)
     drawn = _draw_noise(scm, reference_rng, m)
     assert rng.random() == reference_rng.random()
-    for k, spec in enumerate(noises):
-        if spec.family == "constant":
-            # A constant is its value, sign included, with scale 0 on a zero draw.
-            assert (u[k] == 0.0).all() and scale[k] == 0.0
-            assert math.copysign(1.0, loc[k]) == math.copysign(1.0, spec.params[0]) and loc[k] == spec.params[0]
-        else:
-            assert (loc[k] + scale[k] * u[k]).tobytes() == drawn[k].tobytes()
+    loc, scale = scm.loc_scale
+    for k in range(len(noises)):
+        assert (loc[k] + scale[k] * u[k]).tobytes() == drawn[k].tobytes()

@@ -14,7 +14,7 @@ from causalsteer import (
     sample,
 )
 from causalsteer.errors import IndexOutOfRange
-from causalsteer.scm import noise_means
+from causalsteer.scm import _draw_noise, noise_means
 
 from .conftest import constant_scm, uniform_scm
 
@@ -42,18 +42,20 @@ class TestNoiseSpec:
 
     def test_draw_matches_family(self):
         rng = np.random.default_rng(0)
-        draws, constants = np.empty(1000), np.empty(5)
-        NoiseSpec.uniform(3.0, 4.0).fill(rng, draws)
+        draws = _draw_noise(_one_variable_scm(NoiseSpec.uniform(3.0, 4.0)), rng, 1000)
         assert draws.min() >= 3.0 and draws.max() <= 4.0
-        NoiseSpec.constant(-2.0).fill(rng, constants)
+        constants = _draw_noise(_one_variable_scm(NoiseSpec.constant(-2.0)), rng, 5)
         assert (constants == -2.0).all()
 
     def test_gaussian_draw(self):
-        draws = np.empty(20_000)
-        NoiseSpec.gaussian(2.0, 0.5).fill(np.random.default_rng(1), draws)
+        draws = _draw_noise(_one_variable_scm(NoiseSpec.gaussian(2.0, 0.5)), np.random.default_rng(1), 20_000)[0]
         assert (draws == np.random.default_rng(1).normal(2.0, 0.5, 20_000)).all()
         assert draws.mean() == pytest.approx(2.0, abs=0.02)
         assert draws.std() == pytest.approx(0.5, abs=0.02)
+
+
+def _one_variable_scm(spec: NoiseSpec) -> Scm:
+    return Scm(Dag(np.zeros((1, 1))), (spec,))
 
 
 class TestSample:
@@ -82,37 +84,53 @@ class TestSample:
         assert (a == b).all()
         assert (a != c).any()
 
+    def test_no_variables(self):
+        assert sample(Scm(Dag(np.zeros((0, 0))), ()), 3, seed=0).rows.shape == (3, 0)
+
     def test_rejects_zero_rows(self):
         with pytest.raises(ValueError):
             sample(uniform_scm(Dag(np.zeros((1, 1)))), 0, seed=0)
 
 
-def _mixed_noise_scm() -> Scm:
-    """Six variables whose noises run gaussian, gaussian, uniform, constant, zero-sd gaussian, zero-width uniform."""
+# Noises that run gaussian, gaussian, uniform, constant, zero-sd gaussian, zero-width uniform.
+MIXED_NOISES = (
+    NoiseSpec.gaussian(0.5, 1.5),
+    NoiseSpec.gaussian(0.5, 1.5),
+    NoiseSpec.uniform(-1.0, 2.0),
+    NoiseSpec.constant(0.25),
+    NoiseSpec.gaussian(-1.0, 0.0),
+    NoiseSpec.uniform(3.0, 3.0),
+)
+
+# Neighbours of one family with different parameters, and constants of both signed zeros.
+ADJACENT_NOISES = (
+    NoiseSpec.gaussian(0.5, 1.5),
+    NoiseSpec.gaussian(-2.0, 0.25),
+    NoiseSpec.uniform(-1.0, 2.0),
+    NoiseSpec.uniform(0.5, 4.0),
+    NoiseSpec.constant(-0.0),
+    NoiseSpec.constant(0.0),
+)
+
+
+def _mixed_noise_scm(noises=MIXED_NOISES) -> Scm:
+    """Six variables on one DAG with the given noises."""
     edges = [(1, 2, 0.5), (1, 3, -1.25), (2, 4, 2.0), (3, 4, 0.75), (4, 5, -0.5), (2, 6, 1.5), (5, 6, 0.25)]
-    dag = Dag.from_edges(6, edges)
-    noises = (
-        NoiseSpec.gaussian(0.5, 1.5),
-        NoiseSpec.gaussian(0.5, 1.5),
-        NoiseSpec.uniform(-1.0, 2.0),
-        NoiseSpec.constant(0.25),
-        NoiseSpec.gaussian(-1.0, 0.0),
-        NoiseSpec.uniform(3.0, 3.0),
-    )
-    return Scm(dag, noises)
+    return Scm(Dag.from_edges(6, edges), noises)
 
 
 # SHA-256 of the sample rows, as drawn with one numpy call per variable.
 @pytest.mark.parametrize(
-    "do, digest",
+    "noises, do, digest",
     [
-        (None, "6970ee86b5f49ac218f8bb422ad4ecd5d455dc81f5b7b0adedf07c4ae593ed72"),
-        ((2, 1.5), "b42a81541373a9cf519d2af4cc1adabb393dd3bc622f0ae4e54111a5140d5ca3"),
+        (MIXED_NOISES, None, "6970ee86b5f49ac218f8bb422ad4ecd5d455dc81f5b7b0adedf07c4ae593ed72"),
+        (MIXED_NOISES, (2, 1.5), "b42a81541373a9cf519d2af4cc1adabb393dd3bc622f0ae4e54111a5140d5ca3"),
+        (ADJACENT_NOISES, None, "b723f6aa1499b95b8c786666b98a8e3f9a08cda2e193e38d2f16c26572d8571c"),
     ],
-    ids=["observational", "do"],
+    ids=["observational", "do", "adjacent-family-runs"],
 )
-def test_mixed_family_sample_is_pinned(do, digest):
-    rows = sample(_mixed_noise_scm(), 3000, 7, do=do).rows
+def test_mixed_family_sample_is_pinned(noises, do, digest):
+    rows = sample(_mixed_noise_scm(noises), 3000, 7, do=do).rows
     assert hashlib.sha256(rows.tobytes()).hexdigest() == digest
 
 
@@ -121,9 +139,16 @@ def test_noise_runs():
     assert [(start, end) for start, end, _ in scm.noise_runs] == [(0, 2), (2, 3), (3, 4), (4, 5), (5, 6)]
     assert [spec for _, _, spec in scm.noise_runs] == [scm.noises[k] for k in (0, 2, 3, 4, 5)]
     assert len(generate_random_scm(DagGenConfig(seed=1)).noise_runs) == 1
-    # Equal floats, different bits: constant(-0.0) draws -0.0.
-    zeros = Scm(Dag(np.zeros((2, 2))), (NoiseSpec.constant(0.0), NoiseSpec.constant(-0.0)))
-    assert [(start, end) for start, end, _ in zeros.noise_runs] == [(0, 1), (1, 2)]
+    # A run is one family: the standard draws do not depend on the parameters.
+    adjacent = _mixed_noise_scm(ADJACENT_NOISES)
+    assert [(start, end) for start, end, _ in adjacent.noise_runs] == [(0, 2), (2, 4), (4, 6)]
+
+
+def test_loc_scale_is_read_only_and_built_once():
+    scm = _mixed_noise_scm()
+    assert scm.loc_scale.tolist() == [list(pair) for pair in zip(*(spec.loc_scale() for spec in MIXED_NOISES))]
+    assert not scm.loc_scale.flags.writeable
+    assert scm.loc_scale is scm.loc_scale
 
 
 class TestSampleInterventional:

@@ -199,6 +199,15 @@ def test_irls_counts_cover_excluded_dags(monkeypatch):
     assert result.irls_iterations_mean == 1.0
 
 
+def test_plan_that_overflows_is_counted_and_excluded():
+    # Two of these DAGs have a total effect too small to reach d = 1.7e308 at a finite value.
+    datagen = DagGenConfig(n_roots=3, n_descendants=5)
+    config = SweepConfig(d_values=(0.0, 1.7e308), n_dags=5, n_train=200, n_post=100, datagen=datagen)
+    result = run_sweep(config)
+    assert result.failures == {"NonFiniteValue": 2}
+    assert [row.d for row in result.rows] == [0.0, 1.7e308]
+
+
 def test_all_dags_degenerate_is_an_error(monkeypatch):
     _degenerate_dags(monkeypatch, SMALL_CONFIG.n_dags)
     with pytest.raises(CausalSteerError, match=r"all 3 DAGs failed \(AllEffectsZero: 3\)"):
