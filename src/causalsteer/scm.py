@@ -228,12 +228,7 @@ def _draw_noise(scm: Scm, rng: np.random.Generator, m: int, do: tuple[int, float
         # Before the write, where 0 would address the last row.
         _check_do(scm, do)
     noise = _draw_standard(scm, rng, m)
-    table = scm.loc_scale
-    if (table.view(np.int64) == table[:, :1].view(np.int64)).all():
-        # One (loc, scale) bit for bit, as in a generated SCM: a (1, 1) operand
-        # folds the block in one numpy loop, about 3x faster than one per row.
-        table = table[:, :1]
-    loc, scale = table[:, :, None]
+    loc, scale = scm.loc_scale[:, :, None]
     noise *= scale
     noise += loc
     if do is not None:

@@ -176,7 +176,8 @@ def run_sweep(config: SweepConfig) -> SweepResult:
     DAGs on which no finite intervention can move the prediction (zero
     causal effect, a zero naive coefficient, or a planned value that
     overflows) are counted in ``failures`` by exception class and
-    excluded; individual failures never abort the sweep. The IRLS counts cover every DAG's fit, excluded DAGs included.
+    excluded; individual failures never abort the sweep. The IRLS counts
+    cover every DAG's fit, excluded DAGs included.
     """
     config.check()
     dag_seeds = np.random.SeedSequence(config.seed).spawn(config.n_dags)
