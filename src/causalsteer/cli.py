@@ -23,7 +23,7 @@ from .causal import (
     select_intervention_target,
 )
 from .datagen import DagGenConfig, generate_random_scm, median_split_labels
-from .errors import CausalSteerError, NonFiniteValue, ParseError, ZeroCoefficient
+from .errors import CausalSteerError, NonFiniteValue, ZeroCoefficient
 from .models import augment_graph, fit_linear, fit_logistic
 from .scm import analytic_means, sample
 from .sweep import SweepConfig, run_manifest, run_sweep, sweep_result_to_csv
@@ -122,11 +122,11 @@ def _load_scm_and_model(args):
     scm = fileio.load_document(args.scm, fileio.scm_from_dict)
     model = fileio.load_document(args.model, fileio.model_from_dict)
     # PredictionModel has already refused indices below 1.
-    n = scm.n
-    for what, indices in (("predictor index", model.predictor_indices), ("target index", (model.target_index,))):
-        for i in indices:
-            if i > n:
-                raise ValueError(f"{args.model}: {what} {i} out of range 1..{n}, the variables of {args.scm}")
+    with fileio.naming(args.model):
+        for what, indices in (("predictor index", model.predictor_indices), ("target index", (model.target_index,))):
+            for i in indices:
+                if i > scm.n:
+                    raise ValueError(f"{what} {i} out of range 1..{scm.n}, the variables of {args.scm}")
     return scm, model
 
 
@@ -144,11 +144,12 @@ def _cmd_analyze(args) -> None:
 
 def _load_observation(path, n: int) -> np.ndarray:
     doc = fileio.read_json(path)
-    # Compared, not converted: float() of a huge JSON integer overflows.
-    if not isinstance(doc, list) or not all(type(v) in (int, float) and abs(v) <= sys.float_info.max for v in doc):
-        raise ValueError(f"{path}: expected a JSON array of finite numbers")
-    if len(doc) != n:
-        raise ValueError(f"{path}: expected {n} values, one per variable, found {len(doc)}")
+    with fileio.naming(path):
+        # Compared, not converted: float() of a huge JSON integer overflows.
+        if not isinstance(doc, list) or not all(type(v) in (int, float) and abs(v) <= sys.float_info.max for v in doc):
+            raise ValueError("expected a JSON array of finite numbers")
+        if len(doc) != n:
+            raise ValueError(f"expected {n} values, one per variable, found {len(doc)}")
     return np.asarray(doc, dtype=float)
 
 
@@ -169,8 +170,9 @@ def _cmd_intervene(args) -> None:
     warnings = []
     if args.data:
         data = fileio.load_dataset(args.data)
-        if data.n != scm.n:
-            raise ValueError(f"{args.data}: expected {scm.n} columns, one per variable, found {data.n}")
+        with fileio.naming(args.data):
+            if data.n != scm.n:
+                raise ValueError(f"expected {scm.n} columns, one per variable, found {data.n}")
         column = data.column(i)
         lo, hi = float(column.min()), float(column.max())
         if not lo <= plan.value <= hi:
@@ -200,22 +202,23 @@ def _cmd_sweep(args) -> None:
 
 
 def _cmd_fetch_autompg(args) -> None:
-    data = autompg.fetch_autompg(args.cache_dir)
-    print(f"{autompg.resolve_cache_dir(args.cache_dir) / 'auto-mpg.data'}: {data.m} rows x {data.n} columns")
+    cached = autompg.resolve_cache_dir(args.cache_dir) / "auto-mpg.data"
+    with fileio.naming(cached):
+        data = autompg.fetch_autompg(args.cache_dir)
+    print(f"{cached}: {data.m} rows x {data.n} columns")
     if args.out:
-        fileio.save_dataset(data, args.out)
+        _write(fileio.dataset_to_csv(data), args.out)
 
 
 def _cmd_demo_autompg(args) -> None:
     structure_path = args.structure or autompg.bundled_structure_path()
     structure = fileio.load_document(structure_path, fileio.dag_from_dict)
-    if args.data_file:
-        try:
-            data = autompg.parse_autompg(Path(args.data_file).read_text())
-        except ParseError as exc:
-            raise ValueError(f"{args.data_file}: {exc}") from None
-    else:
-        data = autompg.fetch_autompg(args.cache_dir)
+    path = args.data_file or autompg.resolve_cache_dir(args.cache_dir) / "auto-mpg.data"
+    with fileio.naming(path):
+        if args.data_file:
+            data = autompg.parse_autompg(Path(path).read_text())
+        else:
+            data = autompg.fetch_autompg(args.cache_dir)
     _write(autompg.demo_autompg(structure, data, args.desired) + "\n", args.out)
 
 

@@ -1,9 +1,11 @@
 """Loading and saving of graphs, SCMs, models, configs, datasets, and plans.
 
 All documents are JSON with 1-based variable indices; datasets are headered
-CSV with one column per variable and %.12g numeric formatting.
+CSV with one column per variable and %.12g numeric formatting. ``naming``
+is the one place a file name enters an error message, here and in the CLI.
 """
 
+import contextlib
 import csv
 import dataclasses
 import io
@@ -222,46 +224,47 @@ def save_json(doc: dict, path) -> None:
     Path(path).write_text(json.dumps(doc, indent=2) + "\n")
 
 
-def read_json(path):
-    """The JSON value in ``path``.
+@contextlib.contextmanager
+def naming(path):
+    """Report an error from reading or decoding ``path`` as ValueError("<path>: <message>").
 
-    Text that is not UTF-8 JSON, or nests too deeply to parse, raises a
-    ValueError naming ``path``.
+    A KeyError reads ``<path>: missing key 'k'``. An OSError names its file
+    already and passes through; never wrap a call that names its file itself.
     """
     try:
-        return json.loads(Path(path).read_text())
-    except (ValueError, RecursionError) as exc:
+        yield
+    except KeyError as exc:
+        raise ValueError(f"{path}: missing key {exc.args[0]!r}") from None
+    except (TypeError, OverflowError, ValueError, RecursionError, csv.Error, CausalSteerError) as exc:
         raise ValueError(f"{path}: {exc}") from None
+
+
+def read_json(path):
+    """The JSON value in ``path``, read under ``naming``."""
+    with naming(path):
+        return json.loads(Path(path).read_text())
 
 
 def load_json(path) -> dict:
     doc = read_json(path)
-    if not isinstance(doc, dict):
-        raise ValueError(f"{path}: expected a JSON object")
+    with naming(path):
+        if not isinstance(doc, dict):
+            raise ValueError("expected a JSON object")
     return doc
 
 
 def load_document(path, decode):
-    """``decode(load_json(path))``, any error of the document reported as ValueError naming ``path``.
+    """``decode(load_json(path))``, decoded under ``naming``.
 
-    A list where a number belongs, ``null`` for a count or an integer too
-    large for a float surfaces from the decoders as TypeError or OverflowError,
-    an absent key as KeyError, an unknown key as InvalidConfig, and a value
-    the graph or noise refuses (a duplicate edge, a cycle, an unknown noise
-    family) as ValueError or CausalSteerError. A decoded config with a
-    ``check`` method (``DagGenConfig``, ``SweepConfig``) is checked here, so
-    an out-of-range count names the file too.
+    A decoded config with a ``check`` method (``DagGenConfig``, ``SweepConfig``)
+    is checked here, so an out-of-range count names the file too.
     """
     doc = load_json(path)
-    try:
+    with naming(path):
         value = decode(doc)
         if hasattr(value, "check"):
             value.check()
         return value
-    except KeyError as exc:
-        raise ValueError(f"{path}: missing key {exc.args[0]!r}") from None
-    except (TypeError, OverflowError, ValueError, CausalSteerError) as exc:
-        raise ValueError(f"{path}: {exc}") from None
 
 
 def dataset_to_csv(data: Dataset) -> str:
@@ -274,26 +277,22 @@ def dataset_to_csv(data: Dataset) -> str:
     return out.getvalue()
 
 
-def save_dataset(data: Dataset, path) -> None:
-    Path(path).write_text(dataset_to_csv(data))
-
-
 def load_dataset(path) -> Dataset:
     """The headered CSV in ``path``; a row that is not one finite number per column is a ValueError naming its line."""
-    with open(path, newline="") as fh:
+    with open(path, newline="") as fh, naming(path):
         reader = csv.reader(fh)
         header = next(reader, [])
         rows = []
         for row in reader:
             if len(row) != len(header):
-                raise ValueError(f"{path}: line {reader.line_num}: expected {len(header)} fields, found {len(row)}")
+                raise ValueError(f"line {reader.line_num}: expected {len(header)} fields, found {len(row)}")
             try:
                 values = [float(v) for v in row]
             except ValueError as exc:
-                raise ValueError(f"{path}: line {reader.line_num}: {exc}") from None
+                raise ValueError(f"line {reader.line_num}: {exc}") from None
             if not all(map(math.isfinite, values)):
-                raise ValueError(f"{path}: line {reader.line_num}: non-finite entry in {','.join(row)}")
+                raise ValueError(f"line {reader.line_num}: non-finite entry in {','.join(row)}")
             rows.append(values)
-    if not rows:
-        raise ValueError(f"{path}: the file has no data rows")
+        if not rows:
+            raise ValueError("the file has no data rows")
     return Dataset(np.asarray(rows, dtype=float), tuple(header))

@@ -87,11 +87,11 @@ class NoiseSpec:
         return cls("constant", (value,))
 
     def mean(self) -> float:
-        if self.family == "gaussian":
+        if self.family != "uniform":
             return self.params[0]
-        if self.family == "uniform":
-            return 0.5 * (self.params[0] + self.params[1])
-        return self.params[0]
+        lo, hi = self.params
+        # Halving first would round a subnormal bound, so only when the sum overflows.
+        return 0.5 * (lo + hi) if math.isfinite(lo + hi) else 0.5 * lo + 0.5 * hi
 
     def loc_scale(self) -> tuple[float, float]:
         """(loc, scale) such that a draw is ``loc + scale * u`` for its standard draw u.

@@ -238,6 +238,44 @@ def test_demo_data_file_error_names_the_file(tmp_path, capsys):
     assert capsys.readouterr().err == f"error: {data}: line 1: expected 8 numeric fields, found 3\n"
 
 
+def test_fetch_out_writes_the_dataset_csv(tmp_path):
+    cache, out = tmp_path / "cache", tmp_path / "auto.csv"
+    cache.mkdir()
+    shutil.copy(AUTOMPG, cache / "auto-mpg.data")
+    assert main(["fetch-autompg", "--cache-dir", str(cache), "--out", str(out)]) == 0
+    assert out.read_text() == fileio.dataset_to_csv(autompg.parse_autompg(AUTOMPG.read_text()))
+
+
+# A field longer than the csv module's default limit of 131072 characters.
+OVERSIZED = (b"x1,x2,x3\n" + b"1" * 200_000 + b",0,0\n", "field larger than field limit (131072)")
+NOT_UTF8 = (b"x1,x2,x3\n0,0,\xff\n", "'utf-8' codec can't decode byte 0xff in position 13: invalid start byte")
+MALFORMED_RAW = (b"1 2 3\n", "line 1: expected 8 numeric fields, found 3")
+
+
+@pytest.mark.parametrize(
+    "argv, name, fault",
+    [
+        (["fit", "--target-index", "1", "--data", "{file}"], "data.csv", OVERSIZED),
+        (["fit", "--target-index", "1", "--data", "{file}"], "data.csv", NOT_UTF8),
+        (["intervene", "--data", "{file}"], "data.csv", OVERSIZED),
+        (["intervene", "--data", "{file}"], "data.csv", NOT_UTF8),
+        (["demo-autompg", "--data-file", "{file}"], "auto.data", NOT_UTF8),
+        (["fetch-autompg", "--cache-dir", "{cache}"], "cache/auto-mpg.data", MALFORMED_RAW),
+        (["demo-autompg", "--cache-dir", "{cache}"], "cache/auto-mpg.data", MALFORMED_RAW),
+    ],
+    ids=["fit-oversized", "fit-not-utf8", "intervene-oversized", "intervene-not-utf8", "demo-data-file-not-utf8",
+         "fetch-malformed-cache", "demo-malformed-cache"],
+)
+def test_unreadable_input_file_is_named_once(steer_files, tmp_path, capsys, argv, name, fault):
+    content, reason = fault
+    bad = tmp_path / name
+    bad.parent.mkdir(exist_ok=True)
+    bad.write_bytes(content)
+    argv = [a.format(file=bad, cache=bad.parent) for a in argv]
+    assert main(steer_files + argv[1:] if argv[0] == "intervene" else argv) == 2
+    assert capsys.readouterr() == ("", f"error: {bad}: {reason}\n")
+
+
 def test_sweep_rejects_non_finite_d(tmp_path, capsys):
     config = tmp_path / "sweep.json"
     config.write_text(json.dumps({"n_dags": 1, "d_values": [1.0, float("nan")]}))
@@ -653,6 +691,19 @@ def test_plan_that_overflows_exits_2(tmp_path, capsys):
     # X1's plan is finite; its naive value, (d - s) / 0.5 from mu_1, is not, so that line is left out.
     assert main(argv + ["--intervene-index", "1"]) == 0
     assert capsys.readouterr() == ("do(X1 = 1.13333333333e+308) steers the expected prediction to 1.7e+308\n", "")
+
+
+def test_uniform_noise_whose_bounds_sum_past_the_float_range_plans(tmp_path, capsys):
+    # E[X2] = 1.35e308, though lo + hi overflows; the model reads it as 1e-308 * X2 = 1.35.
+    noises = [{"family": "constant", "value": 0.0}, {"family": "uniform", "lo": 1e308, "hi": 1.7e308},
+              {"family": "gaussian", "mean": 0.0, "stddev": 1.0}]
+    model = {"kind": "linear", "bias": 0.0, "coeffs": [1e-308, 1.0], "predictor_indices": [2, 3], "target_index": 1}
+    scm_path, model_path = tmp_path / "scm.json", tmp_path / "model.json"
+    scm_path.write_text(json.dumps({"n": 3, "edges": [], "noises": noises}))
+    model_path.write_text(json.dumps(model))
+    argv = ["intervene", "--scm", str(scm_path), "--model", str(model_path), "--desired", "2", "--intervene-index", "3"]
+    assert main(argv) == 0
+    assert capsys.readouterr().out.splitlines()[0] == "do(X3 = 0.65) steers the expected prediction to 2"
 
 
 def test_one_variable_sweep_counts_every_dag_as_failed(tmp_path, capsys):

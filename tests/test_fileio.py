@@ -207,7 +207,7 @@ class TestDatasetCsv:
     def test_round_trip(self, tmp_path):
         rows = np.array([[1.0, 2.5], [3.25, -4.0]])
         path = tmp_path / "data.csv"
-        fileio.save_dataset(Dataset(rows, ("a", "b")), path)
+        path.write_text(fileio.dataset_to_csv(Dataset(rows, ("a", "b"))))
         restored = fileio.load_dataset(path)
         assert restored.names == ("a", "b")
         assert (restored.rows == rows).all()
@@ -224,7 +224,7 @@ class TestDatasetCsv:
         rng = np.random.default_rng(1)
         rows = rng.normal(size=(20, 4)) * 10.0 ** rng.integers(-6, 6, size=(20, 4))
         path = tmp_path / "data.csv"
-        fileio.save_dataset(Dataset(rows), path)
+        path.write_text(fileio.dataset_to_csv(Dataset(rows)))
         restored = fileio.load_dataset(path)
         assert restored.rows == pytest.approx(rows, rel=1e-11)
 

@@ -25,6 +25,13 @@ class TestNoiseSpec:
         assert NoiseSpec.uniform(0.0, 1.0).mean() == 0.5
         assert NoiseSpec.constant(7.0).mean() == 7.0
 
+    @pytest.mark.parametrize(
+        "lo, hi, mean", [(1e308, 1.7e308, 1.35e308), (-1.7e308, -1e308, -1.35e308), (5e-324, 5e-324, 5e-324)]
+    )
+    def test_uniform_mean_is_the_midpoint_at_the_float_extremes(self, lo, hi, mean):
+        # lo + hi overflows in the first two; halving first would round the third to 0.
+        assert NoiseSpec.uniform(lo, hi).mean() == mean
+
     def test_invalid_parameters(self):
         with pytest.raises(ValueError):
             NoiseSpec.gaussian(0.0, -1.0)
