@@ -1,9 +1,9 @@
 """Auto-MPG demonstration: dataset ingestion and the intervention report.
 
-The raw UCI file is downloaded once and cached (override the location with
-the CAUSALSTEER_CACHE environment variable); a SHA-256 sidecar guards the
-cached copy against truncation. Without network access, place the file at
-<cache>/auto-mpg.data yourself.
+The raw UCI file is downloaded once and cached at ``cache_file()``, the one
+rule for its path (override the directory with the CAUSALSTEER_CACHE
+environment variable); a SHA-256 sidecar guards the cached copy against
+truncation. Without network access, place the file there yourself.
 
 The causal structure over the six variables is supplied as a graph file;
 the repository bundles an illustrative example (structure learning is out
@@ -38,13 +38,13 @@ _RAW_TOKENS = 8
 _MISSING = "?"
 
 
-def resolve_cache_dir(cache_dir=None) -> Path:
-    """The cache directory: ``cache_dir``, else $CAUSALSTEER_CACHE, else ~/.cache/causalsteer.
+def cache_file(cache_dir=None) -> Path:
+    """The cached raw file <dir>/auto-mpg.data; <dir> is ``cache_dir``, else $CAUSALSTEER_CACHE, else ~/.cache/causalsteer.
 
     An empty string counts as unset, for the argument and the variable alike.
     """
     cache = cache_dir or os.environ.get(CACHE_ENV)
-    return Path(cache) if cache else Path.home() / ".cache" / "causalsteer"
+    return (Path(cache) if cache else Path.home() / ".cache" / "causalsteer") / "auto-mpg.data"
 
 
 def parse_autompg(text: str) -> Dataset:
@@ -72,25 +72,22 @@ def parse_autompg(text: str) -> Dataset:
     return Dataset(np.asarray(rows), COLUMNS)
 
 
-def fetch_autompg(cache_dir=None) -> Dataset:
-    """Return the Auto-MPG dataset, downloading and caching the raw file once.
+def fetch_autompg(raw_path: Path) -> Dataset:
+    """Return the Auto-MPG dataset cached at ``raw_path`` (see ``cache_file``), downloading it once.
 
     A cached copy is reused without touching the network; its SHA-256 is
-    checked against the sidecar written when the file is first read.
+    checked against the sidecar ``raw_path.with_suffix(".sha256")``, written
+    when the file is first read. A failed download makes no directory, and
+    its error leaves the path for the caller to name.
     """
-    cache = resolve_cache_dir(cache_dir)
-    raw_path = cache / "auto-mpg.data"
-    digest_path = cache / "auto-mpg.sha256"
+    digest_path = raw_path.with_suffix(".sha256")
     if not raw_path.exists():
-        cache.mkdir(parents=True, exist_ok=True)
         try:
             with urllib.request.urlopen(AUTOMPG_URL, timeout=60) as response:
                 payload = response.read()
         except (urllib.error.URLError, OSError) as exc:
-            raise NetworkUnavailable(
-                f"could not download {AUTOMPG_URL}: {exc}; "
-                f"place the raw file manually at {raw_path}"
-            ) from exc
+            raise NetworkUnavailable(f"could not download {AUTOMPG_URL}: {exc}; place the raw file there manually") from exc
+        raw_path.parent.mkdir(parents=True, exist_ok=True)
         raw_path.write_bytes(payload)
     payload = raw_path.read_bytes()
     actual = hashlib.sha256(payload).hexdigest()
@@ -119,17 +116,16 @@ def demo_autompg(structure: Dag, data: Dataset, desired_values) -> str:
     Selects the variable with the greatest causal effect on the predicted
     MPG, then lists the optimal intervention value next to the naive
     per-equation value, flagging values outside the observed variable range.
+    ``data`` is ``parse_autompg`` output, so its columns are named.
     """
     if structure.n != data.n:
         raise ValueError(f"structure has {structure.n} variables, data has {data.n}")
-    if structure.names is not None and data.names is not None and structure.names != data.names:
+    if structure.names is not None and structure.names != data.names:
         raise ValueError(
             f"structure variables {structure.names} do not match data columns {data.names}"
         )
-    names = data.names or tuple(f"x{k + 1}" for k in range(data.n))
-    target = names.index("mpg") + 1 if "mpg" in names else data.n
 
-    model = fit_linear(data, target)
+    model = fit_linear(data, data.names.index("mpg") + 1)
     intervene_on = select_intervention_target(augment_graph(structure, model), model.predictor_indices)
     column = data.column(intervene_on)
     lo, hi = float(column.min()), float(column.max())
@@ -144,7 +140,7 @@ def demo_autompg(structure: Dag, data: Dataset, desired_values) -> str:
         return f"{value:>{width}.3f}" + ("" if lo <= value <= hi else " (!)")
 
     lines = [
-        f"intervention variable: {names[intervene_on - 1]} (observed range {lo:g} .. {hi:g})",
+        f"intervention variable: {data.names[intervene_on - 1]} (observed range {lo:g} .. {hi:g})",
         f"{'desired mpg':>12} {'optimal':>12} {'naive':>14}",
     ]
     lines += [f"{dk:>12g} {flagged(ok, 12)} {flagged(nk, 14)}" for dk, ok, nk in zip(d, optimal, naive)]

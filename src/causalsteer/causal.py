@@ -140,8 +140,7 @@ def optimal_intervention_value(
         raise ValueError(f"mu must be a length-{dag.n} vector")
     d = np.asarray(d, dtype=float)[()]
     w = augment_graph(dag, model).coeffs
-    # Before the formula reads mu[i - 1], where 0 would address the last entry.
-    check_index(i, dag.n)
+    # The solve checks i before the formula reads mu[i - 1], where 0 would address the last entry.
     alpha = graph.solve(dag, np.arange(dag.n) == i - 1, fixed=i)  # from e_i
     g = float(w @ alpha)
     if abs(g) < EFFECT_THRESHOLD:

@@ -132,14 +132,10 @@ def _load_scm_and_model(args):
 
 def _cmd_analyze(args) -> None:
     scm, model = _load_scm_and_model(args)
-    augmented = augment_graph(scm.dag, model)
-    all_effects = effects_on_prediction(augmented)
-    effects = [(i, float(all_effects[i - 1])) for i in model.predictor_indices]
-    effects.sort(key=lambda pair: (-abs(pair[1]), pair[0]))
-    lines = ["variable,name,effect_on_prediction"]
-    for i, effect in effects:
-        lines.append(f"{i},{scm.dag.name_of(i)},{effect:.6g}")
-    _write("\n".join(lines) + "\n", args.out)
+    effects = effects_on_prediction(augment_graph(scm.dag, model))
+    ranked = sorted(model.predictor_indices, key=lambda i: (-abs(effects[i - 1]), i))
+    rows = [(i, scm.dag.name_of(i), f"{effects[i - 1]:.6g}") for i in ranked]
+    _write(fileio.csv_text([("variable", "name", "effect_on_prediction"), *rows]), args.out)
 
 
 def _load_observation(path, n: int) -> np.ndarray:
@@ -195,16 +191,15 @@ def _cmd_sweep(args) -> None:
     if args.seed is not None:
         config = dataclasses.replace(config, seed=args.seed)
     result = run_sweep(config)
-    csv_text = sweep_result_to_csv(result)
-    _write(csv_text, args.out)
+    _write(sweep_result_to_csv(result), args.out)
     if args.out:
         fileio.save_json(run_manifest(config, result), Path(args.out).with_suffix(".manifest.json"))
 
 
 def _cmd_fetch_autompg(args) -> None:
-    cached = autompg.resolve_cache_dir(args.cache_dir) / "auto-mpg.data"
+    cached = autompg.cache_file(args.cache_dir)
     with fileio.naming(cached):
-        data = autompg.fetch_autompg(args.cache_dir)
+        data = autompg.fetch_autompg(cached)
     print(f"{cached}: {data.m} rows x {data.n} columns")
     if args.out:
         _write(fileio.dataset_to_csv(data), args.out)
@@ -213,12 +208,12 @@ def _cmd_fetch_autompg(args) -> None:
 def _cmd_demo_autompg(args) -> None:
     structure_path = args.structure or autompg.bundled_structure_path()
     structure = fileio.load_document(structure_path, fileio.dag_from_dict)
-    path = args.data_file or autompg.resolve_cache_dir(args.cache_dir) / "auto-mpg.data"
+    path = args.data_file or autompg.cache_file(args.cache_dir)
     with fileio.naming(path):
         if args.data_file:
             data = autompg.parse_autompg(Path(path).read_text())
         else:
-            data = autompg.fetch_autompg(args.cache_dir)
+            data = autompg.fetch_autompg(path)
     _write(autompg.demo_autompg(structure, data, args.desired) + "\n", args.out)
 
 

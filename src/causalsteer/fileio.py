@@ -1,14 +1,16 @@
 """Loading and saving of graphs, SCMs, models, configs, datasets, and plans.
 
 All documents are JSON with 1-based variable indices; datasets are headered
-CSV with one column per variable and %.12g numeric formatting. ``naming``
-is the one place a file name enters an error message, here and in the CLI.
+CSV with one column per variable and %.12g numeric formatting. ``csv_text``
+is the one CSV writer of the package, and ``naming`` the one place a file
+name enters an error message, here and in the CLI.
 """
 
 import contextlib
 import csv
 import dataclasses
 import io
+import itertools
 import json
 import math
 from pathlib import Path
@@ -267,14 +269,16 @@ def load_document(path, decode):
         return value
 
 
+def csv_text(rows) -> str:
+    """``rows`` as CSV lines, each ending in a newline; only a field holding a comma, a quote or a newline is quoted."""
+    out = io.StringIO()
+    csv.writer(out, lineterminator="\n").writerows(rows)
+    return out.getvalue()
+
+
 def dataset_to_csv(data: Dataset) -> str:
     names = data.names or tuple(f"x{k + 1}" for k in range(data.n))
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(names)
-    for row in data.rows:
-        writer.writerow([f"{v:.12g}" for v in row])
-    return out.getvalue()
+    return csv_text(itertools.chain([names], ([f"{v:.12g}" for v in row] for row in data.rows)))
 
 
 def load_dataset(path) -> Dataset:

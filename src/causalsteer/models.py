@@ -6,7 +6,7 @@ the causal graph.
 """
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -37,7 +37,6 @@ class PredictionModel:
     target_index: int
     converged: bool = True
     n_iter: int = 0
-    loglik_trace: tuple[float, ...] = field(default=(), repr=False)
 
     def __post_init__(self):
         if self.kind not in ("linear", "logistic"):
@@ -136,7 +135,7 @@ def fit_logistic(data: Dataset, labels, predictor_indices=None, *, target_index:
     zt = np.empty_like(xt)
     beta = np.zeros(xt.shape[0])
     score = np.zeros(data.m)
-    trace = [_penalized_loglik(score, y, beta, penalty)]
+    current = _penalized_loglik(score, y, beta, penalty)
     converged = False
     it = 0
     for it in range(1, IRLS_MAX_ITER + 1):
@@ -151,23 +150,19 @@ def fit_logistic(data: Dataset, labels, predictor_indices=None, *, target_index:
             step = np.linalg.lstsq(hess, grad, rcond=None)[0]
         # Step-halving: shrink until the penalized log-likelihood does not drop.
         scale = 1.0
-        current = trace[-1]
-        improved = False
         for _ in range(30):
             candidate = beta + scale * step
             candidate_score = candidate @ xt
             ll = _penalized_loglik(candidate_score, y, candidate, penalty)
             if ll >= current:
-                improved = True
                 break
             scale *= 0.5
-        if not improved:
+        else:
             # No movement along the Newton direction helps; the optimum is
             # resolved to machine precision.
             converged = True
             break
-        beta, score = candidate, candidate_score
-        trace.append(ll)
+        beta, score, current = candidate, candidate_score, ll
         if np.max(np.abs(scale * step)) < IRLS_TOL:
             converged = True
             break
@@ -184,7 +179,6 @@ def fit_logistic(data: Dataset, labels, predictor_indices=None, *, target_index:
         target_index,
         converged=converged,
         n_iter=it,
-        loglik_trace=tuple(trace),
     )
 
 

@@ -26,7 +26,6 @@ result is invariant to execution order and bitwise reproducible.
 
 import collections
 import dataclasses
-import io
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -211,11 +210,8 @@ def run_sweep(config: SweepConfig) -> SweepResult:
 
 
 def sweep_result_to_csv(result: SweepResult) -> str:
-    out = io.StringIO()
-    out.write("d,accuracy_optimal,accuracy_naive,n_failed\n")
-    for row in result.rows:
-        out.write(f"{row.d:g},{row.accuracy_optimal:.6f},{row.accuracy_naive:.6f},{result.n_failed}\n")
-    return out.getvalue()
+    rows = [(f"{r.d:g}", f"{r.accuracy_optimal:.6f}", f"{r.accuracy_naive:.6f}", result.n_failed) for r in result.rows]
+    return fileio.csv_text([("d", "accuracy_optimal", "accuracy_naive", "n_failed"), *rows])
 
 
 def run_manifest(config: SweepConfig, result: SweepResult) -> dict:

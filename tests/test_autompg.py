@@ -1,4 +1,5 @@
 import hashlib
+import importlib.util
 import shutil
 import urllib.error
 import urllib.request
@@ -6,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from causalsteer.autompg import COLUMNS, fetch_autompg, parse_autompg
+from causalsteer.autompg import AUTOMPG_URL, COLUMNS, cache_file, fetch_autompg, parse_autompg
 from causalsteer.cli import main
 from causalsteer.errors import NetworkUnavailable, ParseError
 
@@ -80,7 +81,7 @@ def offline(monkeypatch):
 
 def test_fetch_reads_a_cached_file_and_writes_its_checksum(tmp_path, offline):
     shutil.copy(DATA, tmp_path / "auto-mpg.data")
-    data = fetch_autompg(tmp_path)
+    data = fetch_autompg(tmp_path / "auto-mpg.data")
     assert data.names == COLUMNS
     assert data.rows.tolist() == parse_autompg(DATA.read_text()).rows.tolist()
     assert (tmp_path / "auto-mpg.sha256").read_text() == hashlib.sha256(DATA.read_bytes()).hexdigest() + "\n"
@@ -89,12 +90,12 @@ def test_fetch_reads_a_cached_file_and_writes_its_checksum(tmp_path, offline):
 def test_fetch_rejects_a_file_changed_after_its_checksum(tmp_path, offline):
     raw = tmp_path / "auto-mpg.data"
     shutil.copy(DATA, raw)
-    fetch_autompg(tmp_path)
+    fetch_autompg(raw)
     payload = bytearray(raw.read_bytes())
     payload[0] ^= 1
     raw.write_bytes(bytes(payload))
     with pytest.raises(ParseError, match="checksum"):
-        fetch_autompg(tmp_path)
+        fetch_autompg(raw)
 
 
 @pytest.mark.parametrize("cache_dir", [None, ""], ids=["unset", "empty"])
@@ -107,7 +108,8 @@ def test_fetch_takes_the_cache_from_the_environment(tmp_path, monkeypatch, capsy
     monkeypatch.chdir(work)
     shutil.copy(DATA, cache / "auto-mpg.data")
     m = parse_autompg(DATA.read_text()).m
-    assert fetch_autompg(cache_dir).m == m
+    assert cache_file(cache_dir) == cache / "auto-mpg.data"
+    assert fetch_autompg(cache_file(cache_dir)).m == m
     assert (cache / "auto-mpg.sha256").exists()
     argv = ["fetch-autompg"] + ([] if cache_dir is None else ["--cache-dir", cache_dir])
     assert main(argv) == 0
@@ -116,5 +118,29 @@ def test_fetch_takes_the_cache_from_the_environment(tmp_path, monkeypatch, capsy
 
 
 def test_fetch_without_a_cached_file_names_where_to_put_it(tmp_path, offline):
-    with pytest.raises(NetworkUnavailable, match="auto-mpg.data"):
-        fetch_autompg(tmp_path)
+    raw = tmp_path / "new" / "auto-mpg.data"
+    message = f"could not download {AUTOMPG_URL}: <urlopen error offline>; place the raw file there manually"
+    with pytest.raises(NetworkUnavailable) as exc:
+        fetch_autompg(raw)
+    assert str(exc.value) == message
+    assert not raw.parent.exists()
+
+
+def test_fetch_offline_names_the_cache_file_once(tmp_path, capsys, offline):
+    # The path comes from naming alone, and a download that failed makes no directory.
+    raw = tmp_path / "newcache" / "auto-mpg.data"
+    assert main(["fetch-autompg", "--cache-dir", str(raw.parent)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: {raw}: could not download {AUTOMPG_URL}: <urlopen error offline>; place the raw file there manually\n"
+    assert err.count(str(raw)) == 1
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_standin_matches_its_generator():
+    # The synthetic file is exactly what tools/make_autompg_standin.py writes.
+    tool = Path(__file__).parent.parent / "tools" / "make_autompg_standin.py"
+    spec = importlib.util.spec_from_file_location("make_autompg_standin", tool)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    assert module.standin_text().encode() == DATA.read_bytes()

@@ -1,4 +1,6 @@
+import csv
 import hashlib
+import io
 import json
 import shutil
 from pathlib import Path
@@ -69,6 +71,21 @@ def test_analyze_ranks_by_the_effect_vector(files, capsys):
     effects = effects_on_prediction(augment_graph(scm.dag, model))
     ranked = sorted(model.predictor_indices, key=lambda i: (-abs(effects[i - 1]), i))
     assert [int(line.split(",")[0]) for line in lines[1:]] == ranked
+
+
+def test_analyze_quotes_names_as_csv(files, tmp_path, capsys):
+    # A name holding a comma, a quote or a newline is one quoted field, as in `sample`.
+    scm_path, _, model_path = files
+    doc = fileio.load_json(scm_path)
+    doc["names"] = ["a,b", 'q"x', "c\nd", *(f"v{k}" for k in range(4, doc["n"] + 1))]
+    named = tmp_path / "named.json"
+    named.write_text(json.dumps(doc))
+    assert main(["analyze", "--scm", str(named), "--model", str(model_path)]) == 0
+    rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))
+    assert rows[0] == ["variable", "name", "effect_on_prediction"]
+    assert all(len(row) == 3 for row in rows)
+    assert [row[1] for row in rows[1:]] == [doc["names"][int(row[0]) - 1] for row in rows[1:]]
+    assert {"a,b", 'q"x', "c\nd"} <= {row[1] for row in rows[1:]}
 
 
 def test_intervene_plan_hits_desired(files, capsys, tmp_path):

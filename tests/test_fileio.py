@@ -186,8 +186,7 @@ class TestModelDocuments:
         assert restored.target_index == 2
 
     def test_fit_metadata_not_serialized(self):
-        model = PredictionModel("linear", 0.0, np.array([1.0]), (1,), 2,
-                                converged=False, n_iter=7, loglik_trace=(1.0, 2.0))
+        model = PredictionModel("linear", 0.0, np.array([1.0]), (1,), 2, converged=False, n_iter=7)
         doc = fileio.model_to_dict(model)
         assert set(doc) == {"kind", "bias", "coeffs", "predictor_indices", "target_index"}
 
@@ -203,14 +202,22 @@ class TestPlanDocuments:
         json.dumps(doc)  # must be serializable as-is
 
 
+# Names csv_text must quote: a comma, a quote and a newline.
+QUOTED_NAMES = ("a,b", 'q"x', "c\nd")
+
+
 class TestDatasetCsv:
     def test_round_trip(self, tmp_path):
-        rows = np.array([[1.0, 2.5], [3.25, -4.0]])
+        rows = np.array([[1.0, 2.5, 0.0], [3.25, -4.0, 1e-300]])
         path = tmp_path / "data.csv"
-        path.write_text(fileio.dataset_to_csv(Dataset(rows, ("a", "b"))))
-        restored = fileio.load_dataset(path)
-        assert restored.names == ("a", "b")
-        assert (restored.rows == rows).all()
+        for names in (("a", "b", "c"), QUOTED_NAMES):
+            path.write_text(fileio.dataset_to_csv(Dataset(rows, names)))
+            restored = fileio.load_dataset(path)
+            assert restored.names == names
+            assert (restored.rows == rows).all()
+
+    def test_quoted_header(self):
+        assert fileio.dataset_to_csv(Dataset(np.zeros((1, 3)), QUOTED_NAMES)).startswith('"a,b","q""x","c\nd"\n')
 
     def test_default_headers(self):
         text = fileio.dataset_to_csv(Dataset(np.zeros((1, 3))))
@@ -224,9 +231,11 @@ class TestDatasetCsv:
         rng = np.random.default_rng(1)
         rows = rng.normal(size=(20, 4)) * 10.0 ** rng.integers(-6, 6, size=(20, 4))
         path = tmp_path / "data.csv"
-        path.write_text(fileio.dataset_to_csv(Dataset(rows)))
-        restored = fileio.load_dataset(path)
-        assert restored.rows == pytest.approx(rows, rel=1e-11)
+        for names in (None, (*QUOTED_NAMES, "e")):
+            path.write_text(fileio.dataset_to_csv(Dataset(rows, names)))
+            restored = fileio.load_dataset(path)
+            assert restored.names == (names or ("x1", "x2", "x3", "x4"))
+            assert restored.rows == pytest.approx(rows, rel=1e-11)
 
 
 def _through_json(config):

@@ -115,15 +115,6 @@ class TestFitLogistic:
         assert model.bias == pytest.approx(0.0, abs=0.05)
         assert model.converged
 
-    def test_loglik_trace_monotone(self):
-        rng = np.random.default_rng(6)
-        x = rng.normal(size=(2_000, 3))
-        labels = (rng.random(2_000) < _sigmoid(x @ [1.0, -2.0, 0.5])).astype(int)
-        data = Dataset(np.column_stack([x, np.zeros(2_000)]))
-        model = fit_logistic(data, labels, target_index=4)
-        trace = np.array(model.loglik_trace)
-        assert (np.diff(trace) >= 0).all()
-
     def test_single_class_rejected(self):
         data = Dataset(np.column_stack([np.arange(4.0), np.zeros(4)]))
         with pytest.raises(SingleClass):

@@ -54,13 +54,17 @@ def format_row(row: dict, index: int) -> str:
     )
 
 
-def main() -> None:
+def standin_text() -> str:
+    """The whole stand-in file, one line per row."""
     rng = np.random.default_rng(SEED)
-    lines = [format_row(row, k) for k, row in enumerate(draw_rows(rng))]
+    return "".join(format_row(row, k) + "\n" for k, row in enumerate(draw_rows(rng)))
+
+
+def main() -> None:
     out = Path(__file__).resolve().parent.parent / "tests" / "data" / "autompg_synthetic.data"
     out.parent.mkdir(parents=True, exist_ok=True)
-    out.write_text("\n".join(lines) + "\n")
-    print(f"wrote {out} ({len(lines)} rows, {len(MISSING_ROWS)} with missing horsepower)")
+    out.write_text(standin_text())
+    print(f"wrote {out} ({N_ROWS} rows, {len(MISSING_ROWS)} with missing horsepower)")
 
 
 if __name__ == "__main__":
