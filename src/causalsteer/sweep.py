@@ -13,19 +13,30 @@ is bias + e . noise, with the noise draws' entry i set to c and e =
 sample is solved for. Each noise draw is loc_k + scale_k * u_k for a
 standard draw u_k, so the score is the constant bias + e . loc (loc_i := c)
 plus (e * scale, entry i zeroed) . u, with (loc, scale) the SCM's own
-``Scm.loc_scale``: the draws u come from ``scm._draw_standard``, the
-stream ``sample`` scales, and the tie coin after them from the same
-generator. The folded score equals the unfolded one up to rounding, so a
-class-1 count equals that of sampling under do(X_i = c) and scoring each
-row (the oracle in ``tests/oracles.py``) unless a score lies within
-rounding of 0.
+``Scm.loc_scale``: the draws u come from ``scm._standard_blocks``, the
+stream ``sample`` scales, in blocks of whole rows of at most
+``scm.BLOCK_DOUBLES`` draws, each folded into the scores before the next
+is drawn, and the tie coin after them from the same generator. The folded
+score equals the unfolded one up to rounding, so a class-1 count equals
+that of sampling under do(X_i = c) and scoring each row (the oracle in
+``tests/oracles.py``) unless a score lies within rounding of 0.
 
-Each DAG's randomness derives from an independently spawned seed, so the
-result is invariant to execution order and bitwise reproducible.
+Each DAG's randomness derives from an independently spawned seed, and
+each of its 2 * len(d_values) evaluations from a seed spawned from that,
+so the result is invariant to execution order and bitwise reproducible.
+When an evaluation takes at least ``THREADED_MIN_DRAWS`` standard draws,
+a DAG's evaluations run on up to ``EVAL_THREADS_MAX`` of the usable CPUs:
+the calling thread and one helper thread per further CPU take every W-th
+evaluation; numpy's generators release the GIL while they fill, so the
+draws overlap. Smaller evaluations run in the calling thread, where a
+helper thread was measured to cost more than it saved. The counts are
+the same on any number of threads.
 """
 
 import collections
 import dataclasses
+import os
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -40,7 +51,7 @@ from .causal import (
 from .datagen import DagGenConfig, generate_random_scm, median_split_labels, pick_random_target
 from .errors import AllEffectsZero, CausalSteerError, InvalidConfig, NonFiniteValue, ZeroCausalEffect, ZeroCoefficient
 from .models import PredictionModel, augment_graph, fit_logistic
-from .scm import Scm, _check_do, _draw_standard, analytic_means, sample
+from .scm import Scm, _check_do, _standard_blocks, _standard_buffer, analytic_means, sample
 
 
 @dataclass(frozen=True)
@@ -95,30 +106,46 @@ class SweepResult:
         return sum(self.failures.values())
 
 
-def _folded_scores(scm: Scm, bias: float, effects: np.ndarray, i: int, c: float, m: int, rng) -> np.ndarray:
+def _score_buffers(scm: Scm, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One evaluation's buffers for m rows: a block of standard draws, the scores and a temporary."""
+    return _standard_buffer(scm, m, blocked=True), np.empty(m), np.empty(m)
+
+
+def _folded_scores(scm: Scm, bias: float, effects: np.ndarray, i: int, c: float, rng, buffers) -> np.ndarray:
     """The m scores bias + effects . noise under do(X_i = c), with noise = loc + scale * u folded in.
 
-    Scored as (bias + effects . loc, with loc_i := c) + (effects * scale,
-    with entry i zeroed) . u, so the draws are never scaled or shifted.
-    Equal to scoring ``_draw_noise(scm, rng, m, do=(i, c))`` up to rounding.
+    Scored as (effects * scale, with entry i zeroed) . u + (bias + effects .
+    loc, with loc_i := c), so the draws are never scaled or shifted; the u
+    come block by block from ``scm._standard_blocks``, each block folded in
+    before the next is drawn. ``buffers`` is ``_score_buffers(scm, m)``; the
+    scores returned are its second array. Equal to scoring
+    ``_draw_noise(scm, rng, m, do=(i, c))`` up to rounding.
     """
     _check_do(scm, (i, c))
-    u = _draw_standard(scm, rng, m)
+    block, scores, tmp = buffers
     loc, scale = scm.loc_scale.copy()
     loc[i - 1] = c
     weights = effects * scale
     weights[i - 1] = 0.0
-    return (bias + effects @ loc) + weights @ u
+    scores.fill(0.0)
+    for b0, b1, u in _standard_blocks(scm, rng, block):
+        np.matmul(weights[b0:b1], u, out=tmp)
+        scores += tmp
+    scores += bias + effects @ loc
+    return scores
 
 
-def _class1_count(scm: Scm, bias: float, effects: np.ndarray, i: int, c: float, n_post: int, seed) -> int:
+def _class1_count(
+    scm: Scm, bias: float, effects: np.ndarray, i: int, c: float, n_post: int, seed, buffers=None
+) -> int:
     """How many of n_post samples under do(X_i = c) score above 0.
 
-    ``effects`` is ``effects_on_prediction(augmented, fixed=i)``. Exact zero
+    ``effects`` is ``effects_on_prediction(augmented, fixed=i)``; ``buffers``
+    is ``_score_buffers(scm, n_post)``, made here when None. Exact zero
     scores (measure zero for continuous data) get a fair coin each.
     """
     rng = np.random.default_rng(seed)
-    s = _folded_scores(scm, bias, effects, i, c, n_post, rng)
+    s = _folded_scores(scm, bias, effects, i, c, rng, buffers or _score_buffers(scm, n_post))
     ones = np.count_nonzero(s > 0)
     ties = np.count_nonzero(s == 0)
     if ties:
@@ -147,8 +174,71 @@ def _fit_one_dag(config: SweepConfig, seed: np.random.SeedSequence):
     return scm, fit_logistic(train, labels, target_index=target), s_eval
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity mask where the platform has one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+#: The fewest standard draws per evaluation (variables x post rows) at which a DAG's
+#: evaluations are spread over threads. Measured end to end on a 2-CPU host: sweeps of
+#: 70 x 1000 draws per evaluation ran slower on two threads than on one, and sweeps of
+#: 15 x 20000 faster; see CHANGES.md.
+THREADED_MIN_DRAWS = 2**17
+#: The most threads that score one DAG's evaluations: only two have been measured, and
+#: each holds its own ``_score_buffers``.
+EVAL_THREADS_MAX = 2
+
+
+def _eval_threads(draws: int, n_jobs: int) -> int:
+    """How many threads score a DAG's ``n_jobs`` evaluations of ``draws`` standard draws each."""
+    if draws < THREADED_MIN_DRAWS:
+        return 1
+    return min(_usable_cpus(), EVAL_THREADS_MAX, n_jobs)
+
+
+def _run_strided(work, n_jobs: int, n_workers: int) -> list:
+    """``[work(k, w) for k in range(n_jobs)]``, worker w running jobs w, w + n_workers, ... in turn.
+
+    Worker 0 is the calling thread and the others are helper threads, all
+    joined before this returns or raises. A worker stops at its first
+    failing job; once all are joined, the error of the lowest-numbered
+    failing job is raised.
+    """
+    results = [None] * n_jobs
+    errors = {}
+
+    def run(w):
+        for k in range(w, n_jobs, n_workers):
+            try:
+                results[k] = work(k, w)
+            except Exception as exc:  # raised again below, in the calling thread
+                errors[k] = exc
+                return
+
+    started = []
+    try:
+        for w in range(1, n_workers):
+            helper = threading.Thread(target=run, args=(w,))
+            helper.start()
+            started.append(helper)
+        run(0)
+    finally:
+        for helper in started:
+            helper.join()
+    if errors:
+        raise errors[min(errors)]
+    return results
+
+
 def _score_one_dag(config: SweepConfig, scm: Scm, model: PredictionModel, s_eval: np.random.SeedSequence):
-    """Class-1 counts for one fitted DAG: (counts_optimal, counts_naive), one count per d."""
+    """Class-1 counts for one fitted DAG: (counts_optimal, counts_naive), one count per d.
+
+    Job 2k scores the optimal plan for the k-th d and job 2k + 1 the naive
+    one, each with the job's own seed spawned from ``s_eval``, so the counts
+    do not depend on how the jobs are spread over threads (``_eval_threads``).
+    """
     augmented = augment_graph(scm.dag, model)
     intervene_on = select_intervention_target(augmented, model.predictor_indices)
 
@@ -159,14 +249,18 @@ def _score_one_dag(config: SweepConfig, scm: Scm, model: PredictionModel, s_eval
     c_naive = naive_intervention_value(model, mu, intervene_on, d)
 
     effects = effects_on_prediction(augmented, fixed=intervene_on)
+    values = np.column_stack([c_opt, c_naive]).ravel()
+    eval_seeds = s_eval.spawn(values.size)
+    n_workers = _eval_threads(scm.n * config.n_post, values.size)
+    # Made here, in the calling thread, so the draw blocks come from its heap.
+    buffers = [_score_buffers(scm, config.n_post) for _ in range(n_workers)]
 
-    def class1_count(c, s):
-        return _class1_count(scm, model.bias, effects, intervene_on, c, config.n_post, s)
+    def class1_count(k, w):
+        c, seed = values[k], eval_seeds[k]
+        return _class1_count(scm, model.bias, effects, intervene_on, c, config.n_post, seed, buffers[w])
 
-    eval_seeds = s_eval.spawn(2 * d.size)
-    opt_counts = [class1_count(c, s) for c, s in zip(c_opt, eval_seeds[0::2])]
-    naive_counts = [class1_count(c, s) for c, s in zip(c_naive, eval_seeds[1::2])]
-    return opt_counts, naive_counts
+    counts = _run_strided(class1_count, values.size, n_workers)
+    return counts[0::2], counts[1::2]
 
 
 def run_sweep(config: SweepConfig) -> SweepResult:
@@ -214,12 +308,36 @@ def sweep_result_to_csv(result: SweepResult) -> str:
     return fileio.csv_text([("d", "accuracy_optimal", "accuracy_naive", "n_failed"), *rows])
 
 
+#: The environment variables that set the BLAS thread count, which ``run_manifest`` records.
+BLAS_THREAD_VARIABLES = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def _environment(config: SweepConfig) -> dict:
+    """What a sweep's speed depends on outside its config: the numpy version, its BLAS, the
+    BLAS thread variables, the usable CPU count and the threads that score each DAG."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        blas = f"{blas['name']} {blas['version']}"
+    except (KeyError, TypeError, ValueError):
+        blas = None
+    return {
+        "numpy": np.__version__,
+        "blas": blas,
+        "threads": {name: os.environ.get(name, "unset") for name in BLAS_THREAD_VARIABLES},
+        "cpus_usable": _usable_cpus(),
+        "eval_threads": _eval_threads(
+            (config.datagen.n_roots + config.datagen.n_descendants) * config.n_post, 2 * len(config.d_values)
+        ),
+    }
+
+
 def run_manifest(config: SweepConfig, result: SweepResult) -> dict:
     from . import __version__
 
     return {
         "causalsteer_version": __version__,
         "config": fileio.fields_to_dict(config),
+        "environment": _environment(config),
         "n_dags": config.n_dags,
         "n_failed": result.n_failed,
         "failures": result.failures,

@@ -9,7 +9,8 @@ the tie coin decides.
 
 The folded scores themselves (``sweep._folded_scores``) must equal bias +
 e . noise on the noise ``scm._draw_noise`` draws, within the rounding of
-the two sums, on every family with signed-zero parameters too.
+the two sums, on every family with signed-zero parameters too, both when
+each noise run is one block of draws and when it spans several.
 """
 
 import numpy as np
@@ -17,8 +18,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from causalsteer import NoiseSpec, PredictionModel, Scm, augment_graph, effects_on_prediction, evaluate_intervention
-from causalsteer.scm import _draw_noise, _draw_standard
-from causalsteer.sweep import _class1_count, _folded_scores
+from causalsteer.scm import BLOCK_DOUBLES, _draw_noise, _draw_standard
+from causalsteer.sweep import _class1_count, _folded_scores, _score_buffers
 
 from .conftest import dense_random_scm
 from .oracles import class1_count_by_sampling
@@ -103,14 +104,16 @@ def test_folded_scores_equal_unfolded_within_rounding(instance, data):
     noises = tuple(data.draw(st.one_of(st.just(spec), signed_zero_specs())) for spec in scm.noises)
     scm = Scm(scm.dag, noises)
     c = data.draw(st.one_of(st.just(c), SIGNED))
+    # N_POST rows take one block per run; BLOCK_DOUBLES // 3 + 1 rows take two rows a block.
+    m = data.draw(st.sampled_from([N_POST, BLOCK_DOUBLES // 3 + 1]))
     augmented = augment_graph(scm.dag, model)
     eps = np.finfo(float).eps
     for i in range(1, scm.n + 1):
         effects = effects_on_prediction(augmented, fixed=i)
-        folded = _folded_scores(scm, model.bias, effects, i, c, N_POST, np.random.default_rng(seed))
-        noise = _draw_noise(scm, np.random.default_rng(seed), N_POST, do=(i, c))
+        folded = _folded_scores(scm, model.bias, effects, i, c, np.random.default_rng(seed), _score_buffers(scm, m))
+        noise = _draw_noise(scm, np.random.default_rng(seed), m, do=(i, c))
         unfolded = model.bias + effects @ noise
-        u = _draw_standard(scm, np.random.default_rng(seed), N_POST)
+        u = _draw_standard(scm, np.random.default_rng(seed), m)
         loc, scale = scm.loc_scale.copy()
         scale[i - 1] = 0.0
         # Either side is within about (n + 3) eps of the exact sum, relative

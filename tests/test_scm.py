@@ -14,7 +14,7 @@ from causalsteer import (
     sample,
 )
 from causalsteer.errors import IndexOutOfRange
-from causalsteer.scm import _draw_noise, noise_means
+from causalsteer.scm import BLOCK_DOUBLES, _draw_noise, _draw_standard, _standard_blocks, _standard_buffer, noise_means
 
 from .conftest import constant_scm, uniform_scm
 
@@ -149,6 +149,38 @@ def test_noise_runs():
     # A run is one family: the standard draws do not depend on the parameters.
     adjacent = _mixed_noise_scm(ADJACENT_NOISES)
     assert [(start, end) for start, end, _ in adjacent.noise_runs] == [(0, 2), (2, 4), (4, 6)]
+
+
+# Runs of 4 gaussians, 2 constants, 5 uniforms and 1 gaussian: at 2 or 3 rows a block,
+# the gaussian and uniform runs each split across blocks.
+BLOCK_NOISES = (
+    *[NoiseSpec.gaussian(0.5, 1.5)] * 4,
+    NoiseSpec.constant(-0.0),
+    NoiseSpec.constant(2.0),
+    *[NoiseSpec.uniform(-1.0, 2.0)] * 5,
+    NoiseSpec.gaussian(-1.0, 0.0),
+)
+
+
+@pytest.mark.parametrize(
+    "m, rows, spans",
+    [
+        (BLOCK_DOUBLES // 3, 3, [(0, 3), (3, 4), (4, 6), (6, 9), (9, 11), (11, 12)]),
+        (BLOCK_DOUBLES // 3 + 1, 2, [(0, 2), (2, 4), (4, 6), (6, 8), (8, 10), (10, 11), (11, 12)]),
+    ],
+)
+def test_blocks_side_by_side_are_the_standard_draws(m, rows, spans):
+    scm = Scm(Dag.from_edges(len(BLOCK_NOISES), []), BLOCK_NOISES)
+    buffer = _standard_buffer(scm, m, blocked=True)
+    assert buffer.shape == (rows, m)
+    walked, blocks = [], []
+    for b0, b1, block in _standard_blocks(scm, np.random.default_rng(5), buffer):
+        assert block.shape == (b1 - b0, m) and np.shares_memory(block, buffer)
+        walked.append((b0, b1))
+        blocks.append(block.copy())
+    # Whole rows of one run each, at most ``rows`` of them, in index order.
+    assert walked == spans
+    assert np.vstack(blocks).tobytes() == _draw_standard(scm, np.random.default_rng(5), m).tobytes()
 
 
 def test_loc_scale_is_read_only_and_built_once():

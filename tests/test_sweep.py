@@ -1,6 +1,9 @@
 import dataclasses
 import hashlib
 import json
+import os
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -70,13 +73,20 @@ def test_golden_csv_many_rows():
     assert sweep_result_to_csv(run_sweep(MANY_ROWS_CONFIG)) == MANY_ROWS_CSV
 
 
-def test_sweep_hash():
+SWEEP_HASH = "cc2174eeecbe2e47281a06693e230aeefa2bf25df18c8443d66ad4fb70363e6a"
+
+
+def _sweep_hash() -> str:
     """SHA-256 of the CSVs of three sweeps over six default-size DAGs, in seed order."""
     digest = hashlib.sha256()
     for seed in range(3):
         csv = sweep_result_to_csv(run_sweep(SweepConfig(n_dags=6, n_train=300, n_post=300, seed=seed)))
         digest.update(csv.encode())
-    assert digest.hexdigest() == "cc2174eeecbe2e47281a06693e230aeefa2bf25df18c8443d66ad4fb70363e6a"
+    return digest.hexdigest()
+
+
+def test_sweep_hash():
+    assert _sweep_hash() == SWEEP_HASH
 
 
 def test_paper_size_sweep_hash():
@@ -103,6 +113,105 @@ def test_dag_order_does_not_matter():
     assert [row.accuracy_naive for row in result.rows] == (naive / denom).tolist()
 
 
+def _use_cpus(monkeypatch, cpus: int) -> None:
+    """Make the sweep score each DAG on ``cpus`` threads, whatever its size."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+    monkeypatch.setattr(sweep, "THREADED_MIN_DRAWS", 0)
+    monkeypatch.setattr(sweep, "EVAL_THREADS_MAX", cpus)
+    assert sweep._usable_cpus() == cpus
+    assert sweep._eval_threads(1, 6) == cpus
+
+
+def test_eval_threads_follow_the_evaluation_size(monkeypatch):
+    """Paper-size evaluations (70 x 1000 draws) run serially, 15 x 20000 on two threads at most."""
+    assert 70 * 1000 < sweep.THREADED_MIN_DRAWS <= 15 * 20000
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
+    assert sweep._eval_threads(70 * 1000, 22) == 1
+    assert sweep._eval_threads(15 * 20000, 22) == sweep.EVAL_THREADS_MAX == 2
+    assert sweep._eval_threads(sweep.THREADED_MIN_DRAWS, 1) == 1
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    assert sweep._eval_threads(15 * 20000, 22) == 1
+
+
+# Overflowing plans and a one-step IRLS cap, so failures and the IRLS counts are nonzero.
+OVERFLOW_CONFIG = SweepConfig(
+    d_values=(0.0, 1.7e308), n_dags=5, n_train=200, n_post=100, datagen=DagGenConfig(n_roots=3, n_descendants=5)
+)
+
+
+def test_results_do_not_depend_on_the_cpu_count(monkeypatch):
+    """One CPU scores serially; three split a DAG's six jobs 2 + 2 + 2 and its four jobs 2 + 1 + 1."""
+    results = []
+    for cpus in (1, 2, 3):
+        _use_cpus(monkeypatch, cpus)
+        assert sweep_result_to_csv(run_sweep(GOLDEN_CONFIG)) == GOLDEN_CSV
+        assert sweep_result_to_csv(run_sweep(MANY_ROWS_CONFIG)) == MANY_ROWS_CSV
+        assert _sweep_hash() == SWEEP_HASH
+        with monkeypatch.context() as patched:
+            patched.setattr(models, "IRLS_MAX_ITER", 1)
+            with pytest.warns(DidNotConvergeWarning):
+                not_converged = run_sweep(OVERFLOW_CONFIG)
+        results.append((run_sweep(GOLDEN_CONFIG), run_sweep(SMALL_CONFIG), not_converged))
+    assert results[0][2].failures == {"NonFiniteValue": 2}
+    assert results[0][2].irls_not_converged == OVERFLOW_CONFIG.n_dags
+    assert results[1] == results[0]
+    assert results[2] == results[0]
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+def test_failing_job_raises_the_lowest_numbered_error(monkeypatch, cpus):
+    """Jobs 3 and 5 of the first DAG fail, job 3 last; its error is raised, and no helper thread is left.
+
+    On three CPUs job 3 is the calling thread's and job 4, still running
+    when job 3 fails, a helper's.
+    """
+    _use_cpus(monkeypatch, cpus)
+    count = sweep._class1_count
+
+    def fail_on_jobs_3_and_5(scm, bias, effects, i, c, n_post, seed, buffers=None):
+        job = seed.spawn_key[-1]
+        if job == 3:
+            time.sleep(0.05)
+            raise RuntimeError("job 3")
+        if job == 4:
+            time.sleep(0.2)
+        if job == 5:
+            raise ValueError("job 5")
+        return count(scm, bias, effects, i, c, n_post, seed, buffers)
+
+    before = threading.active_count()
+    monkeypatch.setattr(sweep, "_class1_count", fail_on_jobs_3_and_5)
+    with pytest.raises(RuntimeError, match="job 3"):
+        run_sweep(GOLDEN_CONFIG)
+    assert threading.active_count() == before
+    monkeypatch.setattr(sweep, "_class1_count", count)
+    assert sweep_result_to_csv(run_sweep(GOLDEN_CONFIG)) == GOLDEN_CSV
+    assert threading.active_count() == before
+
+
+def test_helpers_started_before_a_failed_start_are_joined(monkeypatch):
+    """If starting the second helper fails, the first is joined before the error is raised."""
+    start = threading.Thread.start
+    starts = []
+
+    def start_once(thread):
+        starts.append(thread)
+        if len(starts) == 2:
+            raise RuntimeError("can't start new thread")
+        start(thread)
+
+    def work(k, w):
+        time.sleep(0.05)
+        return k
+
+    before = threading.active_count()
+    monkeypatch.setattr(threading.Thread, "start", start_once)
+    with pytest.raises(RuntimeError, match="can't start"):
+        sweep._run_strided(work, 6, 3)
+    assert threading.active_count() == before
+    assert not starts[0].is_alive()
+
+
 def test_cli_sweep_writes_csv_and_manifest(tmp_path):
     config_path = tmp_path / "config.json"
     config_path.write_text(json.dumps(fileio.fields_to_dict(GOLDEN_CONFIG)))
@@ -121,6 +230,15 @@ def test_cli_sweep_writes_csv_and_manifest(tmp_path):
     # Every field is written, in declaration order.
     assert list(manifest["config"]) == [f.name for f in dataclasses.fields(SweepConfig)]
     assert list(manifest["config"]["datagen"]) == [f.name for f in dataclasses.fields(DagGenConfig)]
+    environment = manifest["environment"]
+    assert environment["numpy"] == np.__version__
+    assert environment["blas"] is None or isinstance(environment["blas"], str)
+    for name in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+        assert environment["threads"][name] == os.environ.get(name, "unset")
+    assert environment["cpus_usable"] == sweep._usable_cpus() >= 1
+    # 15 x 200 draws per evaluation: scored in the calling thread.
+    assert environment["eval_threads"] == 1
+    assert list(manifest)[:3] == ["causalsteer_version", "config", "environment"]
 
 
 @pytest.mark.parametrize("c", [np.nan, np.inf])
@@ -201,9 +319,7 @@ def test_irls_counts_cover_excluded_dags(monkeypatch):
 
 def test_plan_that_overflows_is_counted_and_excluded():
     # Two of these DAGs have a total effect too small to reach d = 1.7e308 at a finite value.
-    datagen = DagGenConfig(n_roots=3, n_descendants=5)
-    config = SweepConfig(d_values=(0.0, 1.7e308), n_dags=5, n_train=200, n_post=100, datagen=datagen)
-    result = run_sweep(config)
+    result = run_sweep(OVERFLOW_CONFIG)
     assert result.failures == {"NonFiniteValue": 2}
     assert [row.d for row in result.rows] == [0.0, 1.7e308]
 
