@@ -95,7 +95,8 @@ def fetch_autompg(raw_path: Path) -> Dataset:
         digest_path.write_text(actual + "\n")
     expected = digest_path.read_text().strip()
     if actual != expected:
-        raise ParseError(1, f"cached file checksum {actual[:12]} != recorded {expected[:12]}")
+        reason = f"cached file checksum {actual[:12]} != recorded {expected[:12]} in {digest_path.name}"
+        raise ParseError(None, f"{reason}; remove both files to download again, or place a good copy")
     return parse_autompg(payload.decode("utf-8"))
 
 

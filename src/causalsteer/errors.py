@@ -106,10 +106,12 @@ class NetworkUnavailable(CausalSteerError):
 
 
 class ParseError(CausalSteerError):
-    def __init__(self, line: int, reason: str):
+    """A malformed input, at ``line`` (1-based), or in the whole input when ``line`` is None."""
+
+    def __init__(self, line: int | None, reason: str):
         self.line = line
         self.reason = reason
-        super().__init__(f"line {line}: {reason}")
+        super().__init__(reason if line is None else f"line {line}: {reason}")
 
 
 class DidNotConvergeWarning(UserWarning):

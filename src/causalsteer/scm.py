@@ -8,23 +8,22 @@ observational and interventional data; its ``seed`` is anything
 identical seeds give bitwise-identical datasets.
 
 Every noise draw is ``loc + scale * u`` for a standard draw u, as numpy
-computes a gaussian or uniform draw per element. ``_standard_blocks`` is
-the one draw loop: it takes the u block by block, each block whole rows of
-one run of consecutive specs of one family (``Scm.noise_runs``), filled in
-place by one numpy call: the standard stream does not depend on the
-parameters, and a fill of a contiguous block takes the draws in the same C
-order, so the blocks side by side are the stream of one draw per variable
-in index order. ``_draw_standard`` walks it with one block per run into an
-n x m array; ``_draw_noise`` then scales and shifts the u by
-``Scm.loc_scale``, giving numpy's own bits; a constant draws nothing, and
-its u of -0.0 times its scale of 0.0 plus its value is that value, sign of
-a zero included.
+computes a gaussian or uniform draw per element. ``_row_blocks`` is the
+one order of the standard stream: spans of whole rows of one run of
+consecutive specs of one family (``Scm.noise_runs``), in index order, each
+filled by one numpy call of its run's spec. The standard stream does not
+depend on the parameters, and a fill of a contiguous block takes the draws
+in the same C order, so spans filled one after another from one generator
+are the stream of one draw per variable in index order, however many rows
+a span holds. ``_draw_standard`` fills one span per run of an n x m array;
+``_draw_noise`` then scales and shifts the u by ``Scm.loc_scale``, giving
+numpy's own bits; a constant draws nothing, and its u of -0.0 times its
+scale of 0.0 plus its value is that value, sign of a zero included.
 
 Under do(X_i = c), ``_draw_noise`` draws every noise as usual, then
-overwrites variable i's draws with c; ``sample`` draws through it. The
-sweep's scoring walks the blocks into a buffer of at most
-``BLOCK_DOUBLES`` draws (at least one row), folding ``Scm.loc_scale`` and
-c into its effect vector; ``_check_do`` is the one rule on (i, c) for both.
+overwrites variable i's draws with c; ``sample`` draws through it.
+``_check_do`` is the one rule on (i, c), for it and for the sweep's
+scoring, which walks the same spans.
 
 Samples and analytic means both come from ``graph.solve``, the package's
 one forward substitution; unlike a dense solve it keeps the columns an
@@ -45,9 +44,6 @@ from .graph import Dag
 
 #: Each noise family and the names of its parameters, in the order of ``NoiseSpec.params``.
 NOISE_FAMILIES = {"gaussian": ("mean", "stddev"), "uniform": ("lo", "hi"), "constant": ("value",)}
-#: The most doubles a block of ``_standard_blocks`` holds when scoring, unless one row of
-#: draws is more: 2**16, 512 KiB, so one evaluation's draws stay small on any number of rows.
-BLOCK_DOUBLES = 2**16
 
 
 @dataclass(frozen=True)
@@ -213,38 +209,26 @@ def _check_do(scm: Scm, do: tuple[int, float]) -> None:
         raise ValueError(f"intervention value must be finite, got {c}")
 
 
-def _standard_buffer(scm: Scm, m: int, blocked: bool) -> np.ndarray:
-    """An empty buffer for ``_standard_blocks``: a row of m draws per variable, or, when
-    ``blocked``, as many rows as ``BLOCK_DOUBLES`` doubles hold (at least one, at most n)."""
-    if m < 1:
-        raise ValueError(f"sample count must be >= 1, got {m}")
-    return np.empty((min(scm.n, max(1, BLOCK_DOUBLES // m)) if blocked else scm.n, m))
+def _row_blocks(scm: Scm, rows: int):
+    """Yield (b0, b1, spec) for spans of variables b0+1..b1, in index order.
 
-
-def _standard_blocks(scm: Scm, rng: np.random.Generator, out: np.ndarray):
-    """Fill ``out`` with the standard draws u block by block, yielding (b0, b1, block) after each fill.
-
-    ``block`` holds the m draws of each of variables b0+1..b1: whole rows of
-    one noise run, at most ``len(out)`` of them, in index order, so the
-    blocks side by side are the n x m stream of ``_draw_standard``. When
-    ``out`` has a row per variable, each run is one block, filled in place
-    (``out[b0:b1]``); otherwise each block is the top of ``out`` and the
-    next fill overwrites it.
+    Each span is at most ``rows`` whole rows of one noise run, and ``spec``
+    is the run's first spec, whose ``fill_standard`` fills the span's draws.
+    Filled one after another from one generator, the spans side by side are
+    the n x m standard draws of ``_draw_standard``.
     """
-    rows = len(out)
     for start, end, spec in scm.noise_runs:
         for b0 in range(start, end, rows):
-            b1 = min(b0 + rows, end)
-            block = out[b0:b1] if rows == scm.n else out[: b1 - b0]
-            spec.fill_standard(rng, block)
-            yield b0, b1, block
+            yield b0, min(b0 + rows, end), spec
 
 
 def _draw_standard(scm: Scm, rng: np.random.Generator, m: int) -> np.ndarray:
-    """The n x m standard draws u of ``_draw_noise``: ``_standard_blocks`` as one block per run."""
-    u = _standard_buffer(scm, m, blocked=False)
-    for _ in _standard_blocks(scm, rng, u):
-        pass
+    """The n x m standard draws u of ``_draw_noise``: one fill per noise run."""
+    if m < 1:
+        raise ValueError(f"sample count must be >= 1, got {m}")
+    u = np.empty((scm.n, m))
+    for b0, b1, spec in _row_blocks(scm, scm.n):
+        spec.fill_standard(rng, u[b0:b1])
     return u
 
 

@@ -13,24 +13,25 @@ is bias + e . noise, with the noise draws' entry i set to c and e =
 sample is solved for. Each noise draw is loc_k + scale_k * u_k for a
 standard draw u_k, so the score is the constant bias + e . loc (loc_i := c)
 plus (e * scale, entry i zeroed) . u, with (loc, scale) the SCM's own
-``Scm.loc_scale``: the draws u come from ``scm._standard_blocks``, the
-stream ``sample`` scales, in blocks of whole rows of at most
-``scm.BLOCK_DOUBLES`` draws, each folded into the scores before the next
-is drawn, and the tie coin after them from the same generator. The folded
-score equals the unfolded one up to rounding, so a class-1 count equals
-that of sampling under do(X_i = c) and scoring each row (the oracle in
-``tests/oracles.py``) unless a score lies within rounding of 0.
+``Scm.loc_scale``. The draws u, the stream ``sample`` scales, are taken
+span by span of ``scm._row_blocks`` into a block of whole rows of at
+most ``BLOCK_DOUBLES`` draws, each folded into the scores before the
+next is drawn, and the tie coin after them from the same generator. The
+folded score equals the unfolded one up to rounding, so a class-1 count
+equals that of sampling under do(X_i = c) and scoring each row (the
+oracle in ``tests/oracles.py``) unless a score lies within rounding of 0.
 
 Each DAG's randomness derives from an independently spawned seed, and
 each of its 2 * len(d_values) evaluations from a seed spawned from that,
 so the result is invariant to execution order and bitwise reproducible.
-When an evaluation takes at least ``THREADED_MIN_DRAWS`` standard draws,
-a DAG's evaluations run on up to ``EVAL_THREADS_MAX`` of the usable CPUs:
-the calling thread and one helper thread per further CPU take every W-th
-evaluation; numpy's generators release the GIL while they fill, so the
-draws overlap. Smaller evaluations run in the calling thread, where a
-helper thread was measured to cost more than it saved. The counts are
-the same on any number of threads.
+``_eval_threads`` picks the threads: when an evaluation takes at least
+``THREADED_MIN_DRAWS`` standard draws, up to ``EVAL_THREADS_MAX`` of the
+usable CPUs, the calling thread and one helper per further CPU taking
+every W-th evaluation, each with its own ``_score_buffers``; numpy's
+generators release the GIL while they fill, so the draws overlap.
+Smaller evaluations run in the calling thread, where a helper thread was
+measured to cost more than it saved. The counts are the same on any
+number of threads.
 """
 
 import collections
@@ -51,7 +52,7 @@ from .causal import (
 from .datagen import DagGenConfig, generate_random_scm, median_split_labels, pick_random_target
 from .errors import AllEffectsZero, CausalSteerError, InvalidConfig, NonFiniteValue, ZeroCausalEffect, ZeroCoefficient
 from .models import PredictionModel, augment_graph, fit_logistic
-from .scm import Scm, _check_do, _standard_blocks, _standard_buffer, analytic_means, sample
+from .scm import Scm, _check_do, _row_blocks, analytic_means, sample
 
 
 @dataclass(frozen=True)
@@ -106,9 +107,17 @@ class SweepResult:
         return sum(self.failures.values())
 
 
+#: The most doubles a block of standard draws holds when scoring, unless one row of draws
+#: is more: 2**16, 512 KiB, so one evaluation's draws stay small on any number of rows.
+BLOCK_DOUBLES = 2**16
+
+
 def _score_buffers(scm: Scm, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One evaluation's buffers for m rows: a block of standard draws, the scores and a temporary."""
-    return _standard_buffer(scm, m, blocked=True), np.empty(m), np.empty(m)
+    """One evaluation's buffers for m rows: a block of as many rows of m draws as ``BLOCK_DOUBLES``
+    doubles hold (at least one, at most n), the scores and a temporary."""
+    if m < 1:
+        raise ValueError(f"sample count must be >= 1, got {m}")
+    return np.empty((min(scm.n, max(1, BLOCK_DOUBLES // m)), m)), np.empty(m), np.empty(m)
 
 
 def _folded_scores(scm: Scm, bias: float, effects: np.ndarray, i: int, c: float, rng, buffers) -> np.ndarray:
@@ -116,10 +125,10 @@ def _folded_scores(scm: Scm, bias: float, effects: np.ndarray, i: int, c: float,
 
     Scored as (effects * scale, with entry i zeroed) . u + (bias + effects .
     loc, with loc_i := c), so the draws are never scaled or shifted; the u
-    come block by block from ``scm._standard_blocks``, each block folded in
-    before the next is drawn. ``buffers`` is ``_score_buffers(scm, m)``; the
-    scores returned are its second array. Equal to scoring
-    ``_draw_noise(scm, rng, m, do=(i, c))`` up to rounding.
+    are filled span by span of ``scm._row_blocks`` into the top of the
+    block, each folded in before the next is drawn. ``buffers`` is
+    ``_score_buffers(scm, m)``; the scores returned are its second array.
+    Equal to scoring ``_draw_noise(scm, rng, m, do=(i, c))`` up to rounding.
     """
     _check_do(scm, (i, c))
     block, scores, tmp = buffers
@@ -128,24 +137,24 @@ def _folded_scores(scm: Scm, bias: float, effects: np.ndarray, i: int, c: float,
     weights = effects * scale
     weights[i - 1] = 0.0
     scores.fill(0.0)
-    for b0, b1, u in _standard_blocks(scm, rng, block):
+    for b0, b1, spec in _row_blocks(scm, len(block)):
+        u = block[: b1 - b0]
+        spec.fill_standard(rng, u)
         np.matmul(weights[b0:b1], u, out=tmp)
         scores += tmp
     scores += bias + effects @ loc
     return scores
 
 
-def _class1_count(
-    scm: Scm, bias: float, effects: np.ndarray, i: int, c: float, n_post: int, seed, buffers=None
-) -> int:
+def _class1_count(scm: Scm, bias: float, effects: np.ndarray, i: int, c: float, seed, buffers) -> int:
     """How many of n_post samples under do(X_i = c) score above 0.
 
-    ``effects`` is ``effects_on_prediction(augmented, fixed=i)``; ``buffers``
-    is ``_score_buffers(scm, n_post)``, made here when None. Exact zero
-    scores (measure zero for continuous data) get a fair coin each.
+    ``effects`` is ``effects_on_prediction(augmented, fixed=i)`` and
+    ``buffers`` is ``_score_buffers(scm, n_post)``. Exact zero scores
+    (measure zero for continuous data) get a fair coin each.
     """
     rng = np.random.default_rng(seed)
-    s = _folded_scores(scm, bias, effects, i, c, rng, buffers or _score_buffers(scm, n_post))
+    s = _folded_scores(scm, bias, effects, i, c, rng, buffers)
     ones = np.count_nonzero(s > 0)
     ties = np.count_nonzero(s == 0)
     if ties:
@@ -161,7 +170,7 @@ def evaluate_intervention(scm: Scm, model: PredictionModel, i: int, c: float, n_
     scored row by row, with the same seed. Exact zero scores get a fair coin.
     """
     effects = effects_on_prediction(augment_graph(scm.dag, model), fixed=i)
-    return _class1_count(scm, model.bias, effects, i, c, n_post, seed) / n_post
+    return _class1_count(scm, model.bias, effects, i, c, seed, _score_buffers(scm, n_post)) / n_post
 
 
 def _fit_one_dag(config: SweepConfig, seed: np.random.SeedSequence):
@@ -191,11 +200,11 @@ THREADED_MIN_DRAWS = 2**17
 EVAL_THREADS_MAX = 2
 
 
-def _eval_threads(draws: int, n_jobs: int) -> int:
-    """How many threads score a DAG's ``n_jobs`` evaluations of ``draws`` standard draws each."""
-    if draws < THREADED_MIN_DRAWS:
+def _eval_threads(config: SweepConfig) -> int:
+    """How many threads score each DAG's evaluations, by the standard draws of one evaluation."""
+    if (config.datagen.n_roots + config.datagen.n_descendants) * config.n_post < THREADED_MIN_DRAWS:
         return 1
-    return min(_usable_cpus(), EVAL_THREADS_MAX, n_jobs)
+    return min(_usable_cpus(), EVAL_THREADS_MAX)
 
 
 def _run_strided(work, n_jobs: int, n_workers: int) -> list:
@@ -251,13 +260,13 @@ def _score_one_dag(config: SweepConfig, scm: Scm, model: PredictionModel, s_eval
     effects = effects_on_prediction(augmented, fixed=intervene_on)
     values = np.column_stack([c_opt, c_naive]).ravel()
     eval_seeds = s_eval.spawn(values.size)
-    n_workers = _eval_threads(scm.n * config.n_post, values.size)
+    n_workers = _eval_threads(config)
     # Made here, in the calling thread, so the draw blocks come from its heap.
     buffers = [_score_buffers(scm, config.n_post) for _ in range(n_workers)]
 
     def class1_count(k, w):
         c, seed = values[k], eval_seeds[k]
-        return _class1_count(scm, model.bias, effects, intervene_on, c, config.n_post, seed, buffers[w])
+        return _class1_count(scm, model.bias, effects, intervene_on, c, seed, buffers[w])
 
     counts = _run_strided(class1_count, values.size, n_workers)
     return counts[0::2], counts[1::2]
@@ -325,9 +334,7 @@ def _environment(config: SweepConfig) -> dict:
         "blas": blas,
         "threads": {name: os.environ.get(name, "unset") for name in BLAS_THREAD_VARIABLES},
         "cpus_usable": _usable_cpus(),
-        "eval_threads": _eval_threads(
-            (config.datagen.n_roots + config.datagen.n_descendants) * config.n_post, 2 * len(config.d_values)
-        ),
+        "eval_threads": _eval_threads(config),
     }
 
 

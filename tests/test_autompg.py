@@ -94,8 +94,12 @@ def test_fetch_rejects_a_file_changed_after_its_checksum(tmp_path, offline):
     payload = bytearray(raw.read_bytes())
     payload[0] ^= 1
     raw.write_bytes(bytes(payload))
-    with pytest.raises(ParseError, match="checksum"):
+    with pytest.raises(ParseError, match="checksum") as exc:
         fetch_autompg(raw)
+    # The fault is in the whole file, not in a line of it.
+    assert exc.value.line is None
+    assert not str(exc.value).startswith("line")
+    assert "auto-mpg.sha256" in str(exc.value)
 
 
 @pytest.mark.parametrize("cache_dir", [None, ""], ids=["unset", "empty"])

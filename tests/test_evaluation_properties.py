@@ -18,8 +18,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from causalsteer import NoiseSpec, PredictionModel, Scm, augment_graph, effects_on_prediction, evaluate_intervention
-from causalsteer.scm import BLOCK_DOUBLES, _draw_noise, _draw_standard
-from causalsteer.sweep import _class1_count, _folded_scores, _score_buffers
+from causalsteer.scm import _draw_noise, _draw_standard
+from causalsteer.sweep import BLOCK_DOUBLES, _class1_count, _folded_scores, _score_buffers
 
 from .conftest import dense_random_scm
 from .oracles import class1_count_by_sampling
@@ -74,7 +74,7 @@ def test_score_space_count_equals_sampling(instance):
     augmented = augment_graph(scm.dag, model)
     for i in range(1, scm.n + 1):
         effects = effects_on_prediction(augmented, fixed=i)
-        count = _class1_count(scm, model.bias, effects, i, c, N_POST, seed)
+        count = _class1_count(scm, model.bias, effects, i, c, seed, _score_buffers(scm, N_POST))
         assert count == class1_count_by_sampling(scm, model, i, c, N_POST, seed)
         assert evaluate_intervention(scm, model, i, c, N_POST, seed) == count / N_POST
         if tie:

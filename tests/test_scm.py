@@ -14,7 +14,8 @@ from causalsteer import (
     sample,
 )
 from causalsteer.errors import IndexOutOfRange
-from causalsteer.scm import BLOCK_DOUBLES, _draw_noise, _draw_standard, _standard_blocks, _standard_buffer, noise_means
+from causalsteer.scm import _draw_noise, _draw_standard, _row_blocks, noise_means
+from causalsteer.sweep import BLOCK_DOUBLES, _score_buffers
 
 from .conftest import constant_scm, uniform_scm
 
@@ -171,11 +172,14 @@ BLOCK_NOISES = (
 )
 def test_blocks_side_by_side_are_the_standard_draws(m, rows, spans):
     scm = Scm(Dag.from_edges(len(BLOCK_NOISES), []), BLOCK_NOISES)
-    buffer = _standard_buffer(scm, m, blocked=True)
+    buffer = _score_buffers(scm, m)[0]
     assert buffer.shape == (rows, m)
+    rng = np.random.default_rng(5)
     walked, blocks = [], []
-    for b0, b1, block in _standard_blocks(scm, np.random.default_rng(5), buffer):
-        assert block.shape == (b1 - b0, m) and np.shares_memory(block, buffer)
+    for b0, b1, spec in _row_blocks(scm, rows):
+        assert {s.family for s in scm.noises[b0:b1]} == {spec.family}
+        block = buffer[: b1 - b0]
+        spec.fill_standard(rng, block)
         walked.append((b0, b1))
         blocks.append(block.copy())
     # Whole rows of one run each, at most ``rows`` of them, in index order.

@@ -119,18 +119,42 @@ def _use_cpus(monkeypatch, cpus: int) -> None:
     monkeypatch.setattr(sweep, "THREADED_MIN_DRAWS", 0)
     monkeypatch.setattr(sweep, "EVAL_THREADS_MAX", cpus)
     assert sweep._usable_cpus() == cpus
-    assert sweep._eval_threads(1, 6) == cpus
+    assert sweep._eval_threads(GOLDEN_CONFIG) == cpus
 
 
 def test_eval_threads_follow_the_evaluation_size(monkeypatch):
     """Paper-size evaluations (70 x 1000 draws) run serially, 15 x 20000 on two threads at most."""
+    many_rows = SweepConfig(n_post=20000, datagen=DagGenConfig(n_roots=5, n_descendants=10))
     assert 70 * 1000 < sweep.THREADED_MIN_DRAWS <= 15 * 20000
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
-    assert sweep._eval_threads(70 * 1000, 22) == 1
-    assert sweep._eval_threads(15 * 20000, 22) == sweep.EVAL_THREADS_MAX == 2
-    assert sweep._eval_threads(sweep.THREADED_MIN_DRAWS, 1) == 1
+    assert sweep._eval_threads(SweepConfig()) == 1
+    assert sweep._eval_threads(many_rows) == sweep.EVAL_THREADS_MAX == 2
+    # Draws per evaluation decide, whatever the number of d values: two threads from 2 x 2^16 on.
+    at_threshold = SweepConfig(d_values=(0.0,), n_post=2**16, datagen=DagGenConfig(n_roots=1, n_descendants=1))
+    assert sweep._eval_threads(at_threshold) == 2
+    assert sweep._eval_threads(dataclasses.replace(at_threshold, n_post=2**16 - 1)) == 1
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
-    assert sweep._eval_threads(15 * 20000, 22) == 1
+    assert sweep._eval_threads(many_rows) == 1
+
+
+def test_manifest_reports_the_threads_used(monkeypatch):
+    """The manifest's ``eval_threads`` is the worker count each DAG was scored on, serial or threaded."""
+    run_strided = sweep._run_strided
+    used = []
+
+    def record_workers(work, n_jobs, n_workers):
+        used.append(n_workers)
+        return run_strided(work, n_jobs, n_workers)
+
+    monkeypatch.setattr(sweep, "_run_strided", record_workers)
+    threaded = SweepConfig(
+        d_values=(0.0,), n_dags=1, n_train=200, n_post=9000, datagen=DagGenConfig(n_roots=5, n_descendants=10)
+    )
+    assert 15 * 9000 >= sweep.THREADED_MIN_DRAWS
+    for config in (GOLDEN_CONFIG, threaded):
+        used.clear()
+        result = run_sweep(config)
+        assert used and set(used) == {sweep.run_manifest(config, result)["environment"]["eval_threads"]}
 
 
 # Overflowing plans and a one-step IRLS cap, so failures and the IRLS counts are nonzero.
@@ -168,7 +192,7 @@ def test_failing_job_raises_the_lowest_numbered_error(monkeypatch, cpus):
     _use_cpus(monkeypatch, cpus)
     count = sweep._class1_count
 
-    def fail_on_jobs_3_and_5(scm, bias, effects, i, c, n_post, seed, buffers=None):
+    def fail_on_jobs_3_and_5(scm, bias, effects, i, c, seed, buffers):
         job = seed.spawn_key[-1]
         if job == 3:
             time.sleep(0.05)
@@ -177,7 +201,7 @@ def test_failing_job_raises_the_lowest_numbered_error(monkeypatch, cpus):
             time.sleep(0.2)
         if job == 5:
             raise ValueError("job 5")
-        return count(scm, bias, effects, i, c, n_post, seed, buffers)
+        return count(scm, bias, effects, i, c, seed, buffers)
 
     before = threading.active_count()
     monkeypatch.setattr(sweep, "_class1_count", fail_on_jobs_3_and_5)
@@ -249,6 +273,14 @@ def test_evaluate_intervention_rejects_non_finite_value(c):
         sweep.evaluate_intervention(scm, model, 2, c, 10, 0)
     with pytest.raises(ValueError, match="intervention value must be finite"):
         sample(scm, 10, 0, do=(2, c))
+
+
+@pytest.mark.parametrize("n_post", [0, -1])
+def test_evaluate_intervention_rejects_no_samples(n_post):
+    scm = generate_random_scm(DagGenConfig(n_roots=2, n_descendants=2, seed=0))
+    model = PredictionModel("logistic", 0.0, np.array([1.0]), (4,), 1)
+    with pytest.raises(ValueError, match=f"sample count must be >= 1, got {n_post}"):
+        sweep.evaluate_intervention(scm, model, 2, 1.0, n_post, 0)
 
 
 @pytest.mark.parametrize("field", ["n_dags", "n_post"])
