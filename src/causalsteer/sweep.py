@@ -11,33 +11,30 @@ The samples are scored in score space. Under do(X_i = c) a sample's score
 is bias + e . noise, with the noise draws' entry i set to c and e =
 ``effects_on_prediction(augmented, fixed=i)``, computed once per DAG; no
 sample is solved for. Each noise draw is loc_k + scale_k * u_k for a
-standard draw u_k, so the score is the constant bias + e . loc (loc_i := c)
-plus (e * scale, entry i zeroed) . u, with (loc, scale) the SCM's own
-``Scm.loc_scale``. The draws u, the stream ``sample`` scales, are taken
-span by span of ``scm._row_blocks`` into a block of whole rows of at
-most ``BLOCK_DOUBLES`` draws, each folded into the scores before the
-next is drawn, and the tie coin after them from the same generator. The
-folded score equals the unfolded one up to rounding, so a class-1 count
-equals that of sampling under do(X_i = c) and scoring each row (the
-oracle in ``tests/oracles.py``) unless a score lies within rounding of 0.
+standard draw u_k, so the score is z + a(c), with z = (e * scale, entry i
+zeroed) . u the same for every c and a(c) = bias + e . loc (loc_i := c),
+(loc, scale) the SCM's own ``Scm.loc_scale``. The draws u, the stream
+``sample`` scales, are taken span by span of ``scm._row_blocks`` into a
+block of whole rows of at most ``BLOCK_DOUBLES`` draws, each folded into
+z before the next is drawn, and the tie coins after them from the same
+generator. A sample is class 1 when z > -a(c), exactly when the rounded
+z + a(c) is > 0, so a class-1 count equals that of sampling under
+do(X_i = c) and scoring each row (the oracle in ``tests/oracles.py``)
+unless a score lies within rounding of 0.
 
-Each DAG's randomness derives from an independently spawned seed, and
-each of its 2 * len(d_values) evaluations from a seed spawned from that,
-so the result is invariant to execution order and bitwise reproducible.
-``_eval_threads`` picks the threads: when an evaluation takes at least
-``THREADED_MIN_DRAWS`` standard draws, up to ``EVAL_THREADS_MAX`` of the
-usable CPUs, the calling thread and one helper per further CPU taking
-every W-th evaluation, each with its own ``_score_buffers``; numpy's
-generators release the GIL while they fill, so the draws overlap.
-Smaller evaluations run in the calling thread, where a helper thread was
-measured to cost more than it saved. The counts are the same on any
-number of threads.
+Each DAG's randomness derives from an independently spawned seed, so the
+result is invariant to DAG order and bitwise reproducible. A DAG's 2 *
+len(d_values) plans all intervene on the same X_i, so one draw of u can
+score them all (common random numbers): each count is still
+Binomial(n_post, p(c)), and a DAG's optimal and naive counts are paired.
+From ``ONE_DRAW_MIN_DRAWS`` standard draws per evaluation on, a DAG's
+plans are scored from one draw; below it each plan draws its own, from
+a seed spawned from the DAG's.
 """
 
 import collections
 import dataclasses
 import os
-import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -113,53 +110,47 @@ BLOCK_DOUBLES = 2**16
 
 
 def _score_buffers(scm: Scm, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One evaluation's buffers for m rows: a block of as many rows of m draws as ``BLOCK_DOUBLES``
-    doubles hold (at least one, at most n), the scores and a temporary."""
+    """One draw's buffers for m rows: a block of as many rows of m draws as ``BLOCK_DOUBLES``
+    doubles hold (at least one, at most n), the folded sums z and a temporary."""
     if m < 1:
         raise ValueError(f"sample count must be >= 1, got {m}")
     return np.empty((min(scm.n, max(1, BLOCK_DOUBLES // m)), m)), np.empty(m), np.empty(m)
 
 
-def _folded_scores(scm: Scm, bias: float, effects: np.ndarray, i: int, c: float, rng, buffers) -> np.ndarray:
-    """The m scores bias + effects . noise under do(X_i = c), with noise = loc + scale * u folded in.
+def _class1_counts(scm: Scm, bias: float, effects: np.ndarray, i: int, values, seed, buffers) -> list[int]:
+    """How many of n_post samples under do(X_i = c) score above 0, for each c in ``values``, all from one draw.
 
-    Scored as (effects * scale, with entry i zeroed) . u + (bias + effects .
-    loc, with loc_i := c), so the draws are never scaled or shifted; the u
-    are filled span by span of ``scm._row_blocks`` into the top of the
-    block, each folded in before the next is drawn. ``buffers`` is
-    ``_score_buffers(scm, m)``; the scores returned are its second array.
-    Equal to scoring ``_draw_noise(scm, rng, m, do=(i, c))`` up to rounding.
+    ``effects`` is ``effects_on_prediction(augmented, fixed=i)`` and
+    ``buffers`` is ``_score_buffers(scm, n_post)``. z = (effects * scale,
+    entry i zeroed) . u is folded span by span of ``scm._row_blocks``, each
+    span's u filled into the top of the block before it is folded in; a
+    sample counts for c when z > -(bias + effects . loc), loc_i := c. Exact
+    zero scores (measure zero for continuous data) get a fair coin each,
+    drawn after the draws, value by value.
     """
-    _check_do(scm, (i, c))
-    block, scores, tmp = buffers
+    for c in values:
+        _check_do(scm, (i, c))
+    rng = np.random.default_rng(seed)
+    block, z, tmp = buffers
     loc, scale = scm.loc_scale.copy()
-    loc[i - 1] = c
     weights = effects * scale
     weights[i - 1] = 0.0
-    scores.fill(0.0)
+    z.fill(0.0)
     for b0, b1, spec in _row_blocks(scm, len(block)):
         u = block[: b1 - b0]
         spec.fill_standard(rng, u)
         np.matmul(weights[b0:b1], u, out=tmp)
-        scores += tmp
-    scores += bias + effects @ loc
-    return scores
-
-
-def _class1_count(scm: Scm, bias: float, effects: np.ndarray, i: int, c: float, seed, buffers) -> int:
-    """How many of n_post samples under do(X_i = c) score above 0.
-
-    ``effects`` is ``effects_on_prediction(augmented, fixed=i)`` and
-    ``buffers`` is ``_score_buffers(scm, n_post)``. Exact zero scores
-    (measure zero for continuous data) get a fair coin each.
-    """
-    rng = np.random.default_rng(seed)
-    s = _folded_scores(scm, bias, effects, i, c, rng, buffers)
-    ones = np.count_nonzero(s > 0)
-    ties = np.count_nonzero(s == 0)
-    if ties:
-        ones += int(rng.integers(2, size=ties).sum())
-    return ones
+        z += tmp
+    counts = []
+    for c in values:
+        loc[i - 1] = c
+        t = -(bias + effects @ loc)
+        ones = np.count_nonzero(z > t)
+        ties = np.count_nonzero(z == t)
+        if ties:
+            ones += int(rng.integers(2, size=ties).sum())
+        counts.append(ones)
+    return counts
 
 
 def evaluate_intervention(scm: Scm, model: PredictionModel, i: int, c: float, n_post: int, seed) -> float:
@@ -170,7 +161,7 @@ def evaluate_intervention(scm: Scm, model: PredictionModel, i: int, c: float, n_
     scored row by row, with the same seed. Exact zero scores get a fair coin.
     """
     effects = effects_on_prediction(augment_graph(scm.dag, model), fixed=i)
-    return _class1_count(scm, model.bias, effects, i, c, seed, _score_buffers(scm, n_post)) / n_post
+    return _class1_counts(scm, model.bias, effects, i, [c], seed, _score_buffers(scm, n_post))[0] / n_post
 
 
 def _fit_one_dag(config: SweepConfig, seed: np.random.SeedSequence):
@@ -190,63 +181,20 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-#: The fewest standard draws per evaluation (variables x post rows) at which a DAG's
-#: evaluations are spread over threads. Measured end to end on a 2-CPU host: sweeps of
-#: 70 x 1000 draws per evaluation ran slower on two threads than on one, and sweeps of
-#: 15 x 20000 faster; see CHANGES.md.
-THREADED_MIN_DRAWS = 2**17
-#: The most threads that score one DAG's evaluations: only two have been measured, and
-#: each holds its own ``_score_buffers``.
-EVAL_THREADS_MAX = 2
-
-
-def _eval_threads(config: SweepConfig) -> int:
-    """How many threads score each DAG's evaluations, by the standard draws of one evaluation."""
-    if (config.datagen.n_roots + config.datagen.n_descendants) * config.n_post < THREADED_MIN_DRAWS:
-        return 1
-    return min(_usable_cpus(), EVAL_THREADS_MAX)
-
-
-def _run_strided(work, n_jobs: int, n_workers: int) -> list:
-    """``[work(k, w) for k in range(n_jobs)]``, worker w running jobs w, w + n_workers, ... in turn.
-
-    Worker 0 is the calling thread and the others are helper threads, all
-    joined before this returns or raises. A worker stops at its first
-    failing job; once all are joined, the error of the lowest-numbered
-    failing job is raised.
-    """
-    results = [None] * n_jobs
-    errors = {}
-
-    def run(w):
-        for k in range(w, n_jobs, n_workers):
-            try:
-                results[k] = work(k, w)
-            except Exception as exc:  # raised again below, in the calling thread
-                errors[k] = exc
-                return
-
-    started = []
-    try:
-        for w in range(1, n_workers):
-            helper = threading.Thread(target=run, args=(w,))
-            helper.start()
-            started.append(helper)
-        run(0)
-    finally:
-        for helper in started:
-            helper.join()
-    if errors:
-        raise errors[min(errors)]
-    return results
+#: The fewest standard draws per evaluation (variables x post rows) from which a DAG's
+#: plans are scored from one draw. Below it each plan keeps its own draw, so every sweep
+#: pinned at those sizes (the paper's 70 x 1000 among them) keeps its bytes, as does
+#: perfbench's per-plan replay, held to run_sweep bit for bit on a small sweep.
+ONE_DRAW_MIN_DRAWS = 2**17
 
 
 def _score_one_dag(config: SweepConfig, scm: Scm, model: PredictionModel, s_eval: np.random.SeedSequence):
     """Class-1 counts for one fitted DAG: (counts_optimal, counts_naive), one count per d.
 
-    Job 2k scores the optimal plan for the k-th d and job 2k + 1 the naive
-    one, each with the job's own seed spawned from ``s_eval``, so the counts
-    do not depend on how the jobs are spread over threads (``_eval_threads``).
+    From ``ONE_DRAW_MIN_DRAWS`` draws per evaluation on, every plan is
+    scored from one draw seeded by ``s_eval``; below it plan 2k (the
+    optimal one for the k-th d) and plan 2k + 1 (the naive one) each draw
+    from their own seed, spawned from ``s_eval``.
     """
     augmented = augment_graph(scm.dag, model)
     intervene_on = select_intervention_target(augmented, model.predictor_indices)
@@ -259,16 +207,14 @@ def _score_one_dag(config: SweepConfig, scm: Scm, model: PredictionModel, s_eval
 
     effects = effects_on_prediction(augmented, fixed=intervene_on)
     values = np.column_stack([c_opt, c_naive]).ravel()
-    eval_seeds = s_eval.spawn(values.size)
-    n_workers = _eval_threads(config)
-    # Made here, in the calling thread, so the draw blocks come from its heap.
-    buffers = [_score_buffers(scm, config.n_post) for _ in range(n_workers)]
-
-    def class1_count(k, w):
-        c, seed = values[k], eval_seeds[k]
-        return _class1_count(scm, model.bias, effects, intervene_on, c, seed, buffers[w])
-
-    counts = _run_strided(class1_count, values.size, n_workers)
+    buffers = _score_buffers(scm, config.n_post)
+    if scm.n * config.n_post >= ONE_DRAW_MIN_DRAWS:
+        counts = _class1_counts(scm, model.bias, effects, intervene_on, values, s_eval, buffers)
+    else:
+        counts = [
+            _class1_counts(scm, model.bias, effects, intervene_on, [c], seed, buffers)[0]
+            for c, seed in zip(values, s_eval.spawn(values.size))
+        ]
     return counts[0::2], counts[1::2]
 
 
@@ -321,9 +267,9 @@ def sweep_result_to_csv(result: SweepResult) -> str:
 BLAS_THREAD_VARIABLES = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 
 
-def _environment(config: SweepConfig) -> dict:
+def _environment() -> dict:
     """What a sweep's speed depends on outside its config: the numpy version, its BLAS, the
-    BLAS thread variables, the usable CPU count and the threads that score each DAG."""
+    BLAS thread variables and the usable CPU count."""
     try:
         blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
         blas = f"{blas['name']} {blas['version']}"
@@ -334,7 +280,6 @@ def _environment(config: SweepConfig) -> dict:
         "blas": blas,
         "threads": {name: os.environ.get(name, "unset") for name in BLAS_THREAD_VARIABLES},
         "cpus_usable": _usable_cpus(),
-        "eval_threads": _eval_threads(config),
     }
 
 
@@ -344,7 +289,7 @@ def run_manifest(config: SweepConfig, result: SweepResult) -> dict:
     return {
         "causalsteer_version": __version__,
         "config": fileio.fields_to_dict(config),
-        "environment": _environment(config),
+        "environment": _environment(),
         "n_dags": config.n_dags,
         "n_failed": result.n_failed,
         "failures": result.failures,

@@ -1,25 +1,37 @@
 """The sweep's score-space class-1 count equals sampling and scoring, exactly.
 
-``sweep._class1_count`` scores do(X_i = c) as bias + e . noise without
+``sweep._class1_counts`` scores do(X_i = c) as bias + e . noise without
 solving for a sample; ``tests/oracles.py::class1_count_by_sampling`` draws
 the same noise through ``sample`` and scores every row. On random dense
 DAGs with mixed noise families and random models, the counts must be equal
 for every intervened variable, including when every score is exactly 0 and
-the tie coin decides.
+the tie coin decides. Scoring several values from one draw gives each the
+count of its own sampling with the same seed, up to and including the
+first value with a tie: later values' coins come after that one's.
 
-The folded scores themselves (``sweep._folded_scores``) must equal bias +
-e . noise on the noise ``scm._draw_noise`` draws, within the rounding of
-the two sums, on every family with signed-zero parameters too, both when
-each noise run is one block of draws and when it spans several.
+The folded scores themselves must equal bias + e . noise on the noise
+``scm._draw_noise`` draws within the rounding of the two sums, so every
+row whose unfolded score is further than that from 0 is counted by its
+sign, on every family with signed-zero parameters too, both when each
+noise run is one block of draws and when it spans several.
 """
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from causalsteer import NoiseSpec, PredictionModel, Scm, augment_graph, effects_on_prediction, evaluate_intervention
+from causalsteer import (
+    NoiseSpec,
+    PredictionModel,
+    Scm,
+    augment_graph,
+    effects_on_prediction,
+    evaluate_intervention,
+    sample,
+    scores,
+)
 from causalsteer.scm import _draw_noise, _draw_standard
-from causalsteer.sweep import BLOCK_DOUBLES, _class1_count, _folded_scores, _score_buffers
+from causalsteer.sweep import BLOCK_DOUBLES, _class1_counts, _score_buffers
 
 from .conftest import dense_random_scm
 from .oracles import class1_count_by_sampling
@@ -74,12 +86,29 @@ def test_score_space_count_equals_sampling(instance):
     augmented = augment_graph(scm.dag, model)
     for i in range(1, scm.n + 1):
         effects = effects_on_prediction(augmented, fixed=i)
-        count = _class1_count(scm, model.bias, effects, i, c, seed, _score_buffers(scm, N_POST))
+        [count] = _class1_counts(scm, model.bias, effects, i, [c], seed, _score_buffers(scm, N_POST))
         assert count == class1_count_by_sampling(scm, model, i, c, N_POST, seed)
         assert evaluate_intervention(scm, model, i, c, N_POST, seed) == count / N_POST
         if tie:
             # Every score is 0, so the coin decides each row: all 0 or all 1 has chance 2^-63.
             assert 0 < count < N_POST
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(instances(), st.lists(st.one_of(st.just(0.0), st.floats(-5.0, 5.0)), min_size=1, max_size=4))
+def test_one_draw_counts_equal_sampling_up_to_the_first_tie(instance, others):
+    scm, model, c, seed, _ = instance
+    values = [*others, c]
+    augmented = augment_graph(scm.dag, model)
+    for i in range(1, scm.n + 1):
+        effects = effects_on_prediction(augmented, fixed=i)
+        counts = _class1_counts(scm, model.bias, effects, i, values, seed, _score_buffers(scm, N_POST))
+        assert len(counts) == len(values)
+        for value, count in zip(values, counts):
+            assert count == class1_count_by_sampling(scm, model, i, value, N_POST, seed)
+            rows = sample(scm, N_POST, np.random.default_rng(seed), do=(i, value)).rows
+            if (scores(model, rows) == 0).any():
+                break
 
 
 SIGNED = st.sampled_from([0.0, -0.0, 0.75, -1.5, 3.0])
@@ -110,7 +139,7 @@ def test_folded_scores_equal_unfolded_within_rounding(instance, data):
     eps = np.finfo(float).eps
     for i in range(1, scm.n + 1):
         effects = effects_on_prediction(augmented, fixed=i)
-        folded = _folded_scores(scm, model.bias, effects, i, c, np.random.default_rng(seed), _score_buffers(scm, m))
+        [count] = _class1_counts(scm, model.bias, effects, i, [c], seed, _score_buffers(scm, m))
         noise = _draw_noise(scm, np.random.default_rng(seed), m, do=(i, c))
         unfolded = model.bias + effects @ noise
         u = _draw_standard(scm, np.random.default_rng(seed), m)
@@ -120,4 +149,5 @@ def test_folded_scores_equal_unfolded_within_rounding(instance, data):
         # to the sum of its terms' magnitudes; allow twice that on each side.
         terms = np.abs(noise) + np.abs(loc)[:, None] + np.abs(scale[:, None] * u)
         magnitude = abs(model.bias) + abs(effects[i - 1] * c) + np.abs(effects) @ terms
-        assert (np.abs(folded - unfolded) <= 4 * (scm.n + 3) * eps * magnitude).all()
+        bound = 4 * (scm.n + 3) * eps * magnitude
+        assert np.count_nonzero(unfolded > bound) <= count <= np.count_nonzero(unfolded >= -bound)

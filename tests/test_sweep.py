@@ -1,9 +1,8 @@
 import dataclasses
 import hashlib
 import json
+import math
 import os
-import threading
-import time
 
 import numpy as np
 import pytest
@@ -113,127 +112,52 @@ def test_dag_order_does_not_matter():
     assert [row.accuracy_naive for row in result.rows] == (naive / denom).tolist()
 
 
-def _use_cpus(monkeypatch, cpus: int) -> None:
-    """Make the sweep score each DAG on ``cpus`` threads, whatever its size."""
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
-    monkeypatch.setattr(sweep, "THREADED_MIN_DRAWS", 0)
-    monkeypatch.setattr(sweep, "EVAL_THREADS_MAX", cpus)
-    assert sweep._usable_cpus() == cpus
-    assert sweep._eval_threads(GOLDEN_CONFIG) == cpus
+def test_one_draw_follows_the_evaluation_size(monkeypatch):
+    """From 2^17 draws per evaluation on (2 x 2^16 here) a DAG's plans share one draw; below it each has its own."""
+    assert 70 * 1000 < sweep.ONE_DRAW_MIN_DRAWS == 2 * 2**16 <= 15 * 20000
+    score = sweep._class1_counts
+    calls = []
 
+    def record_values(scm, bias, effects, i, values, seed, buffers):
+        calls.append(len(values))
+        return score(scm, bias, effects, i, values, seed, buffers)
 
-def test_eval_threads_follow_the_evaluation_size(monkeypatch):
-    """Paper-size evaluations (70 x 1000 draws) run serially, 15 x 20000 on two threads at most."""
-    many_rows = SweepConfig(n_post=20000, datagen=DagGenConfig(n_roots=5, n_descendants=10))
-    assert 70 * 1000 < sweep.THREADED_MIN_DRAWS <= 15 * 20000
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
-    assert sweep._eval_threads(SweepConfig()) == 1
-    assert sweep._eval_threads(many_rows) == sweep.EVAL_THREADS_MAX == 2
-    # Draws per evaluation decide, whatever the number of d values: two threads from 2 x 2^16 on.
-    at_threshold = SweepConfig(d_values=(0.0,), n_post=2**16, datagen=DagGenConfig(n_roots=1, n_descendants=1))
-    assert sweep._eval_threads(at_threshold) == 2
-    assert sweep._eval_threads(dataclasses.replace(at_threshold, n_post=2**16 - 1)) == 1
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
-    assert sweep._eval_threads(many_rows) == 1
-
-
-def test_manifest_reports_the_threads_used(monkeypatch):
-    """The manifest's ``eval_threads`` is the worker count each DAG was scored on, serial or threaded."""
-    run_strided = sweep._run_strided
-    used = []
-
-    def record_workers(work, n_jobs, n_workers):
-        used.append(n_workers)
-        return run_strided(work, n_jobs, n_workers)
-
-    monkeypatch.setattr(sweep, "_run_strided", record_workers)
-    threaded = SweepConfig(
-        d_values=(0.0,), n_dags=1, n_train=200, n_post=9000, datagen=DagGenConfig(n_roots=5, n_descendants=10)
+    monkeypatch.setattr(sweep, "_class1_counts", record_values)
+    at_threshold = SweepConfig(
+        d_values=(0.0,), n_dags=1, n_train=20, n_post=2**16, datagen=DagGenConfig(n_roots=1, n_descendants=1)
     )
-    assert 15 * 9000 >= sweep.THREADED_MIN_DRAWS
-    for config in (GOLDEN_CONFIG, threaded):
-        used.clear()
-        result = run_sweep(config)
-        assert used and set(used) == {sweep.run_manifest(config, result)["environment"]["eval_threads"]}
+    run_sweep(at_threshold)
+    assert calls == [2]
+    calls.clear()
+    run_sweep(dataclasses.replace(at_threshold, n_post=2**16 - 1))
+    assert calls == [1, 1]
 
 
-# Overflowing plans and a one-step IRLS cap, so failures and the IRLS counts are nonzero.
-OVERFLOW_CONFIG = SweepConfig(
-    d_values=(0.0, 1.7e308), n_dags=5, n_train=200, n_post=100, datagen=DagGenConfig(n_roots=3, n_descendants=5)
+# 15 x 9000 draws per evaluation: each DAG's six plans are scored from one draw.
+ONE_DRAW_CONFIG = dataclasses.replace(MANY_ROWS_CONFIG, n_post=9000)
+
+ONE_DRAW_CSV = (
+    "d,accuracy_optimal,accuracy_naive,n_failed\n"
+    "0,0.499852,0.667741,0\n"
+    "2,0.886852,0.975222,0\n"
+    "4,0.967926,1.000000,0\n"
 )
 
 
-def test_results_do_not_depend_on_the_cpu_count(monkeypatch):
-    """One CPU scores serially; three split a DAG's six jobs 2 + 2 + 2 and its four jobs 2 + 1 + 1."""
-    results = []
-    for cpus in (1, 2, 3):
-        _use_cpus(monkeypatch, cpus)
-        assert sweep_result_to_csv(run_sweep(GOLDEN_CONFIG)) == GOLDEN_CSV
-        assert sweep_result_to_csv(run_sweep(MANY_ROWS_CONFIG)) == MANY_ROWS_CSV
-        assert _sweep_hash() == SWEEP_HASH
-        with monkeypatch.context() as patched:
-            patched.setattr(models, "IRLS_MAX_ITER", 1)
-            with pytest.warns(DidNotConvergeWarning):
-                not_converged = run_sweep(OVERFLOW_CONFIG)
-        results.append((run_sweep(GOLDEN_CONFIG), run_sweep(SMALL_CONFIG), not_converged))
-    assert results[0][2].failures == {"NonFiniteValue": 2}
-    assert results[0][2].irls_not_converged == OVERFLOW_CONFIG.n_dags
-    assert results[1] == results[0]
-    assert results[2] == results[0]
+def test_golden_csv_one_draw():
+    assert sweep_result_to_csv(run_sweep(ONE_DRAW_CONFIG)) == ONE_DRAW_CSV
 
 
-@pytest.mark.parametrize("cpus", [1, 2, 3])
-def test_failing_job_raises_the_lowest_numbered_error(monkeypatch, cpus):
-    """Jobs 3 and 5 of the first DAG fail, job 3 last; its error is raised, and no helper thread is left.
-
-    On three CPUs job 3 is the calling thread's and job 4, still running
-    when job 3 fails, a helper's.
-    """
-    _use_cpus(monkeypatch, cpus)
-    count = sweep._class1_count
-
-    def fail_on_jobs_3_and_5(scm, bias, effects, i, c, seed, buffers):
-        job = seed.spawn_key[-1]
-        if job == 3:
-            time.sleep(0.05)
-            raise RuntimeError("job 3")
-        if job == 4:
-            time.sleep(0.2)
-        if job == 5:
-            raise ValueError("job 5")
-        return count(scm, bias, effects, i, c, seed, buffers)
-
-    before = threading.active_count()
-    monkeypatch.setattr(sweep, "_class1_count", fail_on_jobs_3_and_5)
-    with pytest.raises(RuntimeError, match="job 3"):
-        run_sweep(GOLDEN_CONFIG)
-    assert threading.active_count() == before
-    monkeypatch.setattr(sweep, "_class1_count", count)
-    assert sweep_result_to_csv(run_sweep(GOLDEN_CONFIG)) == GOLDEN_CSV
-    assert threading.active_count() == before
-
-
-def test_helpers_started_before_a_failed_start_are_joined(monkeypatch):
-    """If starting the second helper fails, the first is joined before the error is raised."""
-    start = threading.Thread.start
-    starts = []
-
-    def start_once(thread):
-        starts.append(thread)
-        if len(starts) == 2:
-            raise RuntimeError("can't start new thread")
-        start(thread)
-
-    def work(k, w):
-        time.sleep(0.05)
-        return k
-
-    before = threading.active_count()
-    monkeypatch.setattr(threading.Thread, "start", start_once)
-    with pytest.raises(RuntimeError, match="can't start"):
-        sweep._run_strided(work, 6, 3)
-    assert threading.active_count() == before
-    assert not starts[0].is_alive()
+def test_one_draw_agrees_with_a_draw_per_plan(monkeypatch):
+    """Each pooled fraction lies within 5 binomial SEs of the same sweep with a draw per plan."""
+    one_draw = run_sweep(ONE_DRAW_CONFIG)
+    monkeypatch.setattr(sweep, "ONE_DRAW_MIN_DRAWS", 15 * ONE_DRAW_CONFIG.n_post + 1)
+    per_plan = run_sweep(ONE_DRAW_CONFIG)
+    assert sweep_result_to_csv(per_plan) != ONE_DRAW_CSV
+    trials = ONE_DRAW_CONFIG.n_dags * ONE_DRAW_CONFIG.n_post
+    for a, b in zip(one_draw.rows, per_plan.rows):
+        for p, q in ((a.accuracy_optimal, b.accuracy_optimal), (a.accuracy_naive, b.accuracy_naive)):
+            assert abs(p - q) <= 5 * math.sqrt((p * (1 - p) + q * (1 - q)) / trials)
 
 
 def test_cli_sweep_writes_csv_and_manifest(tmp_path):
@@ -260,8 +184,7 @@ def test_cli_sweep_writes_csv_and_manifest(tmp_path):
     for name in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
         assert environment["threads"][name] == os.environ.get(name, "unset")
     assert environment["cpus_usable"] == sweep._usable_cpus() >= 1
-    # 15 x 200 draws per evaluation: scored in the calling thread.
-    assert environment["eval_threads"] == 1
+    assert "eval_threads" not in environment
     assert list(manifest)[:3] == ["causalsteer_version", "config", "environment"]
 
 
@@ -351,7 +274,10 @@ def test_irls_counts_cover_excluded_dags(monkeypatch):
 
 def test_plan_that_overflows_is_counted_and_excluded():
     # Two of these DAGs have a total effect too small to reach d = 1.7e308 at a finite value.
-    result = run_sweep(OVERFLOW_CONFIG)
+    config = SweepConfig(
+        d_values=(0.0, 1.7e308), n_dags=5, n_train=200, n_post=100, datagen=DagGenConfig(n_roots=3, n_descendants=5)
+    )
+    result = run_sweep(config)
     assert result.failures == {"NonFiniteValue": 2}
     assert [row.d for row in result.rows] == [0.0, 1.7e308]
 
