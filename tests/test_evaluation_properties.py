@@ -139,15 +139,21 @@ def test_folded_scores_equal_unfolded_within_rounding(instance, data):
     eps = np.finfo(float).eps
     for i in range(1, scm.n + 1):
         effects = effects_on_prediction(augmented, fixed=i)
-        [count] = _class1_counts(scm, model.bias, effects, i, [c], seed, _score_buffers(scm, m))
+        buffers = _score_buffers(scm, m)
+        [count] = _class1_counts(scm, model.bias, effects, i, [c], seed, buffers)
         noise = _draw_noise(scm, np.random.default_rng(seed), m, do=(i, c))
         unfolded = model.bias + effects @ noise
         u = _draw_standard(scm, np.random.default_rng(seed), m)
         loc, scale = scm.loc_scale.copy()
         scale[i - 1] = 0.0
+        # The folded sums z are left in buffers[1]; the score of do(X_i = c) is z + a(c).
+        loc_c = loc.copy()
+        loc_c[i - 1] = c
+        folded = buffers[1] + (model.bias + effects @ loc_c)
         # Either side is within about (n + 3) eps of the exact sum, relative
         # to the sum of its terms' magnitudes; allow twice that on each side.
         terms = np.abs(noise) + np.abs(loc)[:, None] + np.abs(scale[:, None] * u)
         magnitude = abs(model.bias) + abs(effects[i - 1] * c) + np.abs(effects) @ terms
         bound = 4 * (scm.n + 3) * eps * magnitude
+        assert (np.abs(folded - unfolded) <= bound).all()
         assert np.count_nonzero(unfolded > bound) <= count <= np.count_nonzero(unfolded >= -bound)
