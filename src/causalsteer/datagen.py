@@ -31,13 +31,16 @@ NOISE = NoiseSpec.uniform(-1.0, 1.0)
 
 @dataclass(frozen=True)
 class DagGenConfig:
-    """Size and seed of a random DAG: ``n_roots`` roots, then ``n_descendants`` descendants."""
+    """Size and seed of a random DAG: ``n_roots`` roots, then ``n_descendants`` descendants.
+
+    Checked when built: a value out of range raises InvalidConfig.
+    """
 
     n_roots: int = 20
     n_descendants: int = 50
     seed: Seed = None
 
-    def check(self) -> None:
+    def __post_init__(self):
         if self.n_roots < 1:
             raise InvalidConfig(f"n_roots must be >= 1, got {self.n_roots}")
         if self.n_descendants < 0:
@@ -54,7 +57,6 @@ def generate_random_scm(config: DagGenConfig) -> Scm:
     vertex with probability ``PARENT_PROB``, and to one uniform pick when
     none attaches.
     """
-    config.check()
     rng = np.random.default_rng(config.seed)
     n = config.n_roots + config.n_descendants
     weights = np.zeros((n, n))

@@ -185,8 +185,3 @@ def solve_transposed(dag: Dag, rhs, fixed: int | None = None) -> np.ndarray:
             for p, w in zip(pa.tolist(), wv.tolist()):
                 y[p] += w * yv
     return np.array(y)
-
-
-def root_mask(dag: Dag) -> np.ndarray:
-    """Boolean vector, position k true iff variable k+1 has no parents."""
-    return ~(dag.weights != 0.0).any(axis=1)

@@ -289,5 +289,5 @@ def estimate_noise_means(dag: Dag, mu: np.ndarray) -> np.ndarray:
     if mu.shape != (dag.n,):
         raise ValueError(f"expected a length-{dag.n} vector, got shape {mu.shape}")
     est = mu - dag.weights @ mu
-    est[graph.root_mask(dag)] = 0.0
+    est[~dag.weights.any(axis=1)] = 0.0
     return est

@@ -61,7 +61,11 @@ class SweepConfig:
     datagen: DagGenConfig = field(default_factory=DagGenConfig)
     seed: int = 0
 
+    def __post_init__(self):
+        self.check()
+
     def check(self) -> None:
+        """InvalidConfig unless every field is in range; run when a SweepConfig is built."""
         if not self.d_values:
             raise InvalidConfig("d_values must be nonempty")
         if not np.isfinite(self.d_values).all():
@@ -75,7 +79,6 @@ class SweepConfig:
         if self.datagen.seed is not None:
             # _fit_one_dag draws each DAG from a seed spawned from ``seed``.
             raise InvalidConfig(f"datagen.seed must be null in a sweep, got {self.datagen.seed!r}; set seed instead")
-        self.datagen.check()
 
 
 @dataclass(frozen=True)
@@ -227,7 +230,6 @@ def run_sweep(config: SweepConfig) -> SweepResult:
     excluded; individual failures never abort the sweep. The IRLS counts
     cover every DAG's fit, excluded DAGs included.
     """
-    config.check()
     dag_seeds = np.random.SeedSequence(config.seed).spawn(config.n_dags)
     n_d = len(config.d_values)
     opt_total = np.zeros(n_d, dtype=int)

@@ -51,6 +51,11 @@ def causal_effect_regression(data, dag: Dag, i: int, j: int) -> float:
     return float(np.linalg.lstsq(design, data.rows[:, j - 1], rcond=None)[0][1])
 
 
+def root_mask(dag: Dag) -> np.ndarray:
+    """Boolean vector, position k true iff variable k+1 has no parents, found row by row."""
+    return np.array([np.flatnonzero(dag.weights[k]).size == 0 for k in range(dag.n)], dtype=bool)
+
+
 def expanded_coeffs(n: int, model: PredictionModel) -> np.ndarray:
     """Model coefficients on all n variables, zero off the predictors."""
     w = np.zeros(n)

@@ -362,6 +362,11 @@ class TestOptimalInterventionValue:
         with pytest.raises(IndexOutOfRange):
             observation_specific_plan(np.zeros(3), chain3, model, 1, 1.0)
 
+    @pytest.mark.parametrize("length", [2, 4])
+    def test_point_of_another_length_rejected(self, chain3, length):
+        with pytest.raises(ValueError, match="mu must be a length-3 vector"):
+            optimal_intervention_value(np.zeros(length), chain3, None, chain_model(), 1, 1.0)
+
     def test_intervene_on_target_rejected(self, chain3):
         with pytest.raises(InterveneOnTarget):
             optimal_intervention_value(np.zeros(3), chain3, np.zeros(3), chain_model(), 3, 1.0)

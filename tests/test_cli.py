@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import hashlib
 import io
 import json
@@ -9,15 +10,18 @@ import pytest
 
 from causalsteer import (
     DagGenConfig,
+    SweepConfig,
     augment_graph,
     autompg,
     effects_on_prediction,
     fileio,
     fit_linear,
     observation_specific_plan,
+    run_sweep,
     select_intervention_target,
 )
 from causalsteer.cli import build_parser, main
+from causalsteer.sweep import sweep_result_to_csv
 
 AUTOMPG = Path(__file__).parent / "data" / "autompg_synthetic.data"
 
@@ -471,6 +475,13 @@ def test_intervene_takes_the_target_from_the_model(files, capsys):
         ("scm", {"edges": {"from": 1}}, "edges must be an array, got {'from': 1}"),
         ("scm", {"edges": "ab"}, "edges must be an array, got 'ab'"),
         ("scm", {"noises": "ab"}, "noises must be an array, got 'ab'"),
+        # Values the SCM, the noise or the model refuses when built.
+        ("scm", {"noises": [{"family": "uniform", "lo": -1.0, "hi": 1.0}] * 8}, "expected 9 noise specs, got 8"),
+        ("scm", {"names": ["a"]}, "expected 9 names, got 1"),
+        ("scm", {"noises": [{"family": "uniform", "lo": -1.0, "hi": float("inf")}] * 9},
+         "noise parameters must be finite, got (-1.0, inf)"),
+        ("model", {"kind": "tree"}, "unknown model kind 'tree'"),
+        ("model", {"predictor_indices": [1, 1], "coeffs": [1.0, 1.0]}, "duplicate predictor indices"),
     ],
     ids=[
         "edges", "noises", "n", "predictors", "bias", "n_dags", "d_values", "n_roots", "datagen",
@@ -482,6 +493,7 @@ def test_intervene_takes_the_target_from_the_model(files, capsys):
         "noise-family", "duplicate-edge", "endpoint-out-of-range", "cycle",
         "edge-array", "edge-string", "noise-array", "family-array",
         "edges-number", "edges-object", "edges-string", "noises-string",
+        "noises-one-short", "names-length", "noise-infinite", "model-kind", "predictors-duplicate",
     ],
 )
 def test_malformed_document_is_reported(files, tmp_path, capsys, document, change, message):
@@ -534,6 +546,15 @@ def test_main_keeps_no_state_between_calls(files, tmp_path, capsys):
     assert capsys.readouterr().out == first_demo
     assert build_parser.cache_info().misses == 1
     assert build_parser.cache_info().hits == 7
+
+
+def test_sweep_seed_option_overrides_the_config_seed(tmp_path):
+    config_path, out = tmp_path / "sweep.json", tmp_path / "sweep.csv"
+    config = SweepConfig(n_dags=2, n_train=50, n_post=50, datagen=DagGenConfig(n_roots=3, n_descendants=4), seed=1)
+    config_path.write_text(json.dumps(fileio.fields_to_dict(config)))
+    assert main(["sweep", "--config", str(config_path), "--seed", "7", "--out", str(out)]) == 0
+    assert out.read_text() == sweep_result_to_csv(run_sweep(dataclasses.replace(config, seed=7)))
+    assert fileio.load_json(out.with_suffix(".manifest.json"))["config"]["seed"] == 7
 
 
 def test_sweep_refuses_a_datagen_seed(tmp_path, capsys):
@@ -798,6 +819,36 @@ def test_missing_key_names_the_file_and_the_key(files, tmp_path, capsys, documen
         argv = ["analyze", "--scm", str(paths["scm"]), "--model", str(paths["model"])]
     assert main(argv) == 2
     assert capsys.readouterr().err == f"error: {bad}: missing key {key!r}\n"
+
+
+@pytest.mark.parametrize("kind", ["linear", "logistic"])
+def test_fit_refuses_the_target_as_a_predictor(files, capsys, kind):
+    _, data_path, _ = files
+    argv = ["fit", "--data", str(data_path), "--kind", kind, "--target-index", "1", "--predictors", "1,2"]
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", "error: target variable 1 cannot be a predictor\n")
+
+
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        ({"names": ["mpg"]}, "{bad}: expected 6 names, got 1"),
+        ({"n": 5, "names": ["cylinders", "weight", "displacement", "horsepower", "acceleration"]},
+         "structure has 5 variables, data has 6"),
+        ({"names": ["cylinders", "weight", "displacement", "horsepower", "acceleration", "MPG"]},
+         "structure variables ('cylinders', 'weight', 'displacement', 'horsepower', 'acceleration', 'MPG') "
+         "do not match data columns ('cylinders', 'weight', 'displacement', 'horsepower', 'acceleration', 'mpg')"),
+    ],
+    ids=["names-length", "fewer-variables", "other-names"],
+)
+def test_demo_structure_that_does_not_fit_the_data_exits_2(tmp_path, capsys, change, message):
+    doc = fileio.load_json(autompg.bundled_structure_path())
+    doc.update(change)
+    doc["edges"] = [e for e in doc["edges"] if e["to"] <= doc["n"]]
+    bad = tmp_path / "structure.json"
+    bad.write_text(json.dumps(doc))
+    assert main(["demo-autompg", "--structure", str(bad), "--data-file", str(AUTOMPG)]) == 2
+    assert capsys.readouterr() == ("", f"error: {message.format(bad=bad)}\n")
 
 
 @pytest.mark.parametrize("spec", ["1.5", "a,b", "1,1"])

@@ -11,7 +11,8 @@ from causalsteer import (
     pick_random_target,
 )
 from causalsteer.errors import InvalidConfig
-from causalsteer.graph import root_mask
+
+from .oracles import root_mask
 
 
 class TestGenerateRandomScm:

@@ -4,10 +4,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from causalsteer import Dag, PredictionModel, augment_graph, effects_on_prediction, graph
-from causalsteer.graph import _static_order as static_order, root_mask, solve, solve_transposed
+from causalsteer.graph import _static_order as static_order, solve, solve_transposed
 from causalsteer.errors import CycleDetected, IndexOutOfRange, NonFiniteWeight, NonzeroDiagonal
 
-from .oracles import solve_by_rows
+from .oracles import root_mask, solve_by_rows
 
 
 def random_dag(rng: np.random.Generator, n: int, p: float = 0.4) -> Dag:

@@ -18,6 +18,7 @@ from causalsteer.scm import _draw_noise, _draw_standard, _row_blocks, noise_mean
 from causalsteer.sweep import BLOCK_DOUBLES, _score_buffers
 
 from .conftest import constant_scm, uniform_scm
+from .oracles import root_mask
 
 
 class TestNoiseSpec:
@@ -247,8 +248,6 @@ class TestEstimateNoiseMeans:
         scm = generate_random_scm(DagGenConfig(n_roots=4, n_descendants=12, seed=3))
         est = estimate_noise_means(scm.dag, analytic_means(scm))
         truth = noise_means(scm)
-        from causalsteer.graph import root_mask
-
         non_root = ~root_mask(scm.dag)
         assert est[non_root] == pytest.approx(truth[non_root], abs=1e-12)
         assert (est[~non_root] == 0.0).all()

@@ -208,9 +208,22 @@ def test_evaluate_intervention_rejects_no_samples(n_post):
 
 @pytest.mark.parametrize("field", ["n_dags", "n_post"])
 def test_check_rejects_zero_counts(field):
-    config = SweepConfig(**{field: 0})
     with pytest.raises(InvalidConfig, match=field):
-        config.check()
+        SweepConfig(**{field: 0})
+
+
+@pytest.mark.parametrize(
+    "build, field",
+    [
+        (lambda: DagGenConfig(n_roots=0), "n_roots"),
+        (lambda: dataclasses.replace(SweepConfig(), n_post=0), "n_post"),
+    ],
+    ids=["datagen", "replace"],
+)
+def test_config_is_checked_when_built(build, field):
+    # test_check_rejects_zero_counts builds SweepConfig(n_dags=0) directly.
+    with pytest.raises(InvalidConfig, match=f"{field} must be >= 1, got 0"):
+        build()
 
 
 @pytest.mark.parametrize("d", [np.nan, np.inf, -np.inf])
