@@ -185,10 +185,16 @@ def _usable_cpus() -> int:
 
 
 #: The fewest standard draws per evaluation (variables x post rows) from which a DAG's
-#: plans are scored from one draw. Below it each plan keeps its own draw, so every sweep
-#: pinned at those sizes (the paper's 70 x 1000 among them) keeps its bytes, as does
-#: perfbench's per-plan replay, held to run_sweep bit for bit on a small sweep.
-ONE_DRAW_MIN_DRAWS = 2**17
+#: plans are scored from one draw: the largest power of two at or below the paper's
+#: 70 x 1000. Below it each plan keeps its own draw, so every sweep pinned at those sizes
+#: keeps its bytes, as does perfbench's per-plan replay, held to run_sweep bit for bit on a
+#: small sweep.
+ONE_DRAW_MIN_DRAWS = 2**16
+
+
+def _one_draw(config: SweepConfig) -> bool:
+    """Whether each DAG's plans are scored from one draw: from ``ONE_DRAW_MIN_DRAWS`` draws per evaluation on."""
+    return (config.datagen.n_roots + config.datagen.n_descendants) * config.n_post >= ONE_DRAW_MIN_DRAWS
 
 
 def _score_one_dag(config: SweepConfig, scm: Scm, model: PredictionModel, s_eval: np.random.SeedSequence):
@@ -211,7 +217,7 @@ def _score_one_dag(config: SweepConfig, scm: Scm, model: PredictionModel, s_eval
     effects = effects_on_prediction(augmented, fixed=intervene_on)
     values = np.column_stack([c_opt, c_naive]).ravel()
     buffers = _score_buffers(scm, config.n_post)
-    if scm.n * config.n_post >= ONE_DRAW_MIN_DRAWS:
+    if _one_draw(config):
         counts = _class1_counts(scm, model.bias, effects, intervene_on, values, s_eval, buffers)
     else:
         counts = [
@@ -292,6 +298,7 @@ def run_manifest(config: SweepConfig, result: SweepResult) -> dict:
         "causalsteer_version": __version__,
         "config": fileio.fields_to_dict(config),
         "environment": _environment(),
+        "one_draw": _one_draw(config),
         "n_dags": config.n_dags,
         "n_failed": result.n_failed,
         "failures": result.failures,

@@ -62,9 +62,9 @@ MANY_ROWS_CONFIG = SweepConfig(
 
 MANY_ROWS_CSV = (
     "d,accuracy_optimal,accuracy_naive,n_failed\n"
-    "0,0.497867,0.665467,0\n"
-    "2,0.887000,0.974467,0\n"
-    "4,0.966267,0.999867,0\n"
+    "0,0.506467,0.669867,0\n"
+    "2,0.887867,0.975133,0\n"
+    "4,0.969600,0.999867,0\n"
 )
 
 
@@ -95,7 +95,7 @@ def test_paper_size_sweep_hash():
     69-predictor fit and the 1000-row scoring at the paper's size.
     """
     csv = sweep_result_to_csv(run_sweep(SweepConfig(n_dags=30, seed=5)))
-    assert hashlib.sha256(csv.encode()).hexdigest() == "e646c1a3439a9b35c0b76dea61c3cbccdb0d84deb31f7c9052dcc14be05ad58a"
+    assert hashlib.sha256(csv.encode()).hexdigest() == "ae4217a60f822a06371bf63223e4210139b4a2837eef54b3603d0c7eb0a34475"
 
 
 def test_dag_order_does_not_matter():
@@ -113,8 +113,15 @@ def test_dag_order_does_not_matter():
 
 
 def test_one_draw_follows_the_evaluation_size(monkeypatch):
-    """From 2^17 draws per evaluation on (2 x 2^16 here) a DAG's plans share one draw; below it each has its own."""
-    assert 70 * 1000 < sweep.ONE_DRAW_MIN_DRAWS == 2 * 2**16 <= 15 * 20000
+    """From 2^16 draws per evaluation on (2 x 2^15 here) a DAG's plans share one draw; below it each has its own."""
+    assert sweep.ONE_DRAW_MIN_DRAWS == 2 * 2**15
+    # Below it: perfbench's 7 x 200 replay, GOLDEN_CONFIG and the sweep hash's 70 x 300.
+    tiny = SweepConfig(n_post=200, datagen=DagGenConfig(n_roots=3, n_descendants=4))
+    for config in (tiny, GOLDEN_CONFIG, SweepConfig(n_post=300)):
+        assert not sweep._one_draw(config)
+    # At or above it: the paper's 70 x 1000, MANY_ROWS_CONFIG and ONE_DRAW_CONFIG.
+    for config in (SweepConfig(), MANY_ROWS_CONFIG, ONE_DRAW_CONFIG):
+        assert sweep._one_draw(config)
     score = sweep._class1_counts
     calls = []
 
@@ -124,12 +131,12 @@ def test_one_draw_follows_the_evaluation_size(monkeypatch):
 
     monkeypatch.setattr(sweep, "_class1_counts", record_values)
     at_threshold = SweepConfig(
-        d_values=(0.0,), n_dags=1, n_train=20, n_post=2**16, datagen=DagGenConfig(n_roots=1, n_descendants=1)
+        d_values=(0.0,), n_dags=1, n_train=20, n_post=2**15, datagen=DagGenConfig(n_roots=1, n_descendants=1)
     )
     run_sweep(at_threshold)
     assert calls == [2]
     calls.clear()
-    run_sweep(dataclasses.replace(at_threshold, n_post=2**16 - 1))
+    run_sweep(dataclasses.replace(at_threshold, n_post=2**15 - 1))
     assert calls == [1, 1]
 
 
@@ -148,16 +155,27 @@ def test_golden_csv_one_draw():
     assert sweep_result_to_csv(run_sweep(ONE_DRAW_CONFIG)) == ONE_DRAW_CSV
 
 
-def test_one_draw_agrees_with_a_draw_per_plan(monkeypatch):
+def _assert_one_draw_agrees_with_a_draw_per_plan(monkeypatch, config: SweepConfig) -> None:
     """Each pooled fraction lies within 5 binomial SEs of the same sweep with a draw per plan."""
-    one_draw = run_sweep(ONE_DRAW_CONFIG)
-    monkeypatch.setattr(sweep, "ONE_DRAW_MIN_DRAWS", 15 * ONE_DRAW_CONFIG.n_post + 1)
-    per_plan = run_sweep(ONE_DRAW_CONFIG)
-    assert sweep_result_to_csv(per_plan) != ONE_DRAW_CSV
-    trials = ONE_DRAW_CONFIG.n_dags * ONE_DRAW_CONFIG.n_post
+    one_draw = run_sweep(config)
+    n = config.datagen.n_roots + config.datagen.n_descendants
+    monkeypatch.setattr(sweep, "ONE_DRAW_MIN_DRAWS", n * config.n_post + 1)
+    per_plan = run_sweep(config)
+    assert sweep_result_to_csv(per_plan) != sweep_result_to_csv(one_draw)
+    # Planning precedes scoring, so both sweeps exclude the same DAGs.
+    trials = (config.n_dags - one_draw.n_failed) * config.n_post
     for a, b in zip(one_draw.rows, per_plan.rows):
         for p, q in ((a.accuracy_optimal, b.accuracy_optimal), (a.accuracy_naive, b.accuracy_naive)):
             assert abs(p - q) <= 5 * math.sqrt((p * (1 - p) + q * (1 - q)) / trials)
+
+
+def test_one_draw_agrees_with_a_draw_per_plan(monkeypatch):
+    _assert_one_draw_agrees_with_a_draw_per_plan(monkeypatch, ONE_DRAW_CONFIG)
+
+
+def test_one_draw_agrees_with_a_draw_per_plan_at_paper_size(monkeypatch):
+    # The paper's 70 x 1000 on 40 DAGs: one SE of a difference is at most 0.0036.
+    _assert_one_draw_agrees_with_a_draw_per_plan(monkeypatch, SweepConfig(n_dags=40, seed=5))
 
 
 def test_cli_sweep_writes_csv_and_manifest(tmp_path):
@@ -185,7 +203,18 @@ def test_cli_sweep_writes_csv_and_manifest(tmp_path):
         assert environment["threads"][name] == os.environ.get(name, "unset")
     assert environment["cpus_usable"] == sweep._usable_cpus() >= 1
     assert "eval_threads" not in environment
-    assert list(manifest)[:3] == ["causalsteer_version", "config", "environment"]
+    assert list(manifest)[:4] == ["causalsteer_version", "config", "environment", "one_draw"]
+    # 15 x 200 draws per evaluation: each plan drew its own noise.
+    assert manifest["one_draw"] is False
+
+
+def test_manifest_says_one_draw_scored_a_paper_size_sweep(tmp_path):
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(fileio.fields_to_dict(SweepConfig(n_dags=1))))
+    assert main(["sweep", "--config", str(config_path), "--out", str(tmp_path / "sweep.csv")]) == 0
+    manifest = json.loads((tmp_path / "sweep.manifest.json").read_text())
+    assert manifest["one_draw"] is True
+    assert "one_draw" not in manifest["config"]
 
 
 @pytest.mark.parametrize("c", [np.nan, np.inf])
