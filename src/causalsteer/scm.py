@@ -9,13 +9,14 @@ identical seeds give bitwise-identical datasets.
 
 Every noise draw is ``loc + scale * u`` for a standard draw u, as numpy
 computes a gaussian or uniform draw per element. ``_row_blocks`` is the
-one order of the standard stream: spans of whole rows of one run of
-consecutive specs of one family (``Scm.noise_runs``), in index order, each
-filled by one numpy call of its run's spec. The standard stream does not
-depend on the parameters, and a fill of a contiguous block takes the draws
-in the same C order, so spans filled one after another from one generator
-are the stream of one draw per variable in index order, however many rows
-a span holds. ``_draw_standard`` fills one span per run of an n x m array;
+one order of the standard stream: spans of whole rows of one noise run, a
+maximal run of consecutive specs of one family that it finds in
+``Scm.noises``, in index order, each filled by one numpy call of its run's
+first spec. The standard stream does not depend on the parameters, and a
+fill of a contiguous block takes the draws in the same C order, so spans
+filled one after another from one generator are the stream of one draw
+per variable in index order, however many rows a span holds.
+``_draw_standard`` fills one span per run of an n x m array;
 ``_draw_noise`` then scales and shifts the u by ``Scm.loc_scale``, giving
 numpy's own bits; a constant draws nothing, and its u of -0.0 times its
 scale of 0.0 plus its value is that value, sign of a zero included.
@@ -33,7 +34,7 @@ intervention cannot reach bitwise equal to the observational sample.
 import functools
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from operator import attrgetter
 
 import numpy as np
@@ -127,28 +128,19 @@ class NoiseSpec:
 class Scm:
     """A Dag plus one NoiseSpec per variable.
 
-    The constructor stores ``noise_runs``: ``(start, end, spec)`` for each
-    maximal run of consecutive specs of one family, 0-based and
-    end-exclusive, in index order, with the run's first spec; its
-    ``fill_standard`` serves the whole run. ``loc_scale`` is every spec's
-    ``loc_scale()`` as a read-only 2 x n array, built on first use.
+    ``loc_scale`` is every spec's ``loc_scale()`` as a read-only 2 x n
+    array, built on first use. The noise runs, maximal runs of consecutive
+    specs of one family, are found in ``noises`` by ``_row_blocks``.
     """
 
     dag: Dag
     noises: tuple[NoiseSpec, ...]
-    noise_runs: tuple[tuple[int, int, NoiseSpec], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         noises = tuple(self.noises)
         if len(noises) != self.dag.n:
             raise ValueError(f"expected {self.dag.n} noise specs, got {len(noises)}")
         object.__setattr__(self, "noises", noises)
-        runs, start = [], 0
-        for _, group in itertools.groupby(noises, key=attrgetter("family")):
-            end = start + len(list(group))
-            runs.append((start, end, noises[start]))
-            start = end
-        object.__setattr__(self, "noise_runs", tuple(runs))
 
     @functools.cached_property
     def loc_scale(self) -> np.ndarray:
@@ -212,12 +204,17 @@ def _check_do(scm: Scm, do: tuple[int, float]) -> None:
 def _row_blocks(scm: Scm, rows: int):
     """Yield (b0, b1, spec) for spans of variables b0+1..b1, in index order.
 
-    Each span is at most ``rows`` whole rows of one noise run, and ``spec``
-    is the run's first spec, whose ``fill_standard`` fills the span's draws.
-    Filled one after another from one generator, the spans side by side are
-    the n x m standard draws of ``_draw_standard``.
+    A noise run is a maximal run of consecutive specs of one family in
+    ``scm.noises``, found here on each call. Each span is at most ``rows``
+    whole rows of one run, all but a run's last exactly ``rows``, and
+    ``spec`` is the run's first spec, whose ``fill_standard`` fills the
+    span's draws. Filled one after another from one generator, the spans
+    side by side are the n x m standard draws of ``_draw_standard``.
     """
-    for start, end, spec in scm.noise_runs:
+    end = 0
+    for _, run in itertools.groupby(scm.noises, key=attrgetter("family")):
+        start, spec = end, scm.noises[end]
+        end += len(list(run))
         for b0 in range(start, end, rows):
             yield b0, min(b0 + rows, end), spec
 

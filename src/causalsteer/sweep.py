@@ -112,38 +112,41 @@ class SweepResult:
 BLOCK_DOUBLES = 2**16
 
 
-def _score_buffers(scm: Scm, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One draw's buffers for m rows: a block of as many rows of m draws as ``BLOCK_DOUBLES``
-    doubles hold (at least one, at most n), the folded sums z and a temporary."""
+def _folded_sums(scm: Scm, effects: np.ndarray, i: int, rng: np.random.Generator, m: int) -> np.ndarray:
+    """z = (effects * scale, entry i zeroed) . u for m standard draws u per variable, from ``rng``.
+
+    The u are filled span by span of ``scm._row_blocks`` into the top of a block of as many rows
+    of m draws as ``BLOCK_DOUBLES`` doubles hold (at least one, at most n), made on each call,
+    each span folded into z before the next is drawn.
+    """
     if m < 1:
         raise ValueError(f"sample count must be >= 1, got {m}")
-    return np.empty((min(scm.n, max(1, BLOCK_DOUBLES // m)), m)), np.empty(m), np.empty(m)
-
-
-def _class1_counts(scm: Scm, bias: float, effects: np.ndarray, i: int, values, seed, buffers) -> list[int]:
-    """How many of n_post samples under do(X_i = c) score above 0, for each c in ``values``, all from one draw.
-
-    ``effects`` is ``effects_on_prediction(augmented, fixed=i)`` and
-    ``buffers`` is ``_score_buffers(scm, n_post)``. z = (effects * scale,
-    entry i zeroed) . u is folded span by span of ``scm._row_blocks``, each
-    span's u filled into the top of the block before it is folded in; a
-    sample counts for c when z > -(bias + effects . loc), loc_i := c. Exact
-    zero scores (measure zero for continuous data) get a fair coin each,
-    drawn after the draws, value by value.
-    """
-    for c in values:
-        _check_do(scm, (i, c))
-    rng = np.random.default_rng(seed)
-    block, z, tmp = buffers
-    loc, scale = scm.loc_scale.copy()
-    weights = effects * scale
-    weights[i - 1] = 0.0
+    block, z, tmp = np.empty((min(scm.n, max(1, BLOCK_DOUBLES // m)), m)), np.empty(m), np.empty(m)
     z.fill(0.0)
+    weights = effects * scm.loc_scale[1]
+    weights[i - 1] = 0.0
     for b0, b1, spec in _row_blocks(scm, len(block)):
         u = block[: b1 - b0]
         spec.fill_standard(rng, u)
         np.matmul(weights[b0:b1], u, out=tmp)
         z += tmp
+    return z
+
+
+def _class1_counts(scm: Scm, bias: float, effects: np.ndarray, i: int, values, seed, n_post: int) -> list[int]:
+    """How many of n_post samples under do(X_i = c) score above 0, for each c in ``values``, all from one draw.
+
+    ``effects`` is ``effects_on_prediction(augmented, fixed=i)``. The folded
+    sums z of ``_folded_sums`` are drawn from a generator seeded by
+    ``seed``; a sample counts for c when z > -(bias + effects . loc), loc_i
+    := c. Exact zero scores (measure zero for continuous data) get a fair
+    coin each, drawn from the same generator after the draws, value by value.
+    """
+    for c in values:
+        _check_do(scm, (i, c))
+    rng = np.random.default_rng(seed)
+    z = _folded_sums(scm, effects, i, rng, n_post)
+    loc = scm.loc_scale[0].copy()
     counts = []
     for c in values:
         loc[i - 1] = c
@@ -164,7 +167,7 @@ def evaluate_intervention(scm: Scm, model: PredictionModel, i: int, c: float, n_
     scored row by row, with the same seed. Exact zero scores get a fair coin.
     """
     effects = effects_on_prediction(augment_graph(scm.dag, model), fixed=i)
-    return _class1_counts(scm, model.bias, effects, i, [c], seed, _score_buffers(scm, n_post))[0] / n_post
+    return _class1_counts(scm, model.bias, effects, i, [c], seed, n_post)[0] / n_post
 
 
 def _fit_one_dag(config: SweepConfig, seed: np.random.SeedSequence):
@@ -216,12 +219,11 @@ def _score_one_dag(config: SweepConfig, scm: Scm, model: PredictionModel, s_eval
 
     effects = effects_on_prediction(augmented, fixed=intervene_on)
     values = np.column_stack([c_opt, c_naive]).ravel()
-    buffers = _score_buffers(scm, config.n_post)
     if _one_draw(config):
-        counts = _class1_counts(scm, model.bias, effects, intervene_on, values, s_eval, buffers)
+        counts = _class1_counts(scm, model.bias, effects, intervene_on, values, s_eval, config.n_post)
     else:
         counts = [
-            _class1_counts(scm, model.bias, effects, intervene_on, [c], seed, buffers)[0]
+            _class1_counts(scm, model.bias, effects, intervene_on, [c], seed, config.n_post)[0]
             for c, seed in zip(values, s_eval.spawn(values.size))
         ]
     return counts[0::2], counts[1::2]

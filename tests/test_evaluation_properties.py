@@ -31,7 +31,7 @@ from causalsteer import (
     scores,
 )
 from causalsteer.scm import _draw_noise, _draw_standard
-from causalsteer.sweep import BLOCK_DOUBLES, _class1_counts, _score_buffers
+from causalsteer.sweep import BLOCK_DOUBLES, _class1_counts, _folded_sums
 
 from .conftest import dense_random_scm
 from .oracles import class1_count_by_sampling
@@ -86,7 +86,7 @@ def test_score_space_count_equals_sampling(instance):
     augmented = augment_graph(scm.dag, model)
     for i in range(1, scm.n + 1):
         effects = effects_on_prediction(augmented, fixed=i)
-        [count] = _class1_counts(scm, model.bias, effects, i, [c], seed, _score_buffers(scm, N_POST))
+        [count] = _class1_counts(scm, model.bias, effects, i, [c], seed, N_POST)
         assert count == class1_count_by_sampling(scm, model, i, c, N_POST, seed)
         assert evaluate_intervention(scm, model, i, c, N_POST, seed) == count / N_POST
         if tie:
@@ -102,7 +102,7 @@ def test_one_draw_counts_equal_sampling_up_to_the_first_tie(instance, others):
     augmented = augment_graph(scm.dag, model)
     for i in range(1, scm.n + 1):
         effects = effects_on_prediction(augmented, fixed=i)
-        counts = _class1_counts(scm, model.bias, effects, i, values, seed, _score_buffers(scm, N_POST))
+        counts = _class1_counts(scm, model.bias, effects, i, values, seed, N_POST)
         assert len(counts) == len(values)
         for value, count in zip(values, counts):
             assert count == class1_count_by_sampling(scm, model, i, value, N_POST, seed)
@@ -139,17 +139,17 @@ def test_folded_scores_equal_unfolded_within_rounding(instance, data):
     eps = np.finfo(float).eps
     for i in range(1, scm.n + 1):
         effects = effects_on_prediction(augmented, fixed=i)
-        buffers = _score_buffers(scm, m)
-        [count] = _class1_counts(scm, model.bias, effects, i, [c], seed, buffers)
+        [count] = _class1_counts(scm, model.bias, effects, i, [c], seed, m)
         noise = _draw_noise(scm, np.random.default_rng(seed), m, do=(i, c))
         unfolded = model.bias + effects @ noise
         u = _draw_standard(scm, np.random.default_rng(seed), m)
         loc, scale = scm.loc_scale.copy()
         scale[i - 1] = 0.0
-        # The folded sums z are left in buffers[1]; the score of do(X_i = c) is z + a(c).
+        # The score of do(X_i = c) is z + a(c), z the folded sums of the count's draw.
+        z = _folded_sums(scm, effects, i, np.random.default_rng(seed), m)
         loc_c = loc.copy()
         loc_c[i - 1] = c
-        folded = buffers[1] + (model.bias + effects @ loc_c)
+        folded = z + (model.bias + effects @ loc_c)
         # Either side is within about (n + 3) eps of the exact sum, relative
         # to the sum of its terms' magnitudes; allow twice that on each side.
         terms = np.abs(noise) + np.abs(loc)[:, None] + np.abs(scale[:, None] * u)

@@ -7,6 +7,7 @@ from causalsteer import Dag, DagGenConfig, Dataset, NoiseSpec, PredictionModel, 
 from causalsteer import fileio
 from causalsteer.causal import InterventionPlan
 from causalsteer.errors import CycleDetected, InvalidConfig
+from causalsteer.scm import _row_blocks
 
 
 class TestGraphDocuments:
@@ -143,7 +144,7 @@ def decoded_or_error(decode, doc: dict) -> str:
         scm = decode(doc)
     except (TypeError, ValueError) as exc:
         return f"{type(exc).__name__}: {exc}"
-    return repr((scm.noises, scm.noise_runs))
+    return repr((scm.noises, list(_row_blocks(scm, scm.n))))
 
 
 def gaussian(mean, stddev) -> dict:
@@ -172,7 +173,8 @@ class TestNoiseDecodedOncePerObject:
         if isinstance(expected, str):
             assert got == expected
         else:
-            assert len(fileio.scm_from_dict(doc).noise_runs) == expected
+            scm = fileio.scm_from_dict(doc)
+            assert len(list(_row_blocks(scm, scm.n))) == expected
 
 
 class TestModelDocuments:

@@ -12,10 +12,11 @@ from causalsteer import (
     estimate_noise_means,
     generate_random_scm,
     sample,
+    sweep,
 )
 from causalsteer.errors import IndexOutOfRange
 from causalsteer.scm import _draw_noise, _draw_standard, _row_blocks, noise_means
-from causalsteer.sweep import BLOCK_DOUBLES, _score_buffers
+from causalsteer.sweep import BLOCK_DOUBLES, _folded_sums
 
 from .conftest import constant_scm, uniform_scm
 from .oracles import root_mask
@@ -143,14 +144,19 @@ def test_mixed_family_sample_is_pinned(noises, do, digest):
     assert hashlib.sha256(rows.tobytes()).hexdigest() == digest
 
 
+def _runs(scm: Scm) -> list:
+    """The noise runs: the spans of ``_row_blocks`` at n rows a span, one per run."""
+    return list(_row_blocks(scm, scm.n))
+
+
 def test_noise_runs():
     scm = _mixed_noise_scm()
-    assert [(start, end) for start, end, _ in scm.noise_runs] == [(0, 2), (2, 3), (3, 4), (4, 5), (5, 6)]
-    assert [spec for _, _, spec in scm.noise_runs] == [scm.noises[k] for k in (0, 2, 3, 4, 5)]
-    assert len(generate_random_scm(DagGenConfig(seed=1)).noise_runs) == 1
+    assert [(start, end) for start, end, _ in _runs(scm)] == [(0, 2), (2, 3), (3, 4), (4, 5), (5, 6)]
+    assert [spec for _, _, spec in _runs(scm)] == [scm.noises[k] for k in (0, 2, 3, 4, 5)]
+    assert len(_runs(generate_random_scm(DagGenConfig(seed=1)))) == 1
     # A run is one family: the standard draws do not depend on the parameters.
     adjacent = _mixed_noise_scm(ADJACENT_NOISES)
-    assert [(start, end) for start, end, _ in adjacent.noise_runs] == [(0, 2), (2, 4), (4, 6)]
+    assert [(start, end) for start, end, _ in _runs(adjacent)] == [(0, 2), (2, 4), (4, 6)]
 
 
 # Runs of 4 gaussians, 2 constants, 5 uniforms and 1 gaussian: at 2 or 3 rows a block,
@@ -171,10 +177,19 @@ BLOCK_NOISES = (
         (BLOCK_DOUBLES // 3 + 1, 2, [(0, 2), (2, 4), (4, 6), (6, 8), (8, 10), (10, 11), (11, 12)]),
     ],
 )
-def test_blocks_side_by_side_are_the_standard_draws(m, rows, spans):
+def test_blocks_side_by_side_are_the_standard_draws(monkeypatch, m, rows, spans):
     scm = Scm(Dag.from_edges(len(BLOCK_NOISES), []), BLOCK_NOISES)
-    buffer = _score_buffers(scm, m)[0]
-    assert buffer.shape == (rows, m)
+    # The scorer's block holds ``rows`` rows of m draws: the rows it walks the spans by.
+    walked_by = []
+
+    def record_rows(scm, rows):
+        walked_by.append(rows)
+        return _row_blocks(scm, rows)
+
+    monkeypatch.setattr(sweep, "_row_blocks", record_rows)
+    assert _folded_sums(scm, np.ones(scm.n), 1, np.random.default_rng(5), m).shape == (m,)
+    assert walked_by == [rows]
+    buffer = np.empty((rows, m))
     rng = np.random.default_rng(5)
     walked, blocks = [], []
     for b0, b1, spec in _row_blocks(scm, rows):

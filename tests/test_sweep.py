@@ -125,9 +125,9 @@ def test_one_draw_follows_the_evaluation_size(monkeypatch):
     score = sweep._class1_counts
     calls = []
 
-    def record_values(scm, bias, effects, i, values, seed, buffers):
+    def record_values(scm, bias, effects, i, values, seed, n_post):
         calls.append(len(values))
-        return score(scm, bias, effects, i, values, seed, buffers)
+        return score(scm, bias, effects, i, values, seed, n_post)
 
     monkeypatch.setattr(sweep, "_class1_counts", record_values)
     at_threshold = SweepConfig(
