@@ -7,8 +7,8 @@ variable i; an entry of exactly zero means "no edge".
 
 The SCM is evaluated in two passes over the Dag's stored schedule, both
 against the total-effect matrix (I - W)^-1 and neither forming it:
-``solve`` substitutes forward, x = (I - W)^-1 rhs, for samples, means and
-single columns; ``solve_transposed`` accumulates in reverse, y = rhs (I -
+``solve`` substitutes forward, x = (I - W)^-1 rhs, for a vector or for one
+column per sample; ``solve_transposed`` accumulates in reverse, y = rhs (I -
 W)^-1, for one row, such as the total effect of every variable on a score.
 """
 
@@ -136,29 +136,24 @@ def _static_order(rows: np.ndarray, cols: np.ndarray, bounds: list[int]) -> list
 
 
 def solve(dag: Dag, rhs, fixed: int | None = None) -> np.ndarray:
-    """Solve x = W~ x + rhs along the last axis of ``rhs``; W~ is W with row ``fixed`` zeroed.
+    """Solve x = W~ x + rhs for a length-n ``rhs`` or each column of an n x m one; W~ is W, row ``fixed`` zeroed.
 
-    The package's one forward evaluation of the linear SCM: rows of noise
-    draws give samples, noise means give means, and the unit vector e_i
-    gives column i of the total-effect matrix (I - W)^-1. For
-    do(X_fixed = c), put c in rhs.
+    The package's one forward evaluation of the linear SCM: noise draws,
+    one column per sample, give samples, noise means give means, and the
+    unit vector e_i gives column i of the total-effect matrix (I - W)^-1.
+    For do(X_fixed = c), put c in rhs.
     Forward substitution over parents, not a dense solve, so a variable no
     path reaches stays exactly 0.0 and the values of non-descendants of
     ``fixed`` stay bitwise equal to the unintervened ones.
     """
     x = np.array(rhs, dtype=float)
-    if x.shape[-1:] != (dag.n,):
-        raise ValueError(f"expected a last axis of length {dag.n}, got shape {x.shape}")
+    if x.ndim > 2 or x.shape[:1] != (dag.n,):
+        raise ValueError(f"expected a vector or matrix with {dag.n} rows, got shape {x.shape}")
     if fixed is not None:
         check_index(fixed, dag.n)
-    # xt[v] is the view x[..., v], and xt[pa].transpose(last) is x[..., pa] in values and
-    # strides alike, so the product is the (..., k) @ k of x[..., pa] @ weights[v, pa], bit
-    # for bit: the BLAS kernel, and with it the rounding, depends on the strides.
-    xt = np.moveaxis(x, -1, 0)
-    last = (*range(1, x.ndim), 0)
     for v, pa, wv in dag.schedule:
         if pa.size and v + 1 != fixed:
-            xt[v] = xt[pa].transpose(last) @ wv + xt[v]
+            x[v] = x[pa].T @ wv + x[v]
     return x
 
 

@@ -27,8 +27,9 @@ overwrites variable i's draws with c; ``sample`` draws through it.
 scoring, which walks the same spans.
 
 Samples and analytic means both come from ``graph.solve``, the package's
-one forward substitution; unlike a dense solve it keeps the columns an
-intervention cannot reach bitwise equal to the observational sample.
+one forward substitution, which ``sample`` runs on the n x m draw as drawn;
+unlike a dense solve it keeps the variables an intervention cannot reach
+bitwise equal to the observational sample.
 """
 
 import functools
@@ -162,7 +163,7 @@ class Dataset:
     names: tuple[str, ...] | None = None
 
     def __post_init__(self):
-        rows = np.array(self.rows, dtype=float)
+        rows = np.array(self.rows, dtype=float, order="C")
         if rows.ndim != 2:
             raise ValueError(f"rows must be 2-D, got shape {rows.shape}")
         if not np.isfinite(rows).all():
@@ -249,13 +250,6 @@ def _draw_noise(scm: Scm, rng: np.random.Generator, m: int, do: tuple[int, float
     return noise
 
 
-def _simulate(scm: Scm, m: int, seed, do: tuple[int, float] | None) -> np.ndarray:
-    # One sample per row for solve. The drawn array is freed once transposed,
-    # before solve copies, and the copy is freed before Dataset copies the result.
-    noise = np.ascontiguousarray(_draw_noise(scm, np.random.default_rng(seed), m, do).T)
-    return graph.solve(scm.dag, noise, fixed=None if do is None else do[0])
-
-
 def sample(scm: Scm, m: int, seed, do: tuple[int, float] | None = None) -> Dataset:
     """Draw m observations, under do(X_i = c) when ``do`` is ``(i, c)``.
 
@@ -263,9 +257,12 @@ def sample(scm: Scm, m: int, seed, do: tuple[int, float] | None = None) -> Datas
     fixed to c (its parents and noise ignored) and its descendants respond
     through the structural equations; with the same seed, the columns of
     variables the intervention does not reach match the unintervened sample
-    exactly.
+    exactly. Values that overflow reach ``Dataset``, which refuses them.
     """
-    return Dataset(_simulate(scm, m, seed, do), scm.dag.names)
+    # The draw is solve's argument only, so it is freed before Dataset copies the transpose.
+    with np.errstate(over="ignore", invalid="ignore"):
+        x = graph.solve(scm.dag, _draw_noise(scm, np.random.default_rng(seed), m, do), None if do is None else do[0])
+    return Dataset(x.T, scm.dag.names)
 
 
 def analytic_means(scm: Scm) -> np.ndarray:

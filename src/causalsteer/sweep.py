@@ -141,16 +141,22 @@ def _class1_counts(scm: Scm, bias: float, effects: np.ndarray, i: int, values, s
     ``seed``; a sample counts for c when z > -(bias + effects . loc), loc_i
     := c. Exact zero scores (measure zero for continuous data) get a fair
     coin each, drawn from the same generator after the draws, value by value.
+    Raises NonFiniteValue if a sum or a threshold overflows.
     """
     for c in values:
         _check_do(scm, (i, c))
     rng = np.random.default_rng(seed)
-    z = _folded_sums(scm, effects, i, rng, n_post)
     loc = scm.loc_scale[0].copy()
+    with np.errstate(over="ignore", invalid="ignore"):
+        z = _folded_sums(scm, effects, i, rng, n_post)
+        thresholds = []
+        for c in values:
+            loc[i - 1] = c
+            thresholds.append(-(bias + effects @ loc))
+    if not (np.isfinite(z).all() and np.isfinite(thresholds).all()):
+        raise NonFiniteValue(f"the scores of samples under an intervention on variable {i} are not finite")
     counts = []
-    for c in values:
-        loc[i - 1] = c
-        t = -(bias + effects @ loc)
+    for t in thresholds:
         ones = np.count_nonzero(z > t)
         ties = np.count_nonzero(z == t)
         if ties:

@@ -65,11 +65,13 @@ def expanded_coeffs(n: int, model: PredictionModel) -> np.ndarray:
 
 
 def solve_by_rows(dag: Dag, rhs, fixed: int | None = None) -> np.ndarray:
-    """``graph.solve`` as one loop over the weight rows, in an order of its own.
+    """``graph.solve`` as one loop over the weight rows, in an order of its own: the sample-major reference.
 
-    Each pass sets every vertex whose parents are all set, with the same
-    product as ``graph.solve``: the parents' values along the last axis of
-    ``x`` times the vertex's weight row restricted to them.
+    ``rhs`` is a length-n vector or an m x n matrix with one sample per row,
+    the transpose of what ``graph.solve`` takes. Each pass sets every vertex
+    whose parents are all set, with the same product as ``graph.solve``: the
+    parents' values along the last axis of ``x`` times the vertex's weight
+    row restricted to them.
     """
     x = np.array(rhs, dtype=float)
     w = dag.weights

@@ -147,6 +147,16 @@ def test_undrawable_noise_is_reported(tmp_path, capsys, noise, message):
     assert capsys.readouterr().err == f"error: {scm}: {message}\n"
 
 
+def test_sample_that_overflows_is_one_error_line(tmp_path, capsys):
+    # Draws of N(0, 1e308) overflow when scaled and again through the edge; the
+    # test suite turns a numpy warning into an error, so a leaked one fails here.
+    scm = tmp_path / "scm.json"
+    noises = [{"family": "gaussian", "mean": 0.0, "stddev": 1e308}, {"family": "gaussian", "mean": 0.0, "stddev": 1.0}]
+    scm.write_text(json.dumps({"n": 2, "edges": [{"from": 1, "to": 2, "weight": 2.0}], "noises": noises}))
+    assert main(["sample", "--scm", str(scm), "--rows", "1000"]) == 2
+    assert capsys.readouterr().err == "error: dataset contains non-finite entries\n"
+
+
 # The generator settings that are datagen constants, each with its value there.
 FIXED_GENERATOR_SETTINGS = {
     "parent_prob": 0.05,

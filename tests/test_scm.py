@@ -94,6 +94,12 @@ class TestSample:
         assert (a == b).all()
         assert (a != c).any()
 
+    def test_rows_are_c_contiguous_and_read_only(self):
+        rows = sample(uniform_scm(Dag(np.array([[0.0, 0.0], [1.0, 0.0]]))), 5, seed=0).rows
+        assert rows.shape == (5, 2)
+        assert rows.flags.c_contiguous
+        assert not rows.flags.writeable
+
     def test_no_variables(self):
         assert sample(Scm(Dag(np.zeros((0, 0))), ()), 3, seed=0).rows.shape == (3, 0)
 

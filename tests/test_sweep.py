@@ -8,8 +8,11 @@ import numpy as np
 import pytest
 
 from causalsteer import (
+    Dag,
     DagGenConfig,
+    NoiseSpec,
     PredictionModel,
+    Scm,
     SweepConfig,
     fileio,
     generate_random_scm,
@@ -19,7 +22,7 @@ from causalsteer import (
     sweep,
 )
 from causalsteer.cli import main
-from causalsteer.errors import AllEffectsZero, CausalSteerError, DidNotConvergeWarning, InvalidConfig
+from causalsteer.errors import AllEffectsZero, CausalSteerError, DidNotConvergeWarning, InvalidConfig, NonFiniteValue
 from causalsteer.sweep import _fit_one_dag, _score_one_dag, sweep_result_to_csv
 
 GOLDEN_CONFIG = SweepConfig(
@@ -225,6 +228,27 @@ def test_evaluate_intervention_rejects_non_finite_value(c):
         sweep.evaluate_intervention(scm, model, 2, c, 10, 0)
     with pytest.raises(ValueError, match="intervention value must be finite"):
         sample(scm, 10, 0, do=(2, c))
+
+
+@pytest.mark.parametrize(
+    "x3, c",
+    [(NoiseSpec.constant(-1e308), 1e308), (NoiseSpec.gaussian(0.0, 1e308), 0.5)],
+    ids=["threshold", "sums"],
+)
+def test_evaluate_intervention_refuses_scores_that_overflow(x3, c):
+    # x1 -> x2 <- x3, both of weight 2, scored on x2. Under do(X1 = 1e308) with x3 at -1e308
+    # both terms of the threshold overflow, though the mean score is about 0; with x3 drawn
+    # at scale 1e308 the sums overflow. Either way rows would be counted against inf or nan.
+    scm = Scm(Dag.from_edges(4, [(1, 2, 2.0), (3, 2, 2.0)]), (NoiseSpec.gaussian(),) * 2 + (x3, NoiseSpec.gaussian()))
+    model = PredictionModel("logistic", 0.0, np.array([1.0]), (2,), 4)
+    with pytest.raises(NonFiniteValue, match="variable 1 are not finite"):
+        sweep.evaluate_intervention(scm, model, 1, c, 1000, 0)
+
+
+def test_sweep_counts_a_dag_whose_scores_overflow():
+    # The DAG's plans for d = ±1e308 are finite, but their thresholds overflow.
+    with pytest.raises(CausalSteerError, match=r"all 1 DAGs failed \(NonFiniteValue: 1\)"):
+        run_sweep(SweepConfig(n_dags=1, d_values=(1e308, -1e308)))
 
 
 @pytest.mark.parametrize("n_post", [0, -1])
