@@ -170,10 +170,13 @@ def irls_logistic(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, int, bool]:
     """Penalized logistic IRLS written the plain way: (beta, n_iter, converged).
 
     ``x`` is the design matrix with its leading column of ones and ``y`` the
-    0/1 labels as floats. Same rules as ``fit_logistic``: Newton steps with
-    step-halving, the L2 penalty on all but the bias, the same tolerance and
-    iteration cap. Each step recomputes ``x @ beta``, the Hessian is the
-    full product ``(x.T * w) @ x`` and the sigmoid splits on the sign by
+    0/1 labels as floats. The plain Newton method with step-halving: every
+    step tries the full Newton step first, halves it until the penalized
+    log-likelihood does not drop and forms a fresh Hessian, the full
+    product ``(x.T * w) @ x``. ``fit_logistic`` searches the step length
+    and reuses a Hessian near the optimum instead; it shares only the L2
+    penalty on all but the bias, the tolerance and the iteration cap. Each
+    step recomputes ``x @ beta`` and the sigmoid splits on the sign by
     boolean masks.
     """
 
