@@ -44,14 +44,16 @@ def _write(text: str, out: str | None) -> None:
         Path(out).write_text(text)
 
 
-def _cmd_gen_scm(args) -> None:
-    if args.config:
-        config = fileio.load_document(args.config, partial(fileio.fields_from_dict, DagGenConfig))
-    else:
-        config = DagGenConfig()
+def _load_config(args, cls):
+    """The --config document as a ``cls`` (``cls()`` without one), its seed replaced by --seed when given."""
+    config = fileio.load_document(args.config, partial(fileio.fields_from_dict, cls)) if args.config else cls()
     if args.seed is not None:
         config = dataclasses.replace(config, seed=args.seed)
-    scm = generate_random_scm(config)
+    return config
+
+
+def _cmd_gen_scm(args) -> None:
+    scm = generate_random_scm(_load_config(args, DagGenConfig))
     _write(json.dumps(fileio.scm_to_dict(scm), indent=2) + "\n", args.out)
 
 
@@ -187,9 +189,7 @@ def _cmd_intervene(args) -> None:
 
 
 def _cmd_sweep(args) -> None:
-    config = fileio.load_document(args.config, partial(fileio.fields_from_dict, SweepConfig))
-    if args.seed is not None:
-        config = dataclasses.replace(config, seed=args.seed)
+    config = _load_config(args, SweepConfig)
     result = run_sweep(config)
     _write(sweep_result_to_csv(result), args.out)
     if args.out:

@@ -181,10 +181,11 @@ def fit_logistic(data: Dataset, labels, predictor_indices=None, *, target_index:
                 scale = 2.0 * scale if hi == np.inf else 0.5 * (lo + hi)
             if abs(move) <= 0.01 * scale:
                 break
-        # Step-halving: shrink until the penalized log-likelihood does not
-        # drop. It gains at most scale * (step @ grad) along the step, so a
-        # step that cannot gain more than the rounding of the log-likelihood
-        # is taken whole, not halved at random.
+        # Step-halving: the search's 1% stop can land past the maximum, below
+        # the start, on near-separable designs (test_models.py::
+        # test_fit_logistic_never_goes_downhill), so shrink until the value
+        # does not drop. It gains at most scale * (step @ grad), so a step
+        # that cannot gain more than the value's rounding is taken whole.
         noise = np.finfo(float).eps * (np.abs(score).sum() + data.m)
         for _ in range(30):
             ll = _penalized_loglik(score + scale * q, y, beta + scale * step, penalty)

@@ -77,7 +77,7 @@ class SweepConfig:
         if self.seed < 0:
             raise InvalidConfig(f"seed must be >= 0, got {self.seed}")
         if self.datagen.seed is not None:
-            # _fit_one_dag draws each DAG from a seed spawned from ``seed``.
+            # _run_dag draws each DAG from a seed spawned from ``seed``.
             raise InvalidConfig(f"datagen.seed must be null in a sweep, got {self.datagen.seed!r}; set seed instead")
 
 
@@ -176,16 +176,6 @@ def evaluate_intervention(scm: Scm, model: PredictionModel, i: int, c: float, n_
     return _class1_counts(scm, model.bias, effects, i, [c], seed, n_post)[0] / n_post
 
 
-def _fit_one_dag(config: SweepConfig, seed: np.random.SeedSequence):
-    """One DAG and its classifier: (scm, model, the seed left for evaluation)."""
-    s_scm, s_train, s_target, s_eval = seed.spawn(4)
-    scm = generate_random_scm(dataclasses.replace(config.datagen, seed=s_scm))
-    train = sample(scm, config.n_train, s_train)
-    target = pick_random_target(scm.n, s_target)
-    labels = median_split_labels(train, target)
-    return scm, fit_logistic(train, labels, target_index=target), s_eval
-
-
 def _usable_cpus() -> int:
     """The CPUs this process may run on: its affinity mask where the platform has one."""
     if hasattr(os, "sched_getaffinity"):
@@ -206,33 +196,44 @@ def _one_draw(config: SweepConfig) -> bool:
     return (config.datagen.n_roots + config.datagen.n_descendants) * config.n_post >= ONE_DRAW_MIN_DRAWS
 
 
-def _score_one_dag(config: SweepConfig, scm: Scm, model: PredictionModel, s_eval: np.random.SeedSequence):
-    """Class-1 counts for one fitted DAG: (counts_optimal, counts_naive), one count per d.
+def _run_dag(config: SweepConfig, seed: np.random.SeedSequence):
+    """One DAG's pass through the sweep: (its fitted model, its counts or the failure's class name).
 
-    From ``ONE_DRAW_MIN_DRAWS`` draws per evaluation on, every plan is
-    scored from one draw seeded by ``s_eval``; below it plan 2k (the
+    ``seed`` is spawned into four: the SCM, its training rows, the target
+    and the evaluation. The counts are a len(d_values) x 2 array, the
+    class-1 counts of the optimal and the naive plan for each d. From
+    ``ONE_DRAW_MIN_DRAWS`` draws per evaluation on, every plan is scored
+    from one draw seeded by the evaluation seed; below it plan 2k (the
     optimal one for the k-th d) and plan 2k + 1 (the naive one) each draw
-    from their own seed, spawned from ``s_eval``.
+    from their own seed, spawned from it. A DAG on which no finite
+    intervention moves the prediction gives the name of the exception that
+    says so; its fit is still returned.
     """
+    s_scm, s_train, s_target, s_eval = seed.spawn(4)
+    scm = generate_random_scm(dataclasses.replace(config.datagen, seed=s_scm))
+    train = sample(scm, config.n_train, s_train)
+    target = pick_random_target(scm.n, s_target)
+    model = fit_logistic(train, median_split_labels(train, target), target_index=target)
     augmented = augment_graph(scm.dag, model)
-    intervene_on = select_intervention_target(augmented, model.predictor_indices)
-
-    mu = analytic_means(scm)
-    # Planned before any evaluation, so a degenerate DAG adds to no row.
-    d = np.array(config.d_values)
-    c_opt = optimal_intervention_value(mu, scm.dag, None, model, intervene_on, d).value
-    c_naive = naive_intervention_value(model, mu, intervene_on, d)
-
-    effects = effects_on_prediction(augmented, fixed=intervene_on)
-    values = np.column_stack([c_opt, c_naive]).ravel()
-    if _one_draw(config):
-        counts = _class1_counts(scm, model.bias, effects, intervene_on, values, s_eval, config.n_post)
-    else:
-        counts = [
-            _class1_counts(scm, model.bias, effects, intervene_on, [c], seed, config.n_post)[0]
-            for c, seed in zip(values, s_eval.spawn(values.size))
-        ]
-    return counts[0::2], counts[1::2]
+    try:
+        intervene_on = select_intervention_target(augmented, model.predictor_indices)
+        mu = analytic_means(scm)
+        # Planned before any evaluation, so a degenerate DAG adds to no row.
+        d = np.array(config.d_values)
+        c_opt = optimal_intervention_value(mu, scm.dag, None, model, intervene_on, d).value
+        c_naive = naive_intervention_value(model, mu, intervene_on, d)
+        effects = effects_on_prediction(augmented, fixed=intervene_on)
+        values = np.column_stack([c_opt, c_naive]).ravel()
+        if _one_draw(config):
+            counts = _class1_counts(scm, model.bias, effects, intervene_on, values, s_eval, config.n_post)
+        else:
+            counts = [
+                _class1_counts(scm, model.bias, effects, intervene_on, [c], s_plan, config.n_post)[0]
+                for c, s_plan in zip(values, s_eval.spawn(values.size))
+            ]
+    except (ZeroCausalEffect, AllEffectsZero, ZeroCoefficient, NonFiniteValue) as exc:
+        return model, type(exc).__name__
+    return model, np.reshape(counts, (-1, 2))
 
 
 def run_sweep(config: SweepConfig) -> SweepResult:
@@ -244,38 +245,35 @@ def run_sweep(config: SweepConfig) -> SweepResult:
     excluded; individual failures never abort the sweep. The IRLS counts
     cover every DAG's fit, excluded DAGs included.
     """
-    dag_seeds = np.random.SeedSequence(config.seed).spawn(config.n_dags)
-    n_d = len(config.d_values)
-    opt_total = np.zeros(n_d, dtype=int)
-    naive_total = np.zeros(n_d, dtype=int)
+    totals = np.zeros((len(config.d_values), 2), dtype=int)
     failures = collections.Counter()
-    n_ok = n_iter = not_converged = 0
-    for seed in dag_seeds:
-        scm, model, s_eval = _fit_one_dag(config, seed)
+    n_iter = not_converged = 0
+    for seed in np.random.SeedSequence(config.seed).spawn(config.n_dags):
+        model, outcome = _run_dag(config, seed)
         n_iter += model.n_iter
         not_converged += not model.converged
-        try:
-            opt_counts, naive_counts = _score_one_dag(config, scm, model, s_eval)
-        except (ZeroCausalEffect, AllEffectsZero, ZeroCoefficient, NonFiniteValue) as exc:
-            failures[type(exc).__name__] += 1
-            continue
-        opt_total += opt_counts
-        naive_total += naive_counts
-        n_ok += 1
+        if isinstance(outcome, str):
+            failures[outcome] += 1
+        else:
+            totals += outcome
     failures = dict(sorted(failures.items()))
+    n_ok = config.n_dags - sum(failures.values())
     if n_ok == 0:
         breakdown = ", ".join(f"{name}: {count}" for name, count in failures.items())
         raise CausalSteerError(f"all {config.n_dags} DAGs failed ({breakdown}); nothing to report")
     denom = n_ok * config.n_post
-    rows = tuple(
-        SweepRow(float(d), opt_total[k] / denom, naive_total[k] / denom)
-        for k, d in enumerate(config.d_values)
-    )
+    rows = tuple(SweepRow(float(d), opt / denom, naive / denom) for d, (opt, naive) in zip(config.d_values, totals))
     return SweepResult(rows, failures, not_converged, n_iter / config.n_dags)
 
 
+def _d_text(d: float) -> str:
+    """``d`` as ``%g`` where that reads back as the same float, else as its repr, which always does."""
+    text = f"{d:g}"
+    return text if float(text) == d else repr(float(d))
+
+
 def sweep_result_to_csv(result: SweepResult) -> str:
-    rows = [(f"{r.d:g}", f"{r.accuracy_optimal:.6f}", f"{r.accuracy_naive:.6f}", result.n_failed) for r in result.rows]
+    rows = [(_d_text(r.d), f"{r.accuracy_optimal:.6f}", f"{r.accuracy_naive:.6f}", result.n_failed) for r in result.rows]
     return fileio.csv_text([("d", "accuracy_optimal", "accuracy_naive", "n_failed"), *rows])
 
 

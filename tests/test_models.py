@@ -1,3 +1,5 @@
+import contextlib
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -219,6 +221,37 @@ def test_fit_logistic_matches_plain_irls_on_small_designs(m, p, spread, seed):
     labels = (rng.logistic(size=m) < spread * (x @ rng.normal(size=p))).astype(int)
     assume(0 < labels.sum() < m)
     _assert_meets_plain_irls(Dataset(np.column_stack([x, np.zeros(m)])), labels, p + 1)
+
+
+@pytest.mark.parametrize(("seed", "shape", "spread"), [(299, (73, 1), 100.0), (41, (120, 3), 100.0), (571, (58, 2), 10.0)])
+def test_fit_logistic_never_goes_downhill(monkeypatch, seed, shape, spread):
+    """No Newton step lowers the penalized log-likelihood, from -m log 2 at the start, by more than its rounding.
+
+    On these near-separable designs the line search can stop past the
+    maximum along a step, below where the step began; the step-halving
+    pass is what brings such a step back. The fit after k steps is the fit
+    with ``IRLS_MAX_ITER`` set to k.
+    """
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=shape)
+    m, p = shape
+    labels = (rng.logistic(size=m) < spread * (x @ rng.normal(size=p))).astype(int)
+    data = Dataset(np.column_stack([x, np.zeros(m)]))
+    n_iter = fit_logistic(data, labels, target_index=p + 1).n_iter
+    design = np.column_stack([np.ones(m), x])
+    y = labels.astype(float)
+    penalty = np.full(p + 1, models.IRLS_L2)
+    penalty[0] = 0.0
+    before = -m * np.log(2.0)
+    for k in range(1, n_iter + 1):
+        monkeypatch.setattr(models, "IRLS_MAX_ITER", k)
+        with pytest.warns(DidNotConvergeWarning) if k < n_iter else contextlib.nullcontext():
+            model = fit_logistic(data, labels, target_index=p + 1)
+        beta = np.concatenate([[model.bias], model.coeffs])
+        score = design @ beta
+        after = models._penalized_loglik(score, y, beta, penalty)
+        assert after >= before - np.finfo(float).eps * (np.abs(score).sum() + m), f"step {k}"
+        before = after
 
 
 class TestPredictAndDecision:

@@ -23,7 +23,7 @@ from causalsteer import (
 )
 from causalsteer.cli import main
 from causalsteer.errors import AllEffectsZero, CausalSteerError, DidNotConvergeWarning, InvalidConfig, NonFiniteValue
-from causalsteer.sweep import _fit_one_dag, _score_one_dag, sweep_result_to_csv
+from causalsteer.sweep import _run_dag, sweep_result_to_csv
 
 GOLDEN_CONFIG = SweepConfig(
     n_dags=8,
@@ -44,9 +44,9 @@ GOLDEN_CSV = (
 )
 
 
-def _dag_counts(config: SweepConfig, seed) -> tuple[list[int], list[int]]:
+def _dag_counts(config: SweepConfig, seed) -> tuple[np.ndarray, np.ndarray]:
     """One DAG of a sweep on its own: (counts_optimal, counts_naive)."""
-    return _score_one_dag(config, *_fit_one_dag(config, seed))
+    return tuple(_run_dag(config, seed)[1].T)
 
 
 def test_golden_csv():
@@ -192,7 +192,7 @@ def test_cli_sweep_writes_csv_and_manifest(tmp_path):
     assert manifest["n_failed"] == 0
     assert manifest["failures"] == {}
     seeds = np.random.SeedSequence(GOLDEN_CONFIG.seed).spawn(GOLDEN_CONFIG.n_dags)
-    fits = [_fit_one_dag(GOLDEN_CONFIG, seed)[1] for seed in seeds]
+    fits = [_run_dag(GOLDEN_CONFIG, seed)[0] for seed in seeds]
     assert manifest["irls_not_converged"] == 0
     assert manifest["irls_iterations_mean"] == pytest.approx(np.mean([model.n_iter for model in fits]))
     assert fileio.fields_from_dict(SweepConfig, manifest["config"]) == GOLDEN_CONFIG
@@ -346,6 +346,21 @@ def test_plan_that_overflows_is_counted_and_excluded():
     result = run_sweep(config)
     assert result.failures == {"NonFiniteValue": 2}
     assert [row.d for row in result.rows] == [0.0, 1.7e308]
+    assert [line.split(",")[0] for line in sweep_result_to_csv(result).splitlines()[1:]] == ["0", "1.7e+308"]
+
+
+def test_csv_d_column_reads_back_exactly():
+    # %g keeps six significant digits: it would write 2 for the second and third d and 1.23457e+06 for the last.
+    config = SweepConfig(
+        d_values=(2.0, 2.0000001, 2.0000002, 1234567.0),
+        n_dags=2,
+        n_train=50,
+        n_post=50,
+        datagen=DagGenConfig(n_roots=3, n_descendants=4),
+    )
+    column = [line.split(",")[0] for line in sweep_result_to_csv(run_sweep(config)).splitlines()[1:]]
+    assert column == ["2", "2.0000001", "2.0000002", "1234567.0"]
+    assert tuple(map(float, column)) == config.d_values
 
 
 def test_all_dags_degenerate_is_an_error(monkeypatch):
