@@ -97,11 +97,15 @@ def fit_logistic(data: Dataset, labels, predictor_indices=None, *, target_index:
     Newton steps; the L2 penalty ``IRLS_L2`` on the coefficients (never the
     bias) guarantees a finite optimum under complete separation. Each step's
     length t is searched by Newton's method in t on the penalized
-    log-likelihood, concave along the step, from t = 1 inside a bracket of
-    its maximum; a trial costs O(m), not a product with the design.
-    Step-halving from there keeps the penalized log-likelihood
-    non-decreasing (a step whose gain is below that sum's rounding is taken
-    whole). The Hessian X^T diag(w) X is one symmetric product z^T z with
+    log-likelihood phi, concave along the step, from t = 1 inside a bracket
+    of its maximum; a trial costs O(m), not a product with the design. The
+    search stops only at a trial whose move is under 1% of t and whose slopes
+    prove the step does not go downhill: by concavity, phi(t) - phi(0) >=
+    lo phi'(lo) + (t - lo) phi'(t), lo the last trial with phi' > 0 (else 0),
+    and that bound must reach minus phi's rounding. After 30 trials without
+    such a stop the step takes lo, and lo = 0 means no length gains: the fit
+    has converged. No log-likelihood is ever evaluated.
+    The Hessian X^T diag(w) X is one symmetric product z^T z with
     z = diag(sqrt(w)) X; once an update is below ``sqrt(IRLS_TOL)``, in
     Newton's quadratic phase, the next step solves with the previous
     Hessian, never with one already reused. The plain method, full Newton
@@ -111,7 +115,9 @@ def fit_logistic(data: Dataset, labels, predictor_indices=None, *, target_index:
     design tested.
     Converged when the largest absolute coefficient update drops below
     ``IRLS_TOL``. On hitting ``IRLS_MAX_ITER`` a DidNotConvergeWarning is
-    issued and the model is returned with ``converged=False``.
+    issued and the model is returned with ``converged=False``. A design
+    entry above sqrt(max float / m) in magnitude, where a Hessian entry (at
+    most m max|x|^2 / 4) could overflow, raises ValueError.
 
     ``target_index`` records which variable the labels were derived from;
     the predictors default to all other variables.
@@ -141,9 +147,12 @@ def fit_logistic(data: Dataset, labels, predictor_indices=None, *, target_index:
     diag = np.diag_indices(xt.shape[0])
 
     zt = np.empty_like(xt)
+    limit = np.sqrt(np.finfo(float).max / data.m)
+    largest = np.abs(xt, out=zt).max()
+    if largest > limit:
+        raise ValueError(f"a design entry of magnitude {largest:g} overflows the logistic fit; the limit is {limit:g}")
     beta = np.zeros(xt.shape[0])
     score = np.zeros(data.m)
-    current = _penalized_loglik(score, y, beta, penalty)
     converged = reused = False
     update = np.inf
     it = 0
@@ -161,43 +170,36 @@ def fit_logistic(data: Dataset, labels, predictor_indices=None, *, target_index:
             step = np.linalg.solve(hess, grad)
         except np.linalg.LinAlgError:
             step = np.linalg.lstsq(hess, grad, rcond=None)[0]
-        # The step length maximizes the penalized log-likelihood, concave
-        # along the step: Newton's method from 1, kept inside a bracket
-        # [lo, hi] of the maximum, until it moves by under 1% (and so lands
-        # within about 1e-4). q is the change of the score per unit length.
+        # The step length maximizes phi, concave along the step: Newton's
+        # method from 1, kept inside a bracket [lo, hi] of the maximum, until
+        # a move under 1% (within about 1e-4) at a trial that the ascent bound
+        # of the docstring shows is not downhill. q is the change of the score
+        # per unit length.
         q = step @ xt
-        scale, lo, hi = 1.0, 0.0, np.inf
+        noise = np.finfo(float).eps * (np.abs(score).sum() + data.m)
+        scale, lo, hi, lo_slope = 1.0, 0.0, np.inf, 0.0
         for _ in range(30):
             p = _sigmoid(score + scale * q)
             slope = q @ (y - p) - (penalty * (beta + scale * step)) @ step
             curv = (q * q) @ (p * (1.0 - p)) + (penalty * step) @ step
             if not curv > 0:  # a zero step
                 break
-            lo, hi = (scale, hi) if slope > 0 else (lo, scale)
             move = slope / curv
+            if abs(move) <= 0.01 * scale and lo * lo_slope + (scale - lo) * slope >= -noise:
+                break
+            lo, lo_slope, hi = (scale, slope, hi) if slope > 0 else (lo, lo_slope, scale)
             if lo < scale + move < hi:
                 scale += move
             else:
                 scale = 2.0 * scale if hi == np.inf else 0.5 * (lo + hi)
-            if abs(move) <= 0.01 * scale:
-                break
-        # Step-halving: the search's 1% stop can land past the maximum, below
-        # the start, on near-separable designs (test_models.py::
-        # test_fit_logistic_never_goes_downhill), so shrink until the value
-        # does not drop. It gains at most scale * (step @ grad), so a step
-        # that cannot gain more than the value's rounding is taken whole.
-        noise = np.finfo(float).eps * (np.abs(score).sum() + data.m)
-        for _ in range(30):
-            ll = _penalized_loglik(score + scale * q, y, beta + scale * step, penalty)
-            if ll >= current or scale * (step @ grad) <= noise:
-                break
-            scale *= 0.5
         else:
-            # No movement along the Newton direction helps; the optimum is
-            # resolved to machine precision.
-            converged = True
-            break
-        beta, score, current = beta + scale * step, score + scale * q, ll
+            if lo == 0.0:
+                # No length along the Newton direction gains; the optimum is
+                # resolved to machine precision.
+                converged = True
+                break
+            scale = lo
+        beta, score = beta + scale * step, score + scale * q
         update = np.max(np.abs(scale * step))
         if update < IRLS_TOL:
             converged = True
@@ -230,14 +232,8 @@ def _resolve_predictors(n: int, target_index: int, predictor_indices) -> tuple[i
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
-    # exp(-|z|) never overflows; 1/(1+t) for z >= 0 and t/(1+t) below it.
-    t = np.exp(-np.abs(z))
-    return np.where(z >= 0, 1.0 / (1.0 + t), t / (1.0 + t))
-
-
-def _penalized_loglik(score, y, beta, penalty) -> float:
-    """The penalized log-likelihood at ``beta``, given its linear score ``x @ beta``."""
-    return float((y * score - np.logaddexp(0.0, score)).sum() - 0.5 * penalty @ beta**2)
+    # tanh saturates at +-1 instead of overflowing, so no z needs a branch.
+    return 0.5 + 0.5 * np.tanh(0.5 * z)
 
 
 def scores(model: PredictionModel, x) -> np.ndarray:

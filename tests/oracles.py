@@ -166,6 +166,18 @@ def class1_count_by_sampling(scm: Scm, model: PredictionModel, i: int, c: float,
     return ones
 
 
+def penalized_loglik(x: np.ndarray, y: np.ndarray, beta: np.ndarray) -> float:
+    """The log-likelihood of the 0/1 labels ``y`` at ``beta`` less ``IRLS_L2 / 2`` times the squared coefficients.
+
+    ``x`` is the design matrix with its leading column of ones, the bias's,
+    which is not penalized.
+    """
+    penalty = np.full(beta.size, IRLS_L2)
+    penalty[0] = 0.0
+    score = x @ beta
+    return float((y * score - np.logaddexp(0.0, score)).sum() - 0.5 * penalty @ beta**2)
+
+
 def irls_logistic(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, int, bool]:
     """Penalized logistic IRLS written the plain way: (beta, n_iter, converged).
 
@@ -188,14 +200,10 @@ def irls_logistic(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, int, bool]:
         out[~pos] = ez / (1.0 + ez)
         return out
 
-    def penalized_loglik(beta):
-        score = x @ beta
-        return float((y * score - np.logaddexp(0.0, score)).sum() - 0.5 * penalty @ beta**2)
-
     penalty = np.full(x.shape[1], IRLS_L2)
     penalty[0] = 0.0
     beta = np.zeros(x.shape[1])
-    current = penalized_loglik(beta)
+    current = penalized_loglik(x, y, beta)
     converged = False
     it = 0
     for it in range(1, IRLS_MAX_ITER + 1):
@@ -211,7 +219,7 @@ def irls_logistic(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, int, bool]:
         improved = False
         for _ in range(30):
             candidate = beta + scale * step
-            ll = penalized_loglik(candidate)
+            ll = penalized_loglik(x, y, candidate)
             if ll >= current:
                 improved = True
                 break

@@ -30,7 +30,7 @@ from causalsteer.errors import (
 )
 
 from .conftest import constant_scm
-from .oracles import irls_logistic
+from .oracles import irls_logistic, penalized_loglik
 
 
 def _sigmoid(z):
@@ -129,6 +129,21 @@ class TestFitLogistic:
         assert model.converged and model.n_iter == 1
         assert model.bias == 0.0 and model.coeffs.size == 0
 
+    def test_design_that_overflows_the_hessian_rejected(self):
+        # A Hessian entry is at most m max|x|^2 / 4; at 1e200 it overflows, and the fit returned
+        # all-zero coefficients as converged.
+        data = Dataset(np.random.default_rng(0).normal(size=(40, 3)) * 1e200)
+        with pytest.raises(ValueError, match="overflows the logistic fit"):
+            fit_logistic(data, median_split_labels(data, 3), target_index=3)
+
+    def test_design_at_the_overflow_limit_fits(self):
+        # The suite turns every warning into an error, so an overflow anywhere in the fit fails here.
+        x = np.random.default_rng(0).normal(size=(40, 3))
+        x *= np.sqrt(np.finfo(float).max / 40) / np.abs(x).max()
+        assert np.abs(x).max() <= np.sqrt(np.finfo(float).max / 40)
+        data = Dataset(x)
+        assert fit_logistic(data, median_split_labels(data, 3), target_index=3).converged
+
     def test_single_class_rejected(self):
         data = Dataset(np.column_stack([np.arange(4.0), np.zeros(4)]))
         with pytest.raises(SingleClass):
@@ -184,14 +199,9 @@ def _assert_meets_plain_irls(data, labels, target):
     assert model.n_iter <= want_iter
     penalty = np.full(beta.size, models.IRLS_L2)
     penalty[0] = 0.0
-
-    def penalized_loglik(b):
-        score = x @ b
-        return (y * score - np.logaddexp(0.0, score)).sum() - 0.5 * penalty @ b**2
-
     # Relative to its value at the start, -m log 2: near separation the optimum is close to 0,
     # and scores in the tens cancel in each term, so rounding is not relative to the optimum.
-    assert penalized_loglik(beta) >= penalized_loglik(want) - 1e-12 * data.m * np.log(2.0)
+    assert penalized_loglik(x, y, beta) >= penalized_loglik(x, y, want) - 1e-12 * data.m * np.log(2.0)
     prob = np.exp(-np.logaddexp(0.0, -(x @ beta)))
     grad = x.T @ (y - prob) - penalty * beta
     assert (np.abs(grad) <= 1e-9 * (np.abs(x).sum(axis=0) + penalty * np.abs(beta))).all()
@@ -227,10 +237,12 @@ def test_fit_logistic_matches_plain_irls_on_small_designs(m, p, spread, seed):
 def test_fit_logistic_never_goes_downhill(monkeypatch, seed, shape, spread):
     """No Newton step lowers the penalized log-likelihood, from -m log 2 at the start, by more than its rounding.
 
-    On these near-separable designs the line search can stop past the
-    maximum along a step, below where the step began; the step-halving
-    pass is what brings such a step back. The fit after k steps is the fit
-    with ``IRLS_MAX_ITER`` set to k.
+    On these near-separable designs a trial whose Newton move in the step
+    length is under 1% can lie past the maximum along a step, below where
+    the step began; the search stops there only once the ascent bound
+    lo phi'(lo) + (t - lo) phi'(t) <= phi(t) - phi(0) of the trials' slopes
+    rules that out. The fit after k steps is the fit with ``IRLS_MAX_ITER``
+    set to k.
     """
     rng = np.random.default_rng(seed)
     x = rng.normal(size=shape)
@@ -240,17 +252,14 @@ def test_fit_logistic_never_goes_downhill(monkeypatch, seed, shape, spread):
     n_iter = fit_logistic(data, labels, target_index=p + 1).n_iter
     design = np.column_stack([np.ones(m), x])
     y = labels.astype(float)
-    penalty = np.full(p + 1, models.IRLS_L2)
-    penalty[0] = 0.0
     before = -m * np.log(2.0)
     for k in range(1, n_iter + 1):
         monkeypatch.setattr(models, "IRLS_MAX_ITER", k)
         with pytest.warns(DidNotConvergeWarning) if k < n_iter else contextlib.nullcontext():
             model = fit_logistic(data, labels, target_index=p + 1)
         beta = np.concatenate([[model.bias], model.coeffs])
-        score = design @ beta
-        after = models._penalized_loglik(score, y, beta, penalty)
-        assert after >= before - np.finfo(float).eps * (np.abs(score).sum() + m), f"step {k}"
+        after = penalized_loglik(design, y, beta)
+        assert after >= before - np.finfo(float).eps * (np.abs(design @ beta).sum() + m), f"step {k}"
         before = after
 
 
