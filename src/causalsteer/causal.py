@@ -159,13 +159,10 @@ def naive_intervention_value(model: PredictionModel, x, i: int, d):
     realized prediction misses d whenever g_i != w_i, which needs a
     descendant of i among the predictors. An array d gives one value per entry.
     """
-    if i not in model.predictor_indices:
-        # A non-predictor has coefficient zero in the expanded vector.
-        raise ZeroCoefficient(i)
-    x = np.asarray(x, dtype=float)
-    wi = model.coeffs[model.predictor_indices.index(i)]
+    wi = model.coeffs[model.predictor_indices.index(i)] if i in model.predictor_indices else 0.0
     if wi == 0.0:
         raise ZeroCoefficient(i)
+    x = np.asarray(x, dtype=float)
     return _steer(x, scores(model, x), i, np.asarray(d, dtype=float)[()], wi)
 
 

@@ -23,7 +23,7 @@ from .causal import (
     select_intervention_target,
 )
 from .datagen import DagGenConfig, generate_random_scm, median_split_labels
-from .errors import CausalSteerError, NonFiniteValue, ZeroCoefficient
+from .errors import CausalSteerError, IndexOutOfRange, NonFiniteValue, ZeroCoefficient
 from .models import augment_graph, fit_linear, fit_logistic
 from .scm import analytic_means, sample
 from .sweep import SweepConfig, run_manifest, run_sweep, sweep_result_to_csv
@@ -120,21 +120,19 @@ def _cmd_fit(args) -> None:
 
 
 def _load_scm_and_model(args):
-    """The --scm and --model documents, every index of the model checked against the SCM's n."""
+    """The --scm and --model documents and the model grafted onto the SCM's graph, as (scm, model, augmented)."""
     scm = fileio.load_document(args.scm, fileio.scm_from_dict)
     model = fileio.load_document(args.model, fileio.model_from_dict)
-    # PredictionModel has already refused indices below 1.
-    with fileio.naming(args.model):
-        for what, indices in (("predictor index", model.predictor_indices), ("target index", (model.target_index,))):
-            for i in indices:
-                if i > scm.n:
-                    raise ValueError(f"{what} {i} out of range 1..{scm.n}, the variables of {args.scm}")
-    return scm, model
+    try:
+        augmented = augment_graph(scm.dag, model)
+    except IndexOutOfRange as exc:
+        raise ValueError(f"{args.model}: {exc}, the variables of {args.scm}") from None
+    return scm, model, augmented
 
 
 def _cmd_analyze(args) -> None:
-    scm, model = _load_scm_and_model(args)
-    effects = effects_on_prediction(augment_graph(scm.dag, model))
+    scm, model, augmented = _load_scm_and_model(args)
+    effects = effects_on_prediction(augmented)
     ranked = sorted(model.predictor_indices, key=lambda i: (-abs(effects[i - 1]), i))
     rows = [(i, scm.dag.name_of(i), f"{effects[i - 1]:.6g}") for i in ranked]
     _write(fileio.csv_text([("variable", "name", "effect_on_prediction"), *rows]), args.out)
@@ -152,8 +150,7 @@ def _load_observation(path, n: int) -> np.ndarray:
 
 
 def _cmd_intervene(args) -> None:
-    scm, model = _load_scm_and_model(args)
-    augmented = augment_graph(scm.dag, model)
+    scm, model, augmented = _load_scm_and_model(args)
     i = args.intervene_index
     if i is None:
         i = select_intervention_target(augmented, model.predictor_indices)

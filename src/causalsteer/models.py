@@ -76,7 +76,8 @@ def fit_linear(data: Dataset, target_index: int, predictor_indices=None) -> Pred
     """Ordinary least squares of the target column on the predictor columns.
 
     Defaults to all remaining variables as predictors. Requires more rows
-    than predictors and a full-rank design matrix.
+    than predictors and a full-rank design matrix, tested on the predictor
+    columns scaled to largest magnitude 1 so that no column's scale matters.
     """
     preds = _resolve_predictors(data.n, target_index, predictor_indices)
     x = data.rows[:, [p - 1 for p in preds]]
@@ -84,11 +85,12 @@ def fit_linear(data: Dataset, target_index: int, predictor_indices=None) -> Pred
     m, p = x.shape
     if m <= p:
         raise InsufficientRows(f"{m} rows cannot identify {p} coefficients plus a bias")
-    design = np.column_stack([np.ones(m), x])
+    divisors = np.where(x.any(axis=0), np.abs(x).max(axis=0), 1.0)
+    design = np.column_stack([np.ones(m), x / divisors])
     beta, _, rank, _ = np.linalg.lstsq(design, y, rcond=None)
     if rank < p + 1:
         raise RankDeficient(f"design matrix rank {rank} < {p + 1}; predictors are collinear")
-    return PredictionModel("linear", float(beta[0]), beta[1:], preds, target_index)
+    return PredictionModel("linear", float(beta[0]), beta[1:] / divisors, preds, target_index)
 
 
 def fit_logistic(data: Dataset, labels, predictor_indices=None, *, target_index: int) -> PredictionModel:
@@ -251,9 +253,12 @@ def augment_graph(dag: Dag, model: PredictionModel) -> AugmentedGraph:
     """Graft the prediction node onto the graph as a sink.
 
     Its parents are the model predictors with the coefficients as incoming
-    weights; the base graph is not modified.
+    weights; the base graph is not modified. The one check of a model's indices
+    against a graph, it raises IndexOutOfRange: "predictor index k out of range
+    1..n" for the first predictor past n, else "target index k out of range 1..n".
     """
-    check_indices(model.predictor_indices + (model.target_index,), dag.n)
+    check_indices(model.predictor_indices, dag.n, "predictor index")
+    check_index(model.target_index, dag.n, "target index")
     coeffs = np.zeros(dag.n)
     coeffs[[p - 1 for p in model.predictor_indices]] = model.coeffs
     coeffs.flags.writeable = False

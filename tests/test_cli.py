@@ -3,11 +3,17 @@ import dataclasses
 import hashlib
 import io
 import json
+import os
+import re
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+import causalsteer
 from causalsteer import (
     DagGenConfig,
     SweepConfig,
@@ -868,3 +874,60 @@ def test_malformed_predictors_is_a_usage_error(files, capsys, spec):
         main(["fit", "--data", str(data_path), "--target-index", "9", "--predictors", spec])
     assert exc.value.code == 1
     assert "--predictors" in capsys.readouterr().err
+
+
+def _gaussian(stddev):
+    return {"family": "gaussian", "mean": 0.0, "stddev": stddev}
+
+
+def _csv_text(rows) -> str:
+    out = io.StringIO()
+    np.savetxt(out, rows, delimiter=",", header="x1,x2,x3", comments="")
+    return out.getvalue()
+
+
+@pytest.mark.parametrize(
+    "name, text, argv, pattern",
+    [
+        (
+            "bad-seed.json",
+            '{"seed": 1.5}',
+            ["gen-scm", "--config", "bad-seed.json"],
+            r"error: bad-seed\.json: DagGenConfig\.seed must be an integer or null, got 1\.5",
+        ),
+        # A CSV field past the csv module's limit.
+        (
+            "big.csv",
+            "x1,x2\n" + "1" * 200_000 + ",0\n",
+            ["fit", "--data", "big.csv", "--target-index", "1"],
+            r"error: big\.csv: .+",
+        ),
+        # Draws of N(0, 1e308) overflow when scaled and again through the edge.
+        (
+            "huge.json",
+            json.dumps(
+                {"n": 2, "edges": [{"from": 1, "to": 2, "weight": 2.0}], "noises": [_gaussian(1e308), _gaussian(1.0)]}
+            ),
+            ["sample", "--scm", "huge.json", "--rows", "1000"],
+            r"error: .+",
+        ),
+        # Design entries of 1e200 overflow the logistic fit's Hessian.
+        (
+            "huge.csv",
+            _csv_text(np.random.default_rng(0).normal(size=(40, 3)) * 1e200),
+            ["fit", "--data", "huge.csv", "--kind", "logistic", "--target-index", "3"],
+            r"error: .+",
+        ),
+    ],
+    ids=["bad-seed", "long-field", "sample-overflow", "hessian-overflow"],
+)
+def test_refusal_in_a_process_is_one_error_line(tmp_path, name, text, argv, pattern):
+    # Only a real process shows the exit status and that no numpy warning and no traceback
+    # reaches stderr. It imports the copy of the package these tests import.
+    (tmp_path / name).write_text(text)
+    env = {**os.environ, "PYTHONPATH": str(Path(causalsteer.__file__).parent.parent)}
+    command = [sys.executable, "-m", "causalsteer", *argv]
+    run = subprocess.run(command, cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
+    assert run.returncode == 2, run.stderr
+    assert re.fullmatch(pattern + "\n", run.stderr), run.stderr
+    assert "Warning" not in run.stderr and "Traceback" not in run.stderr

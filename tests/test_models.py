@@ -88,6 +88,25 @@ class TestFitLinear:
         with pytest.raises(RankDeficient):
             fit_linear(data, target_index=3)
 
+    @pytest.mark.parametrize("scale", [1e17, 1e-17])
+    def test_rank_does_not_depend_on_the_scale(self, scale):
+        # lstsq cuts singular values relative to the largest: unscaled, these
+        # columns hide the column of ones, or it hides them.
+        x = np.random.default_rng(0).normal(size=(40, 3))
+        plain = fit_linear(Dataset(x), target_index=3)
+        model = fit_linear(Dataset(x * scale), target_index=3)
+        assert model.coeffs == pytest.approx(plain.coeffs, rel=1e-9)
+        assert model.bias == pytest.approx(plain.bias * scale, rel=1e-9)
+
+    @pytest.mark.parametrize("scale", [1e-17, 1e17])
+    @pytest.mark.parametrize("factor", [2.0, 0.0], ids=["proportional", "zero"])
+    def test_collinear_predictors_rejected_at_any_scale(self, scale, factor):
+        rng = np.random.default_rng(3)
+        x = rng.normal(size=100)
+        data = Dataset(np.column_stack([x, factor * x, rng.normal(size=100)]) * scale)
+        with pytest.raises(RankDeficient):
+            fit_linear(data, target_index=3)
+
     def test_insufficient_rows(self):
         data = Dataset(np.ones((2, 3)) * [[1, 2, 3], [4, 5, 6]])
         with pytest.raises(InsufficientRows):
@@ -143,6 +162,30 @@ class TestFitLogistic:
         assert np.abs(x).max() <= np.sqrt(np.finfo(float).max / 40)
         data = Dataset(x)
         assert fit_logistic(data, median_split_labels(data, 3), target_index=3).converged
+
+    @pytest.mark.parametrize("seed, scale", [(0, 1e50), (2, 1e150)], ids=["singular-hessian", "no-length-gains"])
+    def test_separable_design_at_large_scale(self, seed, scale):
+        # Both take the lstsq solve of a numerically singular Hessian. Then seed 0 ends a
+        # search of 30 trials on its last uphill length, and seed 2 ends the fit where no
+        # length along the step gains. The suite turns any warning into an error.
+        x = np.random.default_rng(seed).normal(size=(40, 2))
+        labels = (x[:, 0] > 0).astype(int)
+        model = fit_logistic(Dataset(np.column_stack([x * scale, labels])), labels, target_index=3)
+        assert model.converged
+        assert np.isfinite(model.bias) and np.isfinite(model.coeffs).all()
+
+    @pytest.mark.parametrize(
+        "labels, message",
+        [
+            (np.zeros((4, 1)), r"^expected 4 labels, got shape \(4, 1\)$"),
+            ([0, 1, 2, 1], r"^labels must be 0/1, got \[0, 1, 2\]$"),
+        ],
+        ids=["shape", "values"],
+    )
+    def test_bad_labels_rejected(self, labels, message):
+        data = Dataset(np.column_stack([np.arange(4.0), np.zeros(4)]))
+        with pytest.raises(ValueError, match=message):
+            fit_logistic(data, labels, target_index=2)
 
     def test_single_class_rejected(self):
         data = Dataset(np.column_stack([np.arange(4.0), np.zeros(4)]))
@@ -352,5 +395,8 @@ class TestAugmentGraph:
 
     def test_first_out_of_range_index_is_named(self, chain3):
         model = PredictionModel("linear", 0.0, np.array([1.0, 1.0, 1.0]), (1, 7, 5), 9)
-        with pytest.raises(IndexOutOfRange, match="^variable index 7 out of range 1..3$"):
+        with pytest.raises(IndexOutOfRange, match="^predictor index 7 out of range 1..3$"):
+            augment_graph(chain3, model)
+        model = PredictionModel("linear", 0.0, np.array([1.0]), (1,), 9)
+        with pytest.raises(IndexOutOfRange, match="^target index 9 out of range 1..3$"):
             augment_graph(chain3, model)

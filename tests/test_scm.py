@@ -6,6 +6,7 @@ import pytest
 from causalsteer import (
     Dag,
     DagGenConfig,
+    Dataset,
     NoiseSpec,
     Scm,
     analytic_means,
@@ -50,6 +51,11 @@ class TestNoiseSpec:
         with pytest.raises(ValueError, match="lo <= hi"):
             NoiseSpec.uniform(0.0, -0.0)
 
+    @pytest.mark.parametrize("params", [(), (1.0, 2.0)])
+    def test_constant_needs_one_value(self, params):
+        with pytest.raises(ValueError, match="^constant noise needs a single value$"):
+            NoiseSpec("constant", params)
+
     def test_draw_matches_family(self):
         rng = np.random.default_rng(0)
         draws = _draw_noise(_one_variable_scm(NoiseSpec.uniform(3.0, 4.0)), rng, 1000)
@@ -66,6 +72,19 @@ class TestNoiseSpec:
 
 def _one_variable_scm(spec: NoiseSpec) -> Scm:
     return Scm(Dag(np.zeros((1, 1))), (spec,))
+
+
+@pytest.mark.parametrize(
+    "rows, names, message",
+    [
+        (np.zeros(3), None, r"^rows must be 2-D, got shape \(3,\)$"),
+        (np.zeros((2, 3)), ("a", "b"), "^expected 3 names, got 2$"),
+    ],
+    ids=["1-d", "names"],
+)
+def test_dataset_refusals(rows, names, message):
+    with pytest.raises(ValueError, match=message):
+        Dataset(rows, names)
 
 
 class TestSample:
