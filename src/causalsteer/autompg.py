@@ -10,11 +10,7 @@ the repository bundles an illustrative example (structure learning is out
 of scope for this package).
 """
 
-import hashlib
-import importlib.resources
 import os
-import urllib.error
-import urllib.request
 from pathlib import Path
 
 import numpy as np
@@ -80,12 +76,18 @@ def fetch_autompg(raw_path: Path) -> Dataset:
     when the file is first read. A failed download makes no directory, and
     its error leaves the path for the caller to name.
     """
+    # Imported here: at the top they would load ssl, socket and email with every command.
+    import hashlib
+    import http.client
+    import urllib.request
+
     digest_path = raw_path.with_suffix(".sha256")
     if not raw_path.exists():
         try:
             with urllib.request.urlopen(AUTOMPG_URL, timeout=60) as response:
                 payload = response.read()
-        except (urllib.error.URLError, OSError) as exc:
+        except (OSError, http.client.HTTPException) as exc:
+            # URLError is an OSError; a truncated body raises IncompleteRead, an HTTPException.
             raise NetworkUnavailable(f"could not download {AUTOMPG_URL}: {exc}; place the raw file there manually") from exc
         raw_path.parent.mkdir(parents=True, exist_ok=True)
         raw_path.write_bytes(payload)
@@ -108,6 +110,8 @@ def bundled_structure_path() -> Path:
     mass and power, which drive fuel consumption and sprint time); NOT a
     learned structure.
     """
+    import importlib.resources  # only the Auto-MPG demo reads package data
+
     return Path(importlib.resources.files("causalsteer").joinpath("data/autompg_structure.json"))
 
 

@@ -20,6 +20,9 @@ IRLS_TOL = 1e-8
 IRLS_L2 = 1e-6
 #: IRLS gives up, with a DidNotConvergeWarning, after this many Newton steps.
 IRLS_MAX_ITER = 100
+# An update below this puts IRLS in Newton's quadratic phase (see fit_logistic).
+_QUADRATIC_PHASE = np.sqrt(IRLS_TOL)
+_EPS = np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -54,8 +57,7 @@ class PredictionModel:
             raise ValueError("duplicate predictor indices")
         if min(preds + (self.target_index,)) < 1:
             raise ValueError(f"variable indices start at 1, got predictors {preds} and target {self.target_index}")
-        if self.target_index in preds:
-            raise ValueError(f"target variable {self.target_index} cannot be a predictor")
+        _check_not_a_predictor(self.target_index, preds)
 
 
 @dataclass(frozen=True)
@@ -142,7 +144,9 @@ def fit_logistic(data: Dataset, labels, predictor_indices=None, *, target_index:
     # allocated inside the loop.
     xt = np.empty((len(preds) + 1, data.m))
     xt[0] = 1.0
-    xt[1:] = data.rows[:, [p - 1 for p in preds]].T
+    # The predictors are checked, so mode="clip" never clips; it spares take
+    # the m x p copy that the default mode buffers its output through.
+    np.take(data.rows.T, [p - 1 for p in preds], axis=0, out=xt[1:], mode="clip")
     y = labels.astype(float)
     penalty = np.full(xt.shape[0], IRLS_L2)
     penalty[0] = 0.0
@@ -155,17 +159,19 @@ def fit_logistic(data: Dataset, labels, predictor_indices=None, *, target_index:
         raise ValueError(f"a design entry of magnitude {largest:g} overflows the logistic fit; the limit is {limit:g}")
     beta = np.zeros(xt.shape[0])
     score = np.zeros(data.m)
+    # The residuals and weights at the current score: each step's accepted
+    # trial hands on its own, so no step forms them twice.
+    resid, weight = _residuals_and_weights(y, score)
     converged = reused = False
     update = np.inf
     it = 0
     for it in range(1, IRLS_MAX_ITER + 1):
-        prob = _sigmoid(score)
-        grad = xt @ (y - prob) - penalty * beta
+        grad = xt @ resid - penalty * beta
         # Once the updates are in Newton's quadratic phase, every other step
         # solves with the Hessian of the step before.
-        reused = not reused and update < np.sqrt(IRLS_TOL)
+        reused = not reused and update < _QUADRATIC_PHASE
         if not reused:
-            np.multiply(xt, np.sqrt(prob * (1.0 - prob)), out=zt)
+            np.multiply(xt, np.sqrt(weight), out=zt)
             hess = zt @ zt.T
             hess[diag] += penalty
         try:
@@ -178,12 +184,15 @@ def fit_logistic(data: Dataset, labels, predictor_indices=None, *, target_index:
         # of the docstring shows is not downhill. q is the change of the score
         # per unit length.
         q = step @ xt
-        noise = np.finfo(float).eps * (np.abs(score).sum() + data.m)
+        q2 = q * q
+        step_penalty = (penalty * step) @ step
+        noise = _EPS * (np.abs(score).sum() + data.m)
         scale, lo, hi, lo_slope = 1.0, 0.0, np.inf, 0.0
         for _ in range(30):
-            p = _sigmoid(score + scale * q)
-            slope = q @ (y - p) - (penalty * (beta + scale * step)) @ step
-            curv = (q * q) @ (p * (1.0 - p)) + (penalty * step) @ step
+            trial = score + scale * q
+            resid, weight = _residuals_and_weights(y, trial)
+            slope = q @ resid - (penalty * (beta + scale * step)) @ step
+            curv = q2 @ weight + step_penalty
             if not curv > 0:  # a zero step
                 break
             move = slope / curv
@@ -201,7 +210,9 @@ def fit_logistic(data: Dataset, labels, predictor_indices=None, *, target_index:
                 converged = True
                 break
             scale = lo
-        beta, score = beta + scale * step, score + scale * q
+            trial = score + scale * q
+            resid, weight = _residuals_and_weights(y, trial)
+        beta, score = beta + scale * step, trial
         update = np.max(np.abs(scale * step))
         if update < IRLS_TOL:
             converged = True
@@ -228,9 +239,21 @@ def _resolve_predictors(n: int, target_index: int, predictor_indices) -> tuple[i
         return tuple(i for i in range(1, n + 1) if i != target_index)
     preds = tuple(int(i) for i in predictor_indices)
     check_indices(preds, n, "predictor index")
+    _check_not_a_predictor(target_index, preds)
+    return preds
+
+
+def _check_not_a_predictor(target_index: int, preds: tuple[int, ...]) -> None:
+    # PredictionModel and _resolve_predictors both call this: a model read from
+    # a file reaches no fit, and a fit must refuse before it runs.
     if target_index in preds:
         raise ValueError(f"target variable {target_index} cannot be a predictor")
-    return preds
+
+
+def _residuals_and_weights(y: np.ndarray, score: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # The logistic residuals y - sigma(score) and IRLS weights sigma (1 - sigma).
+    prob = _sigmoid(score)
+    return y - prob, prob * (1.0 - prob)
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:

@@ -1,5 +1,7 @@
 import hashlib
+import http.client
 import importlib.util
+import io
 import shutil
 import urllib.error
 import urllib.request
@@ -139,6 +141,23 @@ def test_fetch_offline_names_the_cache_file_once(tmp_path, capsys, offline):
     assert err == f"error: {raw}: could not download {AUTOMPG_URL}: <urlopen error offline>; place the raw file there manually\n"
     assert err.count(str(raw)) == 1
     assert list(tmp_path.iterdir()) == []
+
+
+def test_fetch_of_a_truncated_download_is_one_error_line(tmp_path, monkeypatch, capsys):
+    # A body cut short raises IncompleteRead, an HTTPException and not an OSError.
+    class Truncated(io.BytesIO):
+        def read(self, *args):
+            raise http.client.IncompleteRead(b"18.0", 1000)
+
+    monkeypatch.setattr(urllib.request, "urlopen", lambda *args, **kwargs: Truncated())
+    cache = tmp_path / "cache"
+    cache.mkdir()
+    assert main(["fetch-autompg", "--cache-dir", str(cache)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert f"could not download {AUTOMPG_URL}: IncompleteRead" in err
+    assert list(cache.iterdir()) == []
 
 
 def test_standin_matches_its_generator():

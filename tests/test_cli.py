@@ -931,3 +931,20 @@ def test_refusal_in_a_process_is_one_error_line(tmp_path, name, text, argv, patt
     assert run.returncode == 2, run.stderr
     assert re.fullmatch(pattern + "\n", run.stderr), run.stderr
     assert "Warning" not in run.stderr and "Traceback" not in run.stderr
+
+
+def test_importing_the_cli_loads_no_network_stack():
+    # Only fetch-autompg and demo-autompg download, so only they may load the network
+    # stack. Compared against what the process had loaded before, since site hooks differ.
+    script = """if True:
+        import sys, numpy, argparse, json, csv
+        before = set(sys.modules)
+        import causalsteer, causalsteer.cli
+        print(" ".join(sorted(set(sys.modules) - before)))
+    """
+    env = {**os.environ, "PYTHONPATH": str(Path(causalsteer.__file__).parent.parent)}
+    run = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    loaded = set(run.stdout.split())
+    assert "causalsteer.cli" in loaded
+    assert loaded.isdisjoint({"ssl", "socket", "http.client", "urllib.request", "email"}), loaded
