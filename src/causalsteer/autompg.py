@@ -110,9 +110,7 @@ def bundled_structure_path() -> Path:
     mass and power, which drive fuel consumption and sprint time); NOT a
     learned structure.
     """
-    import importlib.resources  # only the Auto-MPG demo reads package data
-
-    return Path(importlib.resources.files("causalsteer").joinpath("data/autompg_structure.json"))
+    return Path(__file__).with_name("data") / "autompg_structure.json"
 
 
 def demo_autompg(structure: Dag, data: Dataset, desired_values) -> str:

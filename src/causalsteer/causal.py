@@ -71,9 +71,6 @@ def effects_on_prediction(augmented: AugmentedGraph, fixed: int | None = None) -
     With ``fixed = i`` the equation of X_i is cut, as under do(X_i = c), and
     entry k-1 is the weight of N_k in the post-intervention score: with the
     noise vector's entry i set to c, the score is bias + effects . noise.
-    The sweep scores it with each noise N_k = loc_k + scale_k * u_k folded
-    in: bias + effects . loc (loc_i := c) plus (effects * scale, entry i
-    zeroed) . u, on the standard draws u.
     """
     return graph.solve_transposed(augmented.base, augmented.coeffs, fixed)
 
@@ -158,11 +155,15 @@ def naive_intervention_value(model: PredictionModel, x, i: int, d):
     coefficient w_i as its slope in place of the total effect g_i. So the
     realized prediction misses d whenever g_i != w_i, which needs a
     descendant of i among the predictors. An array d gives one value per entry.
+    Raises ValueError unless x is 1-D and covers every predictor, i among them.
     """
     wi = model.coeffs[model.predictor_indices.index(i)] if i in model.predictor_indices else 0.0
     if wi == 0.0:
         raise ZeroCoefficient(i)
     x = np.asarray(x, dtype=float)
+    need = max(model.predictor_indices)
+    if x.ndim != 1 or x.size < need:
+        raise ValueError(f"x must be a 1-D point of length at least {need}, got shape {x.shape}")
     return _steer(x, scores(model, x), i, np.asarray(d, dtype=float)[()], wi)
 
 

@@ -110,11 +110,11 @@ def fit_logistic(data: Dataset, labels, predictor_indices=None, *, target_index:
     such a stop the step takes lo, and lo = 0 means no length gains: the fit
     has converged. No log-likelihood is ever evaluated.
     The Hessian X^T diag(w) X is one symmetric product z^T z with
-    z = diag(sqrt(w)) X; once an update is below ``sqrt(IRLS_TOL)``, in
-    Newton's quadratic phase, the next step solves with the previous
-    Hessian, never with one already reused. The plain method, full Newton
-    steps halved as needed and a fresh Hessian each, is ``irls_logistic``
-    in ``tests/oracles.py``: the two reach the same optimum to the fit's
+    z = diag(sqrt(w)) X, formed unless the last update is below
+    ``sqrt(IRLS_TOL)``: in Newton's quadratic phase a step solves with the
+    last Hessian formed. The plain method, full Newton steps halved as
+    needed and a fresh Hessian each, is ``irls_logistic`` in
+    ``tests/oracles.py``: the two reach the same optimum to the fit's
     tolerance, not bit for bit, and this one in no more steps on every
     design tested.
     Converged when the largest absolute coefficient update drops below
@@ -162,15 +162,13 @@ def fit_logistic(data: Dataset, labels, predictor_indices=None, *, target_index:
     # The residuals and weights at the current score: each step's accepted
     # trial hands on its own, so no step forms them twice.
     resid, weight = _residuals_and_weights(y, score)
-    converged = reused = False
+    converged = False
     update = np.inf
     it = 0
     for it in range(1, IRLS_MAX_ITER + 1):
         grad = xt @ resid - penalty * beta
-        # Once the updates are in Newton's quadratic phase, every other step
-        # solves with the Hessian of the step before.
-        reused = not reused and update < _QUADRATIC_PHASE
-        if not reused:
+        # In Newton's quadratic phase the step solves with the last Hessian formed.
+        if update >= _QUADRATIC_PHASE:
             np.multiply(xt, np.sqrt(weight), out=zt)
             hess = zt @ zt.T
             hess[diag] += penalty

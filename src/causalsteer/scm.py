@@ -23,8 +23,8 @@ scale of 0.0 plus its value is that value, sign of a zero included.
 
 Under do(X_i = c), ``_draw_noise`` draws every noise as usual, then
 overwrites variable i's draws with c; ``sample`` draws through it.
-``_check_do`` is the one rule on (i, c), for it and for the sweep's
-scoring, which walks the same spans.
+``_check_do`` is the one rule on (i, c), for it and for
+``sweep.evaluate_intervention``, whose scoring walks the same spans.
 
 Samples and analytic means both come from ``graph.solve``, the package's
 one forward substitution, which ``sample`` runs on the n x m draw as drawn;

@@ -11,12 +11,14 @@ The samples are scored in score space. Under do(X_i = c) a sample's score
 is bias + e . noise, with the noise draws' entry i set to c and e =
 ``effects_on_prediction(augmented, fixed=i)``, computed once per DAG; no
 sample is solved for. Each noise draw is loc_k + scale_k * u_k for a
-standard draw u_k, so the score is z + a(c), with z = (e * scale, entry i
-zeroed) . u the same for every c and a(c) = bias + e . loc (loc_i := c),
-(loc, scale) the SCM's own ``Scm.loc_scale``. The draws u, the stream
-``sample`` scales, are taken span by span of ``scm._row_blocks`` into a
-block of whole rows of at most ``BLOCK_DOUBLES`` draws, each folded into
-z before the next is drawn, and the tie coins after them from the same
+standard draw u_k, (loc, scale) the SCM's own ``Scm.loc_scale``, so the
+score is z + a(c), one affine function of u. ``_class1_counts`` makes both
+edits of do(X_i = c): it zeroes entry i of the row r = e * scale in z =
+r . u, the same for every c, and sets loc_i := c in a(c) = bias + e . loc.
+``_folded_sums`` folds a given row r over the draws u, the stream
+``sample`` scales, taken span by span of ``scm._row_blocks`` into a block
+of whole rows of at most ``BLOCK_DOUBLES`` draws, each folded into z
+before the next is drawn; the tie coins come after them from the same
 generator. A sample is class 1 when z > -a(c), exactly when the rounded
 z + a(c) is > 0, so a class-1 count equals that of sampling under
 do(X_i = c) and scoring each row (the oracle in ``tests/oracles.py``)
@@ -112,19 +114,15 @@ class SweepResult:
 BLOCK_DOUBLES = 2**16
 
 
-def _folded_sums(scm: Scm, effects: np.ndarray, i: int, rng: np.random.Generator, m: int) -> np.ndarray:
-    """z = (effects * scale, entry i zeroed) . u for m standard draws u per variable, from ``rng``.
+def _folded_sums(scm: Scm, weights: np.ndarray, rng: np.random.Generator, m: int) -> np.ndarray:
+    """z = weights . u for m standard draws u per variable, from ``rng``.
 
     The u are filled span by span of ``scm._row_blocks`` into the top of a block of as many rows
     of m draws as ``BLOCK_DOUBLES`` doubles hold (at least one, at most n), made on each call,
     each span folded into z before the next is drawn.
     """
-    if m < 1:
-        raise ValueError(f"sample count must be >= 1, got {m}")
     block, z, tmp = np.empty((min(scm.n, max(1, BLOCK_DOUBLES // m)), m)), np.empty(m), np.empty(m)
     z.fill(0.0)
-    weights = effects * scm.loc_scale[1]
-    weights[i - 1] = 0.0
     for b0, b1, spec in _row_blocks(scm, len(block)):
         u = block[: b1 - b0]
         spec.fill_standard(rng, u)
@@ -136,19 +134,20 @@ def _folded_sums(scm: Scm, effects: np.ndarray, i: int, rng: np.random.Generator
 def _class1_counts(scm: Scm, bias: float, effects: np.ndarray, i: int, values, seed, n_post: int) -> list[int]:
     """How many of n_post samples under do(X_i = c) score above 0, for each c in ``values``, all from one draw.
 
-    ``effects`` is ``effects_on_prediction(augmented, fixed=i)``. The folded
-    sums z of ``_folded_sums`` are drawn from a generator seeded by
-    ``seed``; a sample counts for c when z > -(bias + effects . loc), loc_i
-    := c. Exact zero scores (measure zero for continuous data) get a fair
-    coin each, drawn from the same generator after the draws, value by value.
-    Raises NonFiniteValue if a sum or a threshold overflows.
+    ``effects`` is ``effects_on_prediction(augmented, fixed=i)``. Both edits
+    of do(X_i = c) are made here: z of ``_folded_sums`` folds the row
+    effects * scale, entry i zeroed, over the draws of a generator seeded
+    by ``seed``, and a sample counts for c when z > -(bias + effects . loc),
+    loc_i := c. Exact zero scores get a fair coin each, drawn from the same
+    generator after the draws, value by value. The callers check i and the
+    values. Raises NonFiniteValue if a sum or a threshold overflows.
     """
-    for c in values:
-        _check_do(scm, (i, c))
     rng = np.random.default_rng(seed)
     loc = scm.loc_scale[0].copy()
     with np.errstate(over="ignore", invalid="ignore"):
-        z = _folded_sums(scm, effects, i, rng, n_post)
+        weights = effects * scm.loc_scale[1]
+        weights[i - 1] = 0.0
+        z = _folded_sums(scm, weights, rng, n_post)
         thresholds = []
         for c in values:
             loc[i - 1] = c
@@ -171,8 +170,12 @@ def evaluate_intervention(scm: Scm, model: PredictionModel, i: int, c: float, n_
     Scored in score space, as the sweep scores (see the module docstring):
     the fraction equals that of ``sample(scm, n_post, rng, do=(i, c))``
     scored row by row, with the same seed. Exact zero scores get a fair coin.
+    Raises ValueError unless c is finite and n_post >= 1.
     """
     effects = effects_on_prediction(augment_graph(scm.dag, model), fixed=i)
+    _check_do(scm, (i, c))
+    if n_post < 1:
+        raise ValueError(f"sample count must be >= 1, got {n_post}")
     return _class1_counts(scm, model.bias, effects, i, [c], seed, n_post)[0] / n_post
 
 

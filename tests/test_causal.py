@@ -420,6 +420,19 @@ class TestNaiveInterventionValue:
         with pytest.raises(ZeroCoefficient):
             naive_intervention_value(model, [0.0, 0.0, 0.0], 1, 1.0)
 
+    @pytest.mark.parametrize(
+        "x, shape",
+        [([1.0], r"\(1,\)"), ([[1.0, 2.0, 0.0]], r"\(1, 3\)"), (1.0, r"\(\)")],
+        ids=["short", "2-d", "scalar"],
+    )
+    def test_point_that_does_not_cover_the_predictors_rejected(self, x, shape):
+        # The formula reads x at the predictors {1, 2}, i = 2 among them; x[1] of a short point
+        # would be a bare IndexError, as would any index into a scalar.
+        with pytest.raises(ValueError, match=f"x must be a 1-D point of length at least 2, got shape {shape}"):
+            naive_intervention_value(chain_model(), x, 2, 3.0)
+        # A point as long as the last predictor suffices, though the model's target is variable 3.
+        assert naive_intervention_value(chain_model(), [1.0, 2.0], 2, 3.0) == pytest.approx(2.0)
+
 
 class TestObservationSpecificPlan:
     def test_observation_at_means_reproduces_population_plan(self):

@@ -83,6 +83,34 @@ def test_analyze_ranks_by_the_effect_vector(files, capsys):
     assert [int(line.split(",")[0]) for line in lines[1:]] == ranked
 
 
+@pytest.fixture
+def paper_files(tmp_path):
+    """A default-sized SCM file from `gen-scm` (70 variables), training rows and a logistic model."""
+    scm_path, data_path, model_path = tmp_path / "scm.json", tmp_path / "train.csv", tmp_path / "model.json"
+    assert main(["gen-scm", "--seed", "1", "--out", str(scm_path)]) == 0
+    assert main(["sample", "--scm", str(scm_path), "--rows", "500", "--seed", "2", "--out", str(data_path)]) == 0
+    argv = ["fit", "--data", str(data_path), "--kind", "logistic", "--target-index", "70", "--out", str(model_path)]
+    assert main(argv) == 0
+    return scm_path, data_path, model_path
+
+
+@pytest.mark.parametrize("pair", ["files", "paper_files"])
+def test_analyze_ranks_first_the_variable_intervene_picks(request, tmp_path, capsys, pair):
+    # The feature with the greatest causal influence is written twice: analyze sorts the effects,
+    # select_intervention_target takes their argmax, and intervene without --intervene-index uses it.
+    scm_path, _, model_path = request.getfixturevalue(pair)
+    files_argv = ["--scm", str(scm_path), "--model", str(model_path)]
+    assert main(["analyze", *files_argv]) == 0
+    top = int(capsys.readouterr().out.splitlines()[1].split(",")[0])
+    plan = tmp_path / "plan.json"
+    assert main(["intervene", *files_argv, "--desired", "1", "--out", str(plan)]) == 0
+    assert capsys.readouterr().out.startswith(f"do(X{top} = ")
+    assert fileio.load_json(plan)["target_variable"] == top
+    scm = fileio.scm_from_dict(fileio.load_json(scm_path))
+    model = fileio.model_from_dict(fileio.load_json(model_path))
+    assert select_intervention_target(augment_graph(scm.dag, model), model.predictor_indices) == top
+
+
 def test_analyze_quotes_names_as_csv(files, tmp_path, capsys):
     # A name holding a comma, a quote or a newline is one quoted field, as in `sample`.
     scm_path, _, model_path = files

@@ -146,7 +146,7 @@ def test_folded_scores_equal_unfolded_within_rounding(instance, data):
         loc, scale = scm.loc_scale.copy()
         scale[i - 1] = 0.0
         # The score of do(X_i = c) is z + a(c), z the folded sums of the count's draw.
-        z = _folded_sums(scm, effects, i, np.random.default_rng(seed), m)
+        z = _folded_sums(scm, effects * scale, np.random.default_rng(seed), m)
         loc_c = loc.copy()
         loc_c[i - 1] = c
         folded = z + (model.bias + effects @ loc_c)

@@ -228,9 +228,10 @@ def _assert_meets_plain_irls(data, labels, target):
     """``fit_logistic`` lands on the plain IRLS of ``tests/oracles.py``, at a stationary point, in no more steps.
 
     The two differ in the step length (a line search against plain
-    step-halving), in one reused Hessian and in rounding, so they agree to
-    the fit's tolerance, not bit for bit; the line search never needs more
-    Newton steps and never ends lower on the penalized log-likelihood.
+    step-halving), in the Hessians reused in the quadratic phase and in
+    rounding, so they agree to the fit's tolerance, not bit for bit; the
+    line search never needs more Newton steps and never ends lower on the
+    penalized log-likelihood.
     """
     model = fit_logistic(data, labels, target_index=target)
     x = np.column_stack([np.ones(data.m), data.rows[:, [p - 1 for p in model.predictor_indices]]])

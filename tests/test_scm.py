@@ -212,7 +212,7 @@ def test_blocks_side_by_side_are_the_standard_draws(monkeypatch, m, rows, spans)
         return _row_blocks(scm, rows)
 
     monkeypatch.setattr(sweep, "_row_blocks", record_rows)
-    assert _folded_sums(scm, np.ones(scm.n), 1, np.random.default_rng(5), m).shape == (m,)
+    assert _folded_sums(scm, np.ones(scm.n), np.random.default_rng(5), m).shape == (m,)
     assert walked_by == [rows]
     buffer = np.empty((rows, m))
     rng = np.random.default_rng(5)
