@@ -81,33 +81,45 @@ def causal_effect_on_prediction(augmented: AugmentedGraph, i: int) -> float:
     return float(effects_on_prediction(augmented)[i - 1])
 
 
+def target_order(augmented: AugmentedGraph, candidates) -> tuple[list[int], np.ndarray]:
+    """The distinct candidates by absolute effect on the prediction, greatest first and ties to the lower index
+    (numpy's sort puts a NaN effect last), and ``effects_on_prediction(augmented)``, the effects they are sorted by."""
+    cands = np.unique(np.fromiter(map(int, candidates), dtype=int))
+    check_indices(cands.tolist(), augmented.base.n)
+    effects = effects_on_prediction(augmented)
+    return cands[np.argsort(-np.abs(effects[cands - 1]), kind="stable")].tolist(), effects
+
+
 def select_intervention_target(augmented: AugmentedGraph, candidates) -> int:
-    """The candidate with the greatest absolute causal effect on the prediction.
-
-    Ties break toward the lowest index. Raises AllEffectsZero when no
-    candidate moves the prediction at all, and so when there is none.
-    """
-    cands = sorted(set(int(i) for i in candidates))
-    check_indices(cands, augmented.base.n)
-    effects = np.abs(effects_on_prediction(augmented)[[k - 1 for k in cands]])
-    if not cands or effects.max() < EFFECT_THRESHOLD:
+    """The head of ``target_order``. Raises AllEffectsZero when no candidate moves the prediction, or there is none."""
+    order, effects = target_order(augmented, candidates)
+    if not order or abs(effects[order[0] - 1]) < EFFECT_THRESHOLD:
         raise AllEffectsZero("no candidate has a causal effect on the prediction")
-    # argmax returns the first maximum, the lowest index among ties.
-    return cands[int(np.argmax(effects))]
+    return order[0]
 
 
-def _steer(x: np.ndarray, s, i: int, d, slope: float):
-    """The value of X_i at which the line s + slope * (c - x_i) reaches d: x_i + (d - s) / slope.
+def _steer(model: PredictionModel, x, i: int, d, slope: float):
+    """(c, the line's value at c), where c = x_i + (d - s(x)) / slope puts the line s(x) + slope * (c - x_i) at d.
 
-    Raises NonFiniteValue, naming the first d whose value overflows.
+    Raises ValueError unless x is 1-D and covers i and every predictor, and
+    NonFiniteValue unless the slope and c are finite, naming the first d whose c overflows.
     """
+    x = np.asarray(x, dtype=float)
+    need = max((i, *model.predictor_indices))
+    if x.ndim != 1 or x.size < need:
+        raise ValueError(f"x must be a 1-D point of length at least {need}, got shape {x.shape}")
+    s = scores(model, x)
+    if not np.isfinite(slope):
+        raise NonFiniteValue(f"the effect of variable {i} on the prediction is not finite")
+    d = np.asarray(d, dtype=float)[()]
     with np.errstate(over="ignore", invalid="ignore"):
         c = x[i - 1] + (d - s) / slope
+        reached = s + slope * (c - x[i - 1])
     overflow = ~np.isfinite(c)
     if overflow.any():
         bad = np.broadcast_to(d, overflow.shape)[overflow][0]
         raise NonFiniteValue(f"the value of variable {i} that steers the prediction to {bad:g} is not finite")
-    return c
+    return c, reached
 
 
 def optimal_intervention_value(
@@ -127,8 +139,8 @@ def optimal_intervention_value(
     e_i. ``noise`` is not read, as the point alone fixes the plan; it stays
     for callers that pass it positionally, and the program passes None.
     An array d gives one plan per entry, each its scalar plan bit for bit.
-    Raises ZeroCausalEffect when g_i vanishes, NonFiniteValue when c
-    overflows, and InterveneOnTarget when i is the model's target variable.
+    Raises ZeroCausalEffect when g_i vanishes, NonFiniteValue when g_i or c
+    is not finite, and InterveneOnTarget when i is the model's target variable.
     """
     if i == model.target_index:
         raise InterveneOnTarget(i)
@@ -138,13 +150,13 @@ def optimal_intervention_value(
     d = np.asarray(d, dtype=float)[()]
     w = augment_graph(dag, model).coeffs
     # The solve checks i before the formula reads mu[i - 1], where 0 would address the last entry.
-    alpha = graph.solve(dag, np.arange(dag.n) == i - 1, fixed=i)  # from e_i
-    g = float(w @ alpha)
+    with np.errstate(over="ignore", invalid="ignore"):
+        alpha = graph.solve(dag, np.arange(dag.n) == i - 1, fixed=i)  # from e_i
+        g = float(w @ alpha)
     if abs(g) < EFFECT_THRESHOLD:
         raise ZeroCausalEffect(i, g)
-    s = scores(model, mu)
-    c = _steer(mu, s, i, d, g)
-    return InterventionPlan(i, c, d, s + g * (c - mu[i - 1]), alpha)
+    c, reached = _steer(model, mu, i, d, g)
+    return InterventionPlan(i, c, d, reached, alpha)
 
 
 def naive_intervention_value(model: PredictionModel, x, i: int, d):
@@ -160,11 +172,7 @@ def naive_intervention_value(model: PredictionModel, x, i: int, d):
     wi = model.coeffs[model.predictor_indices.index(i)] if i in model.predictor_indices else 0.0
     if wi == 0.0:
         raise ZeroCoefficient(i)
-    x = np.asarray(x, dtype=float)
-    need = max(model.predictor_indices)
-    if x.ndim != 1 or x.size < need:
-        raise ValueError(f"x must be a 1-D point of length at least {need}, got shape {x.shape}")
-    return _steer(x, scores(model, x), i, np.asarray(d, dtype=float)[()], wi)
+    return _steer(model, x, i, d, wi)[0]
 
 
 def observation_specific_plan(

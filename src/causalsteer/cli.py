@@ -7,7 +7,6 @@ that draws randomness takes --seed and is bitwise reproducible.
 import argparse
 import contextlib
 import dataclasses
-import json
 import sys
 from functools import cache, partial
 from pathlib import Path
@@ -16,11 +15,11 @@ import numpy as np
 
 from . import __version__, autompg, fileio
 from .causal import (
-    effects_on_prediction,
     naive_intervention_value,
     observation_specific_plan,
     optimal_intervention_value,
     select_intervention_target,
+    target_order,
 )
 from .datagen import DagGenConfig, generate_random_scm, median_split_labels
 from .errors import CausalSteerError, IndexOutOfRange, NonFiniteValue, ZeroCoefficient
@@ -37,13 +36,6 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _write(text: str, out: str | None) -> None:
-    if out is None:
-        sys.stdout.write(text)
-    else:
-        Path(out).write_text(text)
-
-
 def _load_config(args, cls):
     """The --config document as a ``cls`` (``cls()`` without one), its seed replaced by --seed when given."""
     config = fileio.load_document(args.config, partial(fileio.fields_from_dict, cls)) if args.config else cls()
@@ -54,7 +46,7 @@ def _load_config(args, cls):
 
 def _cmd_gen_scm(args) -> None:
     scm = generate_random_scm(_load_config(args, DagGenConfig))
-    _write(json.dumps(fileio.scm_to_dict(scm), indent=2) + "\n", args.out)
+    fileio.save_json(fileio.scm_to_dict(scm), args.out)
 
 
 def _parse_do(spec: str) -> tuple[int, float]:
@@ -96,7 +88,7 @@ _rows = _int_at_least(1, "a positive integer")
 
 def _cmd_sample(args) -> None:
     scm = fileio.load_document(args.scm, fileio.scm_from_dict)
-    _write(fileio.dataset_to_csv(sample(scm, args.rows, args.seed, args.do)), args.out)
+    fileio.write(fileio.dataset_to_csv(sample(scm, args.rows, args.seed, args.do)), args.out)
 
 
 def _parse_indices(text: str) -> tuple[int, ...]:
@@ -116,7 +108,7 @@ def _cmd_fit(args) -> None:
     else:
         labels = median_split_labels(data, args.target_index)
         model = fit_logistic(data, labels, args.predictors, target_index=args.target_index)
-    _write(json.dumps(fileio.model_to_dict(model), indent=2) + "\n", args.out)
+    fileio.save_json(fileio.model_to_dict(model), args.out)
 
 
 def _load_scm_and_model(args):
@@ -132,10 +124,9 @@ def _load_scm_and_model(args):
 
 def _cmd_analyze(args) -> None:
     scm, model, augmented = _load_scm_and_model(args)
-    effects = effects_on_prediction(augmented)
-    ranked = sorted(model.predictor_indices, key=lambda i: (-abs(effects[i - 1]), i))
-    rows = [(i, scm.dag.name_of(i), f"{effects[i - 1]:.6g}") for i in ranked]
-    _write(fileio.csv_text([("variable", "name", "effect_on_prediction"), *rows]), args.out)
+    order, effects = target_order(augmented, model.predictor_indices)
+    rows = [(i, scm.dag.name_of(i), f"{effects[i - 1]:.6g}") for i in order]
+    fileio.write(fileio.csv_text([("variable", "name", "effect_on_prediction"), *rows]), args.out)
 
 
 def _load_observation(path, n: int) -> np.ndarray:
@@ -188,7 +179,7 @@ def _cmd_intervene(args) -> None:
 def _cmd_sweep(args) -> None:
     config = _load_config(args, SweepConfig)
     result = run_sweep(config)
-    _write(sweep_result_to_csv(result), args.out)
+    fileio.write(sweep_result_to_csv(result), args.out)
     if args.out:
         fileio.save_json(run_manifest(config, result), Path(args.out).with_suffix(".manifest.json"))
 
@@ -199,7 +190,7 @@ def _cmd_fetch_autompg(args) -> None:
         data = autompg.fetch_autompg(cached)
     print(f"{cached}: {data.m} rows x {data.n} columns")
     if args.out:
-        _write(fileio.dataset_to_csv(data), args.out)
+        fileio.write(fileio.dataset_to_csv(data), args.out)
 
 
 def _cmd_demo_autompg(args) -> None:
@@ -211,7 +202,7 @@ def _cmd_demo_autompg(args) -> None:
             data = autompg.parse_autompg(Path(path).read_text())
         else:
             data = autompg.fetch_autompg(path)
-    _write(autompg.demo_autompg(structure, data, args.desired) + "\n", args.out)
+    fileio.write(autompg.demo_autompg(structure, data, args.desired) + "\n", args.out)
 
 
 @cache

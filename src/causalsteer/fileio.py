@@ -2,8 +2,9 @@
 
 All documents are JSON with 1-based variable indices; datasets are headered
 CSV with one column per variable and %.12g numeric formatting. ``csv_text``
-is the one CSV writer of the package, and ``naming`` the one place a file
-name enters an error message, here and in the CLI.
+is the one CSV writer of the package, ``save_json`` the one JSON writer,
+and ``naming`` the one place a file name enters an error message, here and
+in the CLI.
 """
 
 import contextlib
@@ -13,6 +14,7 @@ import io
 import itertools
 import json
 import math
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -222,8 +224,17 @@ def fields_to_dict(obj) -> dict:
     return doc
 
 
+def write(text: str, path) -> None:
+    """``text`` written to the file ``path``, or to stdout when ``path`` is None."""
+    if path is None:
+        sys.stdout.write(text)
+    else:
+        Path(path).write_text(text)
+
+
 def save_json(doc: dict, path) -> None:
-    Path(path).write_text(json.dumps(doc, indent=2) + "\n")
+    """``doc`` as indented strict JSON written by ``write``: a NaN or infinity raises ValueError and writes nothing."""
+    write(json.dumps(doc, indent=2, allow_nan=False) + "\n", path)
 
 
 @contextlib.contextmanager

@@ -81,6 +81,8 @@ class Dag:
         bulk; only when a check fails are they walked one by one, so the
         error names the first faulty edge.
         """
+        if n < 0:
+            raise ValueError(f"n must be >= 0, got {n}")
         w = np.zeros((n, n))
         edges = list(edges)
         if edges:

@@ -133,7 +133,8 @@ def fit_logistic(data: Dataset, labels, predictor_indices=None, *, target_index:
     if not classes <= {0, 1}:
         raise ValueError(f"labels must be 0/1, got {sorted(classes)}")
     if len(classes) < 2:
-        raise SingleClass(f"all labels are {classes.pop()}; need both classes")
+        found = f"all labels are {classes.pop()}" if classes else "there are no rows"
+        raise SingleClass(f"{found}; need both classes")
 
     preds = _resolve_predictors(data.n, target_index, predictor_indices)
 

@@ -71,13 +71,13 @@ def test_parse_errors_name_the_line(text, line):
     assert str(exc.value).startswith(f"line {line}:")
 
 
+def refuse(*args, **kwargs):
+    raise urllib.error.URLError("offline")
+
+
 @pytest.fixture
 def offline(monkeypatch):
     """Every download attempt fails, so a test passes only from the cache."""
-
-    def refuse(*args, **kwargs):
-        raise urllib.error.URLError("offline")
-
     monkeypatch.setattr(urllib.request, "urlopen", refuse)
 
 
@@ -87,6 +87,25 @@ def test_fetch_reads_a_cached_file_and_writes_its_checksum(tmp_path, offline):
     assert data.names == COLUMNS
     assert data.rows.tolist() == parse_autompg(DATA.read_text()).rows.tolist()
     assert (tmp_path / "auto-mpg.sha256").read_text() == hashlib.sha256(DATA.read_bytes()).hexdigest() + "\n"
+
+
+def test_fetch_downloads_once_then_reads_the_cache(tmp_path, monkeypatch):
+    requested = []
+
+    def serve(url, timeout):
+        requested.append(url)
+        return io.BytesIO(DATA.read_bytes())
+
+    monkeypatch.setattr(urllib.request, "urlopen", serve)
+    raw = tmp_path / "new" / "auto-mpg.data"
+    expected = parse_autompg(DATA.read_text())
+    data = fetch_autompg(raw)
+    assert requested == [AUTOMPG_URL]
+    assert raw.read_bytes() == DATA.read_bytes()
+    assert (raw.parent / "auto-mpg.sha256").read_text() == hashlib.sha256(DATA.read_bytes()).hexdigest() + "\n"
+    assert (data.names, data.rows.tolist()) == (expected.names, expected.rows.tolist())
+    monkeypatch.setattr(urllib.request, "urlopen", refuse)
+    assert fetch_autompg(raw).rows.tolist() == expected.rows.tolist()
 
 
 def test_fetch_rejects_a_file_changed_after_its_checksum(tmp_path, offline):

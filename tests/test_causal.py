@@ -19,6 +19,8 @@ from causalsteer import (
     sample,
     select_intervention_target,
 )
+from causalsteer import causal
+from causalsteer.causal import target_order
 from causalsteer.errors import (
     AllEffectsZero,
     IndexOutOfRange,
@@ -287,6 +289,21 @@ class TestSelectInterventionTarget:
         augmented = augment_graph(dag, model)
         assert select_intervention_target(augmented, (1, 2)) == 1
 
+    def test_target_order_ranks_the_distinct_candidates(self, chain3):
+        # Effects on the prediction 1 + 2 = 3, 1 and 0; a repeated candidate is ranked once.
+        augmented = augment_graph(chain3, chain_model())
+        order, effects = target_order(augmented, (2, 3, 1, 2))
+        assert order == [1, 2, 3]
+        assert effects.tolist() == effects_on_prediction(augmented).tolist() == [3.0, 1.0, 0.0]
+        # Three equal effects of 1 through X3, the lower index first.
+        ties = Dag.from_edges(4, [(1, 3, 1.0), (2, 3, 1.0)])
+        model = PredictionModel("linear", 0.0, np.array([1.0]), (3,), 4)
+        assert target_order(augment_graph(ties, model), (3, 2, 1))[0] == [1, 2, 3]
+
+    def test_target_order_puts_a_nan_effect_last(self, chain3, monkeypatch):
+        monkeypatch.setattr(causal, "effects_on_prediction", lambda augmented: np.array([np.nan, 1.0, -2.0]))
+        assert target_order(augment_graph(chain3, chain_model()), (1, 2, 3))[0] == [3, 2, 1]
+
     def test_permutation_equivariance(self):
         rng = np.random.default_rng(18)
         for _ in range(20):
@@ -353,6 +370,15 @@ class TestOptimalInterventionValue:
         with pytest.raises(NonFiniteValue, match=message):
             naive_intervention_value(model, np.zeros(3), 1, 1e308)
         assert optimal_intervention_value(np.zeros(3), dag, None, model, 1, [1.0, 5e307]).value.tolist() == [2.0, 1e308]
+
+    @pytest.mark.parametrize("coeffs, preds", [([1.0, 1.0], (1, 3)), ([1.0], (1,))], ids=["infinite", "nan"])
+    def test_effect_that_is_not_finite_is_refused(self, coeffs, preds):
+        # The chain 1 -> 2 -> 3 with weights 1e200: alpha = (1, 1e200, inf), so g_1 is inf with
+        # predictor 3 and 1 + 0 * inf = nan without it. No numpy warning escapes either solve.
+        dag = Dag.from_edges(3, [(1, 2, 1e200), (2, 3, 1e200)])
+        model = PredictionModel("logistic", 0.0, np.array(coeffs), preds, 2)
+        with pytest.raises(NonFiniteValue, match="^the effect of variable 1 on the prediction is not finite$"):
+            optimal_intervention_value(np.zeros(3), dag, None, model, 1, 3.0)
 
     @pytest.mark.parametrize("preds, target", [((4,), 3), ((2,), 4)])
     def test_index_beyond_n_is_out_of_range(self, chain3, preds, target):

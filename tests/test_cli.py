@@ -96,8 +96,8 @@ def paper_files(tmp_path):
 
 @pytest.mark.parametrize("pair", ["files", "paper_files"])
 def test_analyze_ranks_first_the_variable_intervene_picks(request, tmp_path, capsys, pair):
-    # The feature with the greatest causal influence is written twice: analyze sorts the effects,
-    # select_intervention_target takes their argmax, and intervene without --intervene-index uses it.
+    # analyze prints causal.target_order, whose head select_intervention_target returns and
+    # intervene without --intervene-index uses.
     scm_path, _, model_path = request.getfixturevalue(pair)
     files_argv = ["--scm", str(scm_path), "--model", str(model_path)]
     assert main(["analyze", *files_argv]) == 0
@@ -526,6 +526,8 @@ def test_intervene_takes_the_target_from_the_model(files, capsys):
          "noise parameters must be finite, got (-1.0, inf)"),
         ("model", {"kind": "tree"}, "unknown model kind 'tree'"),
         ("model", {"predictor_indices": [1, 1], "coeffs": [1.0, 1.0]}, "duplicate predictor indices"),
+        # Refused before numpy allocates the n x n weights.
+        ("scm", {"n": -1}, "n must be >= 0, got -1"),
     ],
     ids=[
         "edges", "noises", "n", "predictors", "bias", "n_dags", "d_values", "n_roots", "datagen",
@@ -538,6 +540,7 @@ def test_intervene_takes_the_target_from_the_model(files, capsys):
         "edge-array", "edge-string", "noise-array", "family-array",
         "edges-number", "edges-object", "edges-string", "noises-string",
         "noises-one-short", "names-length", "noise-infinite", "model-kind", "predictors-duplicate",
+        "n-negative",
     ],
 )
 def test_malformed_document_is_reported(files, tmp_path, capsys, document, change, message):
@@ -773,6 +776,35 @@ def test_plan_that_overflows_exits_2(tmp_path, capsys):
     # X1's plan is finite; its naive value, (d - s) / 0.5 from mu_1, is not, so that line is left out.
     assert main(argv + ["--intervene-index", "1"]) == 0
     assert capsys.readouterr() == ("do(X1 = 1.13333333333e+308) steers the expected prediction to 1.7e+308\n", "")
+
+
+# The chain 1 -> 2 -> 3 with weights 1e200: column 1 of (I - W)^-1 is (1, 1e200, inf).
+OVERFLOW_SCM = {
+    "n": 3,
+    "edges": [{"from": 1, "to": 2, "weight": 1e200}, {"from": 2, "to": 3, "weight": 1e200}],
+    "noises": [{"family": "uniform", "lo": -1.0, "hi": 1.0}] * 3,
+}
+
+
+@pytest.mark.parametrize(
+    "coeffs, predictors, ranking",
+    [([1.0, 1.0], [1, 3], ["1,x1,inf", "3,x3,1"]), ([1.0], [1], ["1,x1,1"])],
+    ids=["infinite", "nan"],
+)
+def test_plan_whose_effect_is_not_finite_exits_2(tmp_path, capsys, coeffs, predictors, ranking):
+    # With X3 a predictor the effect of X1 is inf; without it alpha overflows off the predictors
+    # and w . alpha = 0 * inf is nan. Either way no finite value steers the prediction, and no
+    # numpy warning escapes (pytest turns one into an error).
+    scm_path, model_path, out = tmp_path / "scm.json", tmp_path / "model.json", tmp_path / "plan.json"
+    scm_path.write_text(json.dumps(OVERFLOW_SCM))
+    model = {"kind": "logistic", "bias": 0.0, "coeffs": coeffs, "predictor_indices": predictors, "target_index": 2}
+    model_path.write_text(json.dumps(model))
+    files_argv = ["--scm", str(scm_path), "--model", str(model_path)]
+    assert main(["intervene", *files_argv, "--desired", "3", "--out", str(out)]) == 2
+    assert capsys.readouterr() == ("", "error: the effect of variable 1 on the prediction is not finite\n")
+    assert not out.exists()
+    assert main(["analyze", *files_argv]) == 0
+    assert capsys.readouterr().out.splitlines()[1:] == ranking
 
 
 def test_uniform_noise_whose_bounds_sum_past_the_float_range_plans(tmp_path, capsys):

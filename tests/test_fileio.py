@@ -204,6 +204,20 @@ class TestPlanDocuments:
         json.dumps(doc)  # must be serializable as-is
 
 
+class TestJsonWriter:
+    def test_without_a_path_writes_to_stdout(self, capsys):
+        fileio.save_json({"a": [1, 2.5]}, None)
+        assert capsys.readouterr().out == '{\n  "a": [\n    1,\n    2.5\n  ]\n}\n'
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_value_is_refused_and_nothing_written(self, tmp_path, value):
+        # Strict JSON has no NaN or Infinity, which json.dumps would otherwise write.
+        out = tmp_path / "doc.json"
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            fileio.save_json({"effects": [1.0, value]}, out)
+        assert not out.exists()
+
+
 # Names csv_text must quote: a comma, a quote and a newline.
 QUOTED_NAMES = ("a,b", 'q"x', "c\nd")
 

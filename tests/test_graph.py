@@ -352,6 +352,11 @@ class TestDagType:
         with pytest.raises(IndexOutOfRange, match="edge endpoint 0"):
             Dag.from_edges(2, [(1, 2, 1.0), (0, 2, 1.0), (1, 2, 0.5)])
 
+    def test_from_edges_refuses_a_negative_n(self):
+        with pytest.raises(ValueError, match="^n must be >= 0, got -1$"):
+            Dag.from_edges(-1, [])
+        assert Dag.from_edges(0, []).n == 0
+
     def test_from_edges_duplicate_rejected(self):
         with pytest.raises(ValueError, match="duplicate"):
             Dag.from_edges(2, [(1, 2, 1.0), (1, 2, 0.5)])

@@ -192,6 +192,10 @@ class TestFitLogistic:
         with pytest.raises(SingleClass):
             fit_logistic(data, np.ones(4, dtype=int), target_index=2)
 
+    def test_no_rows_rejected(self):
+        with pytest.raises(SingleClass, match="^there are no rows; need both classes$"):
+            fit_logistic(Dataset(np.empty((0, 3))), np.empty(0), target_index=1)
+
     def test_warning_when_iteration_capped(self, monkeypatch):
         rng = np.random.default_rng(7)
         x = rng.normal(size=(500, 2))

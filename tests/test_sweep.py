@@ -211,6 +211,21 @@ def test_cli_sweep_writes_csv_and_manifest(tmp_path):
     assert manifest["one_draw"] is False
 
 
+def test_manifest_records_no_blas_where_show_config_has_no_mode(monkeypatch):
+    # numpy before 1.25 has show_config() without the mode argument.
+    monkeypatch.setattr(np, "show_config", lambda: None)
+    manifest = sweep.run_manifest(SweepConfig(n_dags=1), sweep.SweepResult((), {}, 0, 7.0))
+    assert manifest["environment"]["blas"] is None
+
+
+@pytest.mark.parametrize("cpu_count, usable", [(3, 3), (None, 1)])
+def test_usable_cpus_without_an_affinity_mask(monkeypatch, cpu_count, usable):
+    # Platforms without os.sched_getaffinity, macOS and Windows among them, use the CPU count.
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpu_count)
+    assert sweep._usable_cpus() == usable
+
+
 def test_manifest_says_one_draw_scored_a_paper_size_sweep(tmp_path):
     config_path = tmp_path / "config.json"
     config_path.write_text(json.dumps(fileio.fields_to_dict(SweepConfig(n_dags=1))))
