@@ -77,7 +77,11 @@ def median_split_labels(data: Dataset, target_index: int) -> np.ndarray:
     so at least one sample always lands in class 0. Classes are balanced in
     expectation for a continuous target.
     """
-    y = data.column(target_index)
+    return _median_split(data.column(target_index))
+
+
+def _median_split(y: np.ndarray) -> np.ndarray:
+    """The labels of ``median_split_labels`` for the target's m values ``y``, in any layout."""
     if y.size < 2:
         raise ValueError(f"need at least 2 samples to split, got {y.size}")
     median = np.sort(y)[(y.size - 1) // 2]

@@ -153,10 +153,15 @@ def solve(dag: Dag, rhs, fixed: int | None = None) -> np.ndarray:
         raise ValueError(f"expected a vector or matrix with {dag.n} rows, got shape {x.shape}")
     if fixed is not None:
         check_index(fixed, dag.n)
+    _substitute(dag, x, fixed)
+    return x
+
+
+def _substitute(dag: Dag, x: np.ndarray, fixed: int | None = None) -> None:
+    """``solve``'s substitution, in place on the float array ``x``; its shape and ``fixed`` are checked."""
     for v, pa, wv in dag.schedule:
         if pa.size and v + 1 != fixed:
             x[v] = x[pa].T @ wv + x[v]
-    return x
 
 
 def solve_transposed(dag: Dag, rhs, fixed: int | None = None) -> np.ndarray:

@@ -126,40 +126,47 @@ def fit_logistic(data: Dataset, labels, predictor_indices=None, *, target_index:
     ``target_index`` records which variable the labels were derived from;
     the predictors default to all other variables.
     """
+    y = _label_values(labels, data.m)
+    preds = _resolve_predictors(data.n, target_index, predictor_indices)
+    xt = np.empty((len(preds) + 1, data.m))
+    return _irls(data.rows.T, y, preds, target_index, xt, np.empty_like(xt))
+
+
+def _label_values(labels, m: int) -> np.ndarray:
+    """m 0/1 labels as floats; ValueError or SingleClass unless there are m of them and both classes occur."""
     labels = np.asarray(labels)
-    if labels.shape != (data.m,):
-        raise ValueError(f"expected {data.m} labels, got shape {labels.shape}")
+    if labels.shape != (m,):
+        raise ValueError(f"expected {m} labels, got shape {labels.shape}")
     classes = set(np.unique(labels).tolist())
     if not classes <= {0, 1}:
         raise ValueError(f"labels must be 0/1, got {sorted(classes)}")
     if len(classes) < 2:
         found = f"all labels are {classes.pop()}" if classes else "there are no rows"
         raise SingleClass(f"{found}; need both classes")
+    return labels.astype(float)
 
-    preds = _resolve_predictors(data.n, target_index, predictor_indices)
 
-    # The design transposed, one row per coefficient (the bias first): a
-    # step that forms a Hessian scales its rows by sqrt(w) into the one
-    # buffer zt, and zt @ zt.T is a single symmetric BLAS product (syrk),
-    # half the flops of a general one. No array of the design's size is
-    # allocated inside the loop.
-    xt = np.empty((len(preds) + 1, data.m))
+def _irls(rows, y: np.ndarray, preds: tuple[int, ...], target_index: int, xt: np.ndarray, zt: np.ndarray):
+    """The Newton loop of ``fit_logistic`` on ``rows``, variable k's m values in row k-1, in the arrays xt and zt.
+
+    Both are C-contiguous, one row of m per coefficient: ``xt`` is set to the design transposed, the bias first, and
+    a step that forms a Hessian scales its rows by sqrt(w) into ``zt`` (which may be ``rows``) for zt @ zt.T, one
+    symmetric BLAS product (syrk), half the flops of a general one. No array of the design's size is made here.
+    """
     xt[0] = 1.0
     # The predictors are checked, so mode="clip" never clips; it spares take
     # the m x p copy that the default mode buffers its output through.
-    np.take(data.rows.T, [p - 1 for p in preds], axis=0, out=xt[1:], mode="clip")
-    y = labels.astype(float)
+    np.take(rows, [p - 1 for p in preds], axis=0, out=xt[1:], mode="clip")
+    m = xt.shape[1]
     penalty = np.full(xt.shape[0], IRLS_L2)
     penalty[0] = 0.0
     diag = np.diag_indices(xt.shape[0])
-
-    zt = np.empty_like(xt)
-    limit = np.sqrt(np.finfo(float).max / data.m)
+    limit = np.sqrt(np.finfo(float).max / m)
     largest = np.abs(xt, out=zt).max()
     if largest > limit:
         raise ValueError(f"a design entry of magnitude {largest:g} overflows the logistic fit; the limit is {limit:g}")
     beta = np.zeros(xt.shape[0])
-    score = np.zeros(data.m)
+    score = np.zeros(m)
     # The residuals and weights at the current score: each step's accepted
     # trial hands on its own, so no step forms them twice.
     resid, weight = _residuals_and_weights(y, score)
@@ -185,7 +192,7 @@ def fit_logistic(data: Dataset, labels, predictor_indices=None, *, target_index:
         q = step @ xt
         q2 = q * q
         step_penalty = (penalty * step) @ step
-        noise = _EPS * (np.abs(score).sum() + data.m)
+        noise = _EPS * (np.abs(score).sum() + m)
         scale, lo, hi, lo_slope = 1.0, 0.0, np.inf, 0.0
         for _ in range(30):
             trial = score + scale * q

@@ -16,20 +16,20 @@ first spec. The standard stream does not depend on the parameters, and a
 fill of a contiguous block takes the draws in the same C order, so spans
 filled one after another from one generator are the stream of one draw
 per variable in index order, however many rows a span holds.
-``_draw_standard`` fills one span per run of an n x m array;
-``_draw_noise`` then scales and shifts the u by ``Scm.loc_scale``, giving
-numpy's own bits; a constant draws nothing, and its u of -0.0 times its
-scale of 0.0 plus its value is that value, sign of a zero included.
+``_draw_standard`` fills one span per run of an n x m array it is given;
+``_draw_noise`` then scales and shifts the u in place by ``Scm.loc_scale``,
+giving numpy's own bits; a constant draws nothing, and its u of -0.0 times
+its scale of 0.0 plus its value is that value, sign of a zero included.
 
 Under do(X_i = c), ``_draw_noise`` draws every noise as usual, then
 overwrites variable i's draws with c; ``sample`` draws through it.
-``_check_do`` is the one rule on (i, c), for it and for
+``_check_do`` is the one rule on (i, c), for ``sample`` and for
 ``sweep.evaluate_intervention``, whose scoring walks the same spans.
 
-Samples and analytic means both come from ``graph.solve``, the package's
-one forward substitution, which ``sample`` runs on the n x m draw as drawn;
-unlike a dense solve it keeps the variables an intervention cannot reach
-bitwise equal to the observational sample.
+Samples and analytic means both come from the package's one forward
+substitution, ``graph._substitute``, which ``_solved_draw`` runs in place
+on the n x m draw; unlike a dense solve it keeps the variables an
+intervention cannot reach bitwise equal to the observational sample.
 """
 
 import functools
@@ -166,8 +166,7 @@ class Dataset:
         rows = np.array(self.rows, dtype=float, order="C")
         if rows.ndim != 2:
             raise ValueError(f"rows must be 2-D, got shape {rows.shape}")
-        if not np.isfinite(rows).all():
-            raise ValueError("dataset contains non-finite entries")
+        _check_finite(rows)
         rows.flags.writeable = False
         object.__setattr__(self, "rows", rows)
         if self.names is not None:
@@ -187,6 +186,12 @@ class Dataset:
     def column(self, i: int) -> np.ndarray:
         check_index(i, self.n)
         return self.rows[:, i - 1]
+
+
+def _check_finite(x: np.ndarray) -> None:
+    """ValueError unless every value of a dataset, in either layout, is finite."""
+    if not np.isfinite(x).all():
+        raise ValueError("dataset contains non-finite entries")
 
 
 def noise_means(scm: Scm) -> np.ndarray:
@@ -220,34 +225,35 @@ def _row_blocks(scm: Scm, rows: int):
             yield b0, min(b0 + rows, end), spec
 
 
-def _draw_standard(scm: Scm, rng: np.random.Generator, m: int) -> np.ndarray:
-    """The n x m standard draws u of ``_draw_noise``: one fill per noise run."""
-    if m < 1:
-        raise ValueError(f"sample count must be >= 1, got {m}")
-    u = np.empty((scm.n, m))
+def _draw_standard(scm: Scm, rng: np.random.Generator, out: np.ndarray) -> np.ndarray:
+    """Fill the C-contiguous n x m ``out`` with the standard draws u of ``_draw_noise``: one fill per noise run."""
     for b0, b1, spec in _row_blocks(scm, scm.n):
-        spec.fill_standard(rng, u[b0:b1])
-    return u
+        spec.fill_standard(rng, out[b0:b1])
+    return out
 
 
-def _draw_noise(scm: Scm, rng: np.random.Generator, m: int, do: tuple[int, float] | None = None) -> np.ndarray:
-    """An n x m array whose row k-1 holds m draws of N_k, and row i-1 holds c under do(X_i = c).
+def _draw_noise(scm: Scm, rng: np.random.Generator, out: np.ndarray, do: tuple[int, float] | None = None) -> np.ndarray:
+    """Fill the C-contiguous n x m ``out`` with m draws of N_k in row k-1, and c in row i-1 under a checked do(X_i = c).
 
     The standard draws scaled and shifted in place by ``scm.loc_scale``,
     numpy's own draws bit for bit (see the module docstring). The
     intervened variable's noise is drawn too, then overwritten, so an
     intervention leaves every other variable's draws untouched.
     """
-    if do is not None:
-        # Before the write, where 0 would address the last row.
-        _check_do(scm, do)
-    noise = _draw_standard(scm, rng, m)
+    _draw_standard(scm, rng, out)
     loc, scale = scm.loc_scale[:, :, None]
-    noise *= scale
-    noise += loc
+    out *= scale
+    out += loc
     if do is not None:
-        noise[do[0] - 1] = do[1]
-    return noise
+        out[do[0] - 1] = do[1]
+    return out
+
+
+def _solved_draw(scm: Scm, rng: np.random.Generator, out: np.ndarray, do: tuple[int, float] | None = None) -> np.ndarray:
+    """Fill ``out`` by ``_draw_noise`` and solve it in place: m observations, one per column, not checked finite."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        graph._substitute(scm.dag, _draw_noise(scm, rng, out, do), None if do is None else do[0])
+    return out
 
 
 def sample(scm: Scm, m: int, seed, do: tuple[int, float] | None = None) -> Dataset:
@@ -259,10 +265,12 @@ def sample(scm: Scm, m: int, seed, do: tuple[int, float] | None = None) -> Datas
     variables the intervention does not reach match the unintervened sample
     exactly. Values that overflow reach ``Dataset``, which refuses them.
     """
-    # The draw is solve's argument only, so it is freed before Dataset copies the transpose.
-    with np.errstate(over="ignore", invalid="ignore"):
-        x = graph.solve(scm.dag, _draw_noise(scm, np.random.default_rng(seed), m, do), None if do is None else do[0])
-    return Dataset(x.T, scm.dag.names)
+    if do is not None:
+        # Before the draw writes row i - 1, where 0 would address the last row.
+        _check_do(scm, do)
+    if m < 1:
+        raise ValueError(f"sample count must be >= 1, got {m}")
+    return Dataset(_solved_draw(scm, np.random.default_rng(seed), np.empty((scm.n, m)), do).T, scm.dag.names)
 
 
 def analytic_means(scm: Scm) -> np.ndarray:

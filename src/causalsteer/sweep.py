@@ -48,10 +48,10 @@ from .causal import (
     optimal_intervention_value,
     select_intervention_target,
 )
-from .datagen import DagGenConfig, generate_random_scm, median_split_labels, pick_random_target
+from .datagen import DagGenConfig, _median_split, generate_random_scm, pick_random_target
 from .errors import AllEffectsZero, CausalSteerError, InvalidConfig, NonFiniteValue, ZeroCausalEffect, ZeroCoefficient
-from .models import PredictionModel, augment_graph, fit_logistic
-from .scm import Scm, _check_do, _row_blocks, analytic_means, sample
+from .models import PredictionModel, _irls, _label_values, _resolve_predictors, augment_graph
+from .scm import Scm, _check_do, _check_finite, _row_blocks, _solved_draw, analytic_means
 
 
 @dataclass(frozen=True)
@@ -114,14 +114,19 @@ class SweepResult:
 BLOCK_DOUBLES = 2**16
 
 
-def _folded_sums(scm: Scm, weights: np.ndarray, rng: np.random.Generator, m: int) -> np.ndarray:
-    """z = weights . u for m standard draws u per variable, from ``rng``.
+def _block_rows(n: int, m: int) -> int:
+    """The rows of m draws in a scorer's block: as many as ``BLOCK_DOUBLES`` doubles hold, at least one, at most n."""
+    return min(n, max(1, BLOCK_DOUBLES // m))
 
-    The u are filled span by span of ``scm._row_blocks`` into the top of a block of as many rows
-    of m draws as ``BLOCK_DOUBLES`` doubles hold (at least one, at most n), made on each call,
-    each span folded into z before the next is drawn.
+
+def _folded_sums(scm: Scm, weights: np.ndarray, rng: np.random.Generator, block: np.ndarray) -> np.ndarray:
+    """z = weights . u for m standard draws u per variable, from ``rng``, m the row length of ``block``.
+
+    The u are filled span by span of ``scm._row_blocks`` into the top of ``block``, a C-contiguous
+    ``_block_rows(n, m)`` x m array whose values are not read, each span folded into z before the next is drawn.
     """
-    block, z, tmp = np.empty((min(scm.n, max(1, BLOCK_DOUBLES // m)), m)), np.empty(m), np.empty(m)
+    m = block.shape[1]
+    z, tmp = np.empty(m), np.empty(m)
     z.fill(0.0)
     for b0, b1, spec in _row_blocks(scm, len(block)):
         u = block[: b1 - b0]
@@ -131,7 +136,7 @@ def _folded_sums(scm: Scm, weights: np.ndarray, rng: np.random.Generator, m: int
     return z
 
 
-def _class1_counts(scm: Scm, bias: float, effects: np.ndarray, i: int, values, seed, n_post: int) -> list[int]:
+def _class1_counts(scm: Scm, bias: float, effects: np.ndarray, i: int, values, seed, n_post: int, block=None) -> list[int]:
     """How many of n_post samples under do(X_i = c) score above 0, for each c in ``values``, all from one draw.
 
     ``effects`` is ``effects_on_prediction(augmented, fixed=i)``. Both edits
@@ -140,14 +145,15 @@ def _class1_counts(scm: Scm, bias: float, effects: np.ndarray, i: int, values, s
     by ``seed``, and a sample counts for c when z > -(bias + effects . loc),
     loc_i := c. Exact zero scores get a fair coin each, drawn from the same
     generator after the draws, value by value. The callers check i and the
-    values. Raises NonFiniteValue if a sum or a threshold overflows.
+    values. ``block`` is the block of ``_folded_sums``, made here when not
+    given. Raises NonFiniteValue if a sum or a threshold overflows.
     """
     rng = np.random.default_rng(seed)
     loc = scm.loc_scale[0].copy()
     with np.errstate(over="ignore", invalid="ignore"):
         weights = effects * scm.loc_scale[1]
         weights[i - 1] = 0.0
-        z = _folded_sums(scm, weights, rng, n_post)
+        z = _folded_sums(scm, weights, rng, np.empty((_block_rows(scm.n, n_post), n_post)) if block is None else block)
         thresholds = []
         for c in values:
             loc[i - 1] = c
@@ -199,7 +205,20 @@ def _one_draw(config: SweepConfig) -> bool:
     return (config.datagen.n_roots + config.datagen.n_descendants) * config.n_post >= ONE_DRAW_MIN_DRAWS
 
 
-def _run_dag(config: SweepConfig, seed: np.random.SeedSequence):
+def _work_arrays(config: SweepConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(draw, design, block), the arrays every DAG of a sweep trains, fits and scores in.
+
+    ``draw``, n x n_train, takes the training rows and is then the fit's zt; ``design``, its twin, is the fit's
+    xt. ``block``, the scorer's, starts where ``draw`` does, in one buffer that holds the larger of the two.
+    """
+    n, m = config.datagen.n_roots + config.datagen.n_descendants, config.n_post
+    rows = _block_rows(n, m)
+    room = np.empty(max(n * config.n_train, rows * m))
+    draw = room[: n * config.n_train].reshape(n, config.n_train)
+    return draw, np.empty_like(draw), room[: rows * m].reshape(rows, m)
+
+
+def _run_dag(config: SweepConfig, seed: np.random.SeedSequence, arrays=None):
     """One DAG's pass through the sweep: (its fitted model, its counts or the failure's class name).
 
     ``seed`` is spawned into four: the SCM, its training rows, the target
@@ -211,12 +230,18 @@ def _run_dag(config: SweepConfig, seed: np.random.SeedSequence):
     from their own seed, spawned from it. A DAG on which no finite
     intervention moves the prediction gives the name of the exception that
     says so; its fit is still returned.
+
+    ``arrays`` are ``_work_arrays(config)``, made here when not given; each is written before it is read. The
+    model equals ``fit_logistic`` on ``sample(scm, n_train, s_train)`` and its median split, bit for bit.
     """
     s_scm, s_train, s_target, s_eval = seed.spawn(4)
     scm = generate_random_scm(dataclasses.replace(config.datagen, seed=s_scm))
-    train = sample(scm, config.n_train, s_train)
+    draw, design, block = _work_arrays(config) if arrays is None else arrays
+    _check_finite(_solved_draw(scm, np.random.default_rng(s_train), draw))
     target = pick_random_target(scm.n, s_target)
-    model = fit_logistic(train, median_split_labels(train, target), target_index=target)
+    y = _label_values(_median_split(draw[target - 1]), config.n_train)
+    preds = _resolve_predictors(scm.n, target, None)
+    model = _irls(draw, y, preds, target, design, draw)
     augmented = augment_graph(scm.dag, model)
     try:
         intervene_on = select_intervention_target(augmented, model.predictor_indices)
@@ -228,10 +253,10 @@ def _run_dag(config: SweepConfig, seed: np.random.SeedSequence):
         effects = effects_on_prediction(augmented, fixed=intervene_on)
         values = np.column_stack([c_opt, c_naive]).ravel()
         if _one_draw(config):
-            counts = _class1_counts(scm, model.bias, effects, intervene_on, values, s_eval, config.n_post)
+            counts = _class1_counts(scm, model.bias, effects, intervene_on, values, s_eval, config.n_post, block)
         else:
             counts = [
-                _class1_counts(scm, model.bias, effects, intervene_on, [c], s_plan, config.n_post)[0]
+                _class1_counts(scm, model.bias, effects, intervene_on, [c], s_plan, config.n_post, block)[0]
                 for c, s_plan in zip(values, s_eval.spawn(values.size))
             ]
     except (ZeroCausalEffect, AllEffectsZero, ZeroCoefficient, NonFiniteValue) as exc:
@@ -251,8 +276,9 @@ def run_sweep(config: SweepConfig) -> SweepResult:
     totals = np.zeros((len(config.d_values), 2), dtype=int)
     failures = collections.Counter()
     n_iter = not_converged = 0
+    arrays = _work_arrays(config)
     for seed in np.random.SeedSequence(config.seed).spawn(config.n_dags):
-        model, outcome = _run_dag(config, seed)
+        model, outcome = _run_dag(config, seed, arrays)
         n_iter += model.n_iter
         not_converged += not model.converged
         if isinstance(outcome, str):

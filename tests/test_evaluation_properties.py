@@ -31,7 +31,7 @@ from causalsteer import (
     scores,
 )
 from causalsteer.scm import _draw_noise, _draw_standard
-from causalsteer.sweep import BLOCK_DOUBLES, _class1_counts, _folded_sums
+from causalsteer.sweep import BLOCK_DOUBLES, _block_rows, _class1_counts, _folded_sums
 
 from .conftest import dense_random_scm
 from .oracles import class1_count_by_sampling
@@ -140,13 +140,13 @@ def test_folded_scores_equal_unfolded_within_rounding(instance, data):
     for i in range(1, scm.n + 1):
         effects = effects_on_prediction(augmented, fixed=i)
         [count] = _class1_counts(scm, model.bias, effects, i, [c], seed, m)
-        noise = _draw_noise(scm, np.random.default_rng(seed), m, do=(i, c))
+        noise = _draw_noise(scm, np.random.default_rng(seed), np.empty((scm.n, m)), do=(i, c))
         unfolded = model.bias + effects @ noise
-        u = _draw_standard(scm, np.random.default_rng(seed), m)
+        u = _draw_standard(scm, np.random.default_rng(seed), np.empty((scm.n, m)))
         loc, scale = scm.loc_scale.copy()
         scale[i - 1] = 0.0
         # The score of do(X_i = c) is z + a(c), z the folded sums of the count's draw.
-        z = _folded_sums(scm, effects * scale, np.random.default_rng(seed), m)
+        z = _folded_sums(scm, effects * scale, np.random.default_rng(seed), np.empty((_block_rows(scm.n, m), m)))
         loc_c = loc.copy()
         loc_c[i - 1] = c
         folded = z + (model.bias + effects @ loc_c)

@@ -211,9 +211,14 @@ class TestSolve:
         assert solve(dag, rhs.T, fixed).T.tobytes() == solve_by_rows(dag, rhs, fixed).tobytes()
 
     def test_rhs_not_modified(self, chain3):
-        rhs = np.ones(3)
-        solve(chain3, rhs)
-        assert rhs.tolist() == [1.0, 1.0, 1.0]
+        # solve substitutes in place on its own copy of rhs, as sample does on its own draw.
+        for rhs in (np.ones(3), np.arange(1.0, 13.0).reshape(3, 4)):
+            for fixed in (None, 2):
+                before = rhs.copy()
+                x = solve(chain3, rhs, fixed)
+                assert rhs.tobytes() == before.tobytes()
+                assert not np.shares_memory(x, rhs)
+                assert x.tobytes() == solve_by_rows(chain3, before.T, fixed).T.tobytes()
 
     @pytest.mark.parametrize("seed", range(5))
     def test_identity_gives_total_effect_matrix(self, seed):

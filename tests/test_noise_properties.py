@@ -45,7 +45,7 @@ def noise_sequences(draw):
 def test_run_fills_equal_per_variable_draws(noises, m, seed):
     scm = Scm(Dag(np.zeros((len(noises), len(noises)))), tuple(noises))
     rng, reference_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-    drawn = _draw_noise(scm, rng, m)
+    drawn = _draw_noise(scm, rng, np.empty((scm.n, m)))
     assert drawn.tobytes() == draw_noise_per_variable(scm, reference_rng, m).tobytes()
     # The generator has taken exactly the draws the reference took.
     assert rng.random() == reference_rng.random()
@@ -57,8 +57,8 @@ def test_standard_draws_rebuild_the_noise(noises, m, seed):
     """``_draw_standard`` takes ``_draw_noise``'s stream; loc + scale * u gives its bits back, signed zeros included."""
     scm = Scm(Dag(np.zeros((len(noises), len(noises)))), tuple(noises))
     rng, reference_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-    u = _draw_standard(scm, rng, m)
-    drawn = _draw_noise(scm, reference_rng, m)
+    u = _draw_standard(scm, rng, np.empty((scm.n, m)))
+    drawn = _draw_noise(scm, reference_rng, np.empty((scm.n, m)))
     assert rng.random() == reference_rng.random()
     loc, scale = scm.loc_scale
     for k in range(len(noises)):

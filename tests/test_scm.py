@@ -17,7 +17,7 @@ from causalsteer import (
 )
 from causalsteer.errors import IndexOutOfRange
 from causalsteer.scm import _draw_noise, _draw_standard, _row_blocks, noise_means
-from causalsteer.sweep import BLOCK_DOUBLES, _folded_sums
+from causalsteer.sweep import BLOCK_DOUBLES, _block_rows, _folded_sums
 
 from .conftest import constant_scm, uniform_scm
 from .oracles import root_mask
@@ -58,13 +58,15 @@ class TestNoiseSpec:
 
     def test_draw_matches_family(self):
         rng = np.random.default_rng(0)
-        draws = _draw_noise(_one_variable_scm(NoiseSpec.uniform(3.0, 4.0)), rng, 1000)
+        draws = _draw_noise(_one_variable_scm(NoiseSpec.uniform(3.0, 4.0)), rng, np.empty((1, 1000)))
         assert draws.min() >= 3.0 and draws.max() <= 4.0
-        constants = _draw_noise(_one_variable_scm(NoiseSpec.constant(-2.0)), rng, 5)
+        constants = _draw_noise(_one_variable_scm(NoiseSpec.constant(-2.0)), rng, np.empty((1, 5)))
         assert (constants == -2.0).all()
 
     def test_gaussian_draw(self):
-        draws = _draw_noise(_one_variable_scm(NoiseSpec.gaussian(2.0, 0.5)), np.random.default_rng(1), 20_000)[0]
+        draws = _draw_noise(
+            _one_variable_scm(NoiseSpec.gaussian(2.0, 0.5)), np.random.default_rng(1), np.empty((1, 20_000))
+        )[0]
         assert (draws == np.random.default_rng(1).normal(2.0, 0.5, 20_000)).all()
         assert draws.mean() == pytest.approx(2.0, abs=0.02)
         assert draws.std() == pytest.approx(0.5, abs=0.02)
@@ -212,7 +214,8 @@ def test_blocks_side_by_side_are_the_standard_draws(monkeypatch, m, rows, spans)
         return _row_blocks(scm, rows)
 
     monkeypatch.setattr(sweep, "_row_blocks", record_rows)
-    assert _folded_sums(scm, np.ones(scm.n), np.random.default_rng(5), m).shape == (m,)
+    scorer_block = np.empty((_block_rows(scm.n, m), m))
+    assert _folded_sums(scm, np.ones(scm.n), np.random.default_rng(5), scorer_block).shape == (m,)
     assert walked_by == [rows]
     buffer = np.empty((rows, m))
     rng = np.random.default_rng(5)
@@ -225,7 +228,7 @@ def test_blocks_side_by_side_are_the_standard_draws(monkeypatch, m, rows, spans)
         blocks.append(block.copy())
     # Whole rows of one run each, at most ``rows`` of them, in index order.
     assert walked == spans
-    assert np.vstack(blocks).tobytes() == _draw_standard(scm, np.random.default_rng(5), m).tobytes()
+    assert np.vstack(blocks).tobytes() == _draw_standard(scm, np.random.default_rng(5), np.empty((scm.n, m))).tobytes()
 
 
 def test_loc_scale_is_read_only_and_built_once():

@@ -15,15 +15,18 @@ from causalsteer import (
     Scm,
     SweepConfig,
     fileio,
+    fit_logistic,
     generate_random_scm,
+    median_split_labels,
     models,
+    pick_random_target,
     run_sweep,
     sample,
     sweep,
 )
 from causalsteer.cli import main
 from causalsteer.errors import AllEffectsZero, CausalSteerError, DidNotConvergeWarning, InvalidConfig, NonFiniteValue
-from causalsteer.sweep import _run_dag, sweep_result_to_csv
+from causalsteer.sweep import _run_dag, _work_arrays, sweep_result_to_csv
 
 GOLDEN_CONFIG = SweepConfig(
     n_dags=8,
@@ -128,9 +131,9 @@ def test_one_draw_follows_the_evaluation_size(monkeypatch):
     score = sweep._class1_counts
     calls = []
 
-    def record_values(scm, bias, effects, i, values, seed, n_post):
+    def record_values(scm, bias, effects, i, values, seed, n_post, block=None):
         calls.append(len(values))
-        return score(scm, bias, effects, i, values, seed, n_post)
+        return score(scm, bias, effects, i, values, seed, n_post, block)
 
     monkeypatch.setattr(sweep, "_class1_counts", record_values)
     at_threshold = SweepConfig(
@@ -264,6 +267,69 @@ def test_sweep_counts_a_dag_whose_scores_overflow():
     # The DAG's plans for d = ±1e308 are finite, but their thresholds overflow.
     with pytest.raises(CausalSteerError, match=r"all 1 DAGs failed \(NonFiniteValue: 1\)"):
         run_sweep(SweepConfig(n_dags=1, d_values=(1e308, -1e308)))
+
+
+def _dag_seed(config: SweepConfig, k: int) -> np.random.SeedSequence:
+    """DAG k's seed in a sweep of ``config``, not yet spawned from: ``_run_dag`` spawns its four from it."""
+    return np.random.SeedSequence(config.seed).spawn(config.n_dags)[k]
+
+
+def _assert_same_model(model: PredictionModel, expected: PredictionModel) -> None:
+    assert (model.bias, model.n_iter, model.converged) == (expected.bias, expected.n_iter, expected.converged)
+    assert model.coeffs.tobytes() == expected.coeffs.tobytes()
+    assert (model.predictor_indices, model.target_index) == (expected.predictor_indices, expected.target_index)
+
+
+PAPER_CONFIG = SweepConfig(n_dags=2, seed=5)
+
+
+@pytest.mark.parametrize("config", [GOLDEN_CONFIG, PAPER_CONFIG], ids=["golden", "paper"])
+def test_run_dag_fits_as_the_public_chain(config):
+    """The sweep trains in its own arrays, yet its model is the public chain's bit for bit.
+
+    perfbench's replay rebuilds each DAG through sample, median_split_labels and fit_logistic, and holds its
+    counts to run_sweep's; the equality must hold at the paper's 70 x 1000 as at the golden size.
+    """
+    s_scm, s_train, s_target, _ = _dag_seed(config, 1).spawn(4)
+    scm = generate_random_scm(dataclasses.replace(config.datagen, seed=s_scm))
+    train = sample(scm, config.n_train, s_train)
+    target = pick_random_target(scm.n, s_target)
+    expected = fit_logistic(train, median_split_labels(train, target), target_index=target)
+    model, _ = _run_dag(config, _dag_seed(config, 1))
+    _assert_same_model(model, expected)
+
+
+# The scorer's block of 13 x 5000 draws is larger than the 15 x 200 training draw; at 70 x 1000 it is smaller.
+LARGE_BLOCK_CONFIG = dataclasses.replace(GOLDEN_CONFIG, n_dags=2, n_post=5000)
+
+
+@pytest.mark.parametrize(
+    "config, overflowing",
+    [
+        # The DAG of test_sweep_counts_a_dag_whose_scores_overflow.
+        (PAPER_CONFIG, SweepConfig(n_dags=1, d_values=(1e308, -1e308))),
+        (LARGE_BLOCK_CONFIG, dataclasses.replace(LARGE_BLOCK_CONFIG, d_values=(1e308, -1e308), seed=5)),
+    ],
+    ids=["block-within-draw", "draw-within-block"],
+)
+def test_reused_arrays_carry_nothing_between_dags(config, overflowing):
+    """A DAG gives the same model and counts in fresh arrays, in arrays of NaN and in those a failed DAG left."""
+    draw, design, block = arrays = _work_arrays(config)
+    assert np.shares_memory(block, draw) and (block.size < draw.size) == (config is PAPER_CONFIG)
+    for k in range(config.n_dags):
+        model, counts = _run_dag(config, _dag_seed(config, k))
+        for a in arrays:
+            a.fill(np.nan)
+        for prefill in ("nan", "failed"):
+            if prefill == "failed":
+                # DAG 0 of ``overflowing`` is planned, then its thresholds overflow once the block is folded.
+                assert _run_dag(overflowing, _dag_seed(overflowing, 0), arrays)[1] == "NonFiniteValue"
+            reused, reused_counts = _run_dag(config, _dag_seed(config, k), arrays)
+            _assert_same_model(reused, model)
+            assert reused_counts.tolist() == counts.tolist()
+            for a in arrays:
+                assert not np.shares_memory(reused.coeffs, a)
+                assert not np.shares_memory(reused_counts, a)
 
 
 @pytest.mark.parametrize("n_post", [0, -1])
